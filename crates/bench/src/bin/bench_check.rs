@@ -8,7 +8,6 @@
 //!
 //! | field | gate |
 //! |---|---|
-//! | `rank_correlation` | absolute floor 0.9 |
 //! | `failed` | absolute: must be 0 |
 //! | `tuned_cycles` | ≤ 1.10× its baseline value |
 //! | `tuned_traffic_bytes` | ≤ 1.10× its baseline value |
@@ -39,7 +38,7 @@
 //! attribution table printed alongside it (via [`cello_bench::explain`])
 //! names the cause — every numeric field the record shares with its
 //! baseline, ranked by relative change, so a cycles regression shows up
-//! next to the traffic/eval/correlation fields that moved with it. For the
+//! next to the traffic/eval fields that moved with it. For the
 //! per-phase, per-axis view, capture full reports with `cello_run
 //! --report-out` and diff them with `cello_explain`.
 //!
@@ -56,8 +55,6 @@ use cello_bench::json::Json;
 
 /// Allowed relative regression on cycles and traffic.
 const TOLERANCE: f64 = 0.10;
-/// Floor on the surrogate's rank correlation.
-const MIN_CORRELATION: f64 = 0.9;
 /// Allowed absolute drop in cache hit rate.
 const HIT_RATE_DROP: f64 = 0.10;
 /// Floor on candidates considered, relative to baseline (deterministic).
@@ -171,13 +168,6 @@ fn main() {
     for cur in &current {
         let label = cur.label();
         // Absolute gates: hold whether or not a baseline record exists.
-        if let Some(corr) = cur.field("rank_correlation") {
-            if corr < MIN_CORRELATION {
-                failures.push(format!(
-                    "{label}: rank correlation {corr:.3} < {MIN_CORRELATION}"
-                ));
-            }
-        }
         if let Some(failed) = cur.field("failed") {
             if failed > 0.0 {
                 failures.push(format!("{label}: {failed:.0} failed requests (must be 0)"));
@@ -202,7 +192,6 @@ fn main() {
         for key in [
             "tuned_cycles",
             "tuned_traffic_bytes",
-            "rank_correlation",
             "hit_rate",
             "failed",
             "candidates_seen",
@@ -259,7 +248,6 @@ fn main() {
         }
         // Reported-only context, when present.
         for key in [
-            "rank_correlation",
             "p50_micros",
             "p95_micros",
             "p99_us",

@@ -17,16 +17,16 @@
 //! `--prefilter` swaps the beam for the two-tier
 //! `Strategy::Prefiltered(0.1, Beam)` over the **widened** space
 //! (`SpaceConfig::widened`: six cut points + graded per-tensor CHORD
-//! priority biasing): the analytic surrogate ranks the traversal and only
-//! the top tenth reaches `sim::evaluate`.
+//! priority biasing): tier 1 ranks the traversal and only the top tenth
+//! reaches the exact tier. Both tiers score with `sim::evaluate`.
 //!
 //! `--tier0` runs the full three-tier funnel instead:
 //! `Prefiltered(0.1, Tier0)` over the widened space. Tier 0 sweeps up to
 //! 49 152 assignments through the closed-form asymptotic cost sketch
 //! (`cello_search::tier0` — no schedule build, no phase walk), keeps only
-//! the sketch-Pareto survivors (≤ 96), the surrogate ranks those, and the
-//! simulator scores the top tenth — ~100× more candidates considered per
-//! second than the two-tier beam.
+//! the sketch-Pareto survivors (≤ 96), tier 1 ranks those, and the top
+//! tenth is promoted to the exact tier — ~100× more candidates considered
+//! per second than the two-tier beam.
 //!
 //! `--per-phase-sram` opens the per-phase SRAM repartition dimension
 //! (`SpaceConfig::with_repartition`): fused/solo split profiles override
@@ -37,7 +37,7 @@
 //! at the `--nodes` mesh, and over the per-phase-SRAM space (`name+pp`
 //! records), always through the three-tier funnel, emitting
 //! `BENCH_dse.json` at the repo root (cycles, DRAM/NoC bytes, energy,
-//! candidates seen/sec, surrogate rank-correlation) for the `bench_check`
+//! candidates seen/sec) for the `bench_check`
 //! regression gate, plus the usual stdout table. The trajectory also
 //! carries a **sparse family** (`cg-sparse/*`): CG over real-pattern
 //! `.mtx` fixtures under `data/`, built with `CgParams::from_csr` so the
@@ -51,7 +51,7 @@
 //! `--audit` runs every primary tune through
 //! `cello_search::Tuner::tune_audited` instead of `tune` (identical
 //! outcome, same seeds): the per-tier funnel ledger — where every
-//! candidate died (tier-0 prune / schedule dedup / surrogate cut /
+//! candidate died (tier-0 prune / schedule dedup / tier-1 cut /
 //! promoted), the tier-0 sketch-vs-sim Spearman cross-check, and the
 //! sampled survivor-loss probe — lands in `BENCH_audit.json`. The run
 //! fails if the accounting identity (`candidates_seen` = died + promoted)
@@ -65,7 +65,7 @@
 //! [--prefilter] [--tier0] [--per-phase-sram] [--quick] [--audit]`
 
 use cello_bench::json::Json;
-use cello_bench::{emit, f3, surrogate_rank_correlation};
+use cello_bench::{emit, f3};
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
 use cello_search::{AuditConfig, FunnelAudit, SearchOutcome, SpaceConfig, Strategy, Tuner};
@@ -82,7 +82,7 @@ const KEEP_FRAC: f64 = 0.1;
 /// Tier-0 sketch budget for `--tier0` and the quick trajectory: how many
 /// assignments the symbolic sweep considers per tune.
 const TIER0_BUDGET: u64 = 49_152;
-/// Tier-0 keep cap: sketch-Pareto survivors promoted to the surrogate.
+/// Tier-0 keep cap: sketch-Pareto survivors promoted to tier 1.
 const TIER0_KEEP: usize = 96;
 /// Tolerance on the quick-mode containment checks (per-phase vs global
 /// split, mesh vs single node). The bigger space *contains* the smaller,
@@ -90,10 +90,8 @@ const TIER0_KEEP: usize = 96;
 /// the larger space draws a different assignment stream — so containment
 /// holds to within the funnel's 2% quality bar rather than exactly.
 const CONTAIN_TOL: f64 = 1.02;
-/// Seed for the rank-correlation sample (same stream as `Strategy::Random`).
-const CORR_SEED: u64 = 0xCE110;
-/// Candidates in the rank-correlation sample.
-const CORR_SAMPLES: usize = 24;
+/// Seed for the random-sampling baseline strategy.
+const RANDOM_SEED: u64 = 0xCE110;
 
 struct Workload {
     name: &'static str,
@@ -111,7 +109,7 @@ struct Args {
     quick: bool,
     /// Use the two-tier prefilter over the widened space.
     prefilter: bool,
-    /// Use the three-tier funnel (tier-0 sketch → surrogate → sim) over
+    /// Use the three-tier funnel (tier-0 sketch → tier 1 → exact tier) over
     /// the widened space.
     tier0: bool,
     /// Open the per-phase SRAM repartition dimension.
@@ -281,14 +279,14 @@ fn workloads() -> Vec<Workload> {
 }
 
 /// Prints the process-global search instrumentation accumulated over every
-/// tune this run (tunes, exact-vs-surrogate evaluation split, memo cache
+/// tune this run (tunes, exact-vs-tier-1 evaluation split, memo cache
 /// hits, prefilter keep/drop tallies) — the registry the serve daemon
 /// exposes over its `metrics` op, surfaced here for CLI runs.
 fn print_obs_summary() {
     let snap = cello_obs::metrics::global().snapshot();
     let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     println!(
-        "[obs] {} tunes: {} exact evals, {} surrogate, {} cache hits, {} candidates; \
+        "[obs] {} tunes: {} exact evals, {} tier-1, {} cache hits, {} candidates; \
          prefilter kept {} / dropped {}",
         get("search_tunes"),
         get("search_exact_evals"),
@@ -306,7 +304,7 @@ fn print_obs_summary() {
     if t0_kept + t0_pruned > 0 {
         println!(
             "[obs] funnel: tier0 swept {} -> kept {} ({} pruned symbolically); \
-             surrogate scored {} -> promoted {}; sim evaluated {}",
+             tier-1 scored {} -> promoted {}; exact evaluated {}",
             t0_kept + t0_pruned,
             t0_kept,
             t0_pruned,
@@ -458,7 +456,7 @@ const DSE_HEADER: [&str; 14] = [
 /// single-node and at the `--nodes` mesh, `BENCH_dse.json` emission.
 fn run_quick(args: &Args) {
     // The full three-tier funnel: tier-0 sketches TIER0_BUDGET assignments
-    // symbolically, the surrogate ranks the sketch-Pareto survivors, the
+    // symbolically, tier 1 ranks the sketch-Pareto survivors, the
     // simulator scores the top KEEP_FRAC of those.
     let inner = Strategy::Tier0 {
         budget: TIER0_BUDGET,
@@ -507,7 +505,7 @@ fn run_quick(args: &Args) {
                 w.name.to_string()
             };
             let started = std::time::Instant::now();
-            let tuner = Tuner::new(&w.dag, &w.accel, cfg.clone());
+            let tuner = Tuner::new(&w.dag, &w.accel, cfg);
             let strategy = Strategy::prefiltered(KEEP_FRAC, inner.clone());
             // The audited path replays the identical tune (same seeds, same
             // ordering) while ledgering where every candidate died.
@@ -518,7 +516,6 @@ fn run_quick(args: &Args) {
                 (tuner.tune(&strategy), None)
             };
             let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-            let corr = surrogate_rank_correlation(&w.dag, &w.accel, &cfg, CORR_SAMPLES, CORR_SEED);
             let cand_per_sec = out.candidates_seen as f64 / elapsed;
             let best = out.best_traffic.cost.total_traffic_bytes();
             match (*per_phase, nodes_label) {
@@ -574,21 +571,14 @@ fn run_quick(args: &Args) {
                 ("surrogate_scored".into(), Json::int(out.surrogate_scored)),
                 ("candidates_seen".into(), Json::int(out.candidates_seen)),
                 ("candidates_per_sec".into(), Json::Num(cand_per_sec)),
-                ("rank_correlation".into(), Json::Num(corr)),
             ]));
-            // The analytic tier must carry the load, and its ranking must
-            // stay trustworthy — the same invariants the CI gate re-checks
-            // against the committed baseline.
+            // Tier 1 must carry the load — the same invariant the CI gate
+            // re-checks against the committed baseline.
             if out.evaluations >= out.surrogate_scored {
                 violations.push(format!(
-                    "{label}: prefilter did not reduce sim evaluations \
-                     ({} exact vs {} surrogate)",
+                    "{label}: prefilter did not reduce exact evaluations \
+                     ({} exact vs {} tier-1)",
                     out.evaluations, out.surrogate_scored
-                ));
-            }
-            if corr < 0.9 {
-                violations.push(format!(
-                    "{label}: surrogate rank correlation {corr:.3} below 0.9"
                 ));
             }
             if let Some(a) = ledger {
@@ -740,7 +730,7 @@ fn main() {
             primary.clone(),
             Strategy::Random {
                 samples: 64,
-                seed: CORR_SEED,
+                seed: RANDOM_SEED,
             },
         ];
         for (si, strategy) in strategies.into_iter().enumerate() {

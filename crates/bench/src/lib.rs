@@ -104,39 +104,6 @@ pub fn yn(b: bool) -> String {
     }
 }
 
-/// Spearman rank correlation between the analytic surrogate and the exact
-/// simulator over `samples` seeded-random candidates of `cfg`'s space on
-/// `dag`, on the total-traffic objective (the §V-B figure of merit). This is
-/// the number the CI gate pins: it answers "can the tier-1 ranking be
-/// trusted to pick sim-evaluation survivors?".
-pub fn surrogate_rank_correlation(
-    dag: &TensorDag,
-    accel: &CelloConfig,
-    cfg: &cello_search::SpaceConfig,
-    samples: usize,
-    seed: u64,
-) -> f64 {
-    use cello_search::{spearman, surrogate_cost, SearchSpace};
-    let space = SearchSpace::from_dag(dag, cfg);
-    let schedules: Vec<_> = space
-        .sample_assignments(samples, seed)
-        .iter()
-        .map(|picks| space.assemble(picks).build(dag))
-        .collect();
-    let pairs: Vec<(u64, u64)> = schedules
-        .par_iter()
-        .map(|s| {
-            (
-                surrogate_cost(dag, s, accel).total_traffic_bytes(),
-                cello_sim::evaluate::evaluate_schedule(dag, s, accel).total_traffic_bytes(),
-            )
-        })
-        .collect();
-    let est: Vec<u64> = pairs.iter().map(|&(e, _)| e).collect();
-    let sim: Vec<u64> = pairs.iter().map(|&(_, s)| s).collect();
-    spearman(&est, &sim)
-}
-
 /// The standard CG workload grid used by Fig 12/14/16 harnesses.
 pub fn cg_cell(
     dataset: &cello_workloads::datasets::Dataset,

@@ -8,14 +8,13 @@
 use cello_bench::json::Json;
 use std::process::Command;
 
-fn record(name: &str, cycles: u64, traffic: u64, corr: f64) -> Json {
+fn record(name: &str, cycles: u64, traffic: u64) -> Json {
     Json::Obj(vec![
         ("name".into(), Json::Str(name.into())),
         ("nodes".into(), Json::int(1)),
         ("base_cycles".into(), Json::int(500_000)),
         ("tuned_cycles".into(), Json::int(cycles)),
         ("tuned_traffic_bytes".into(), Json::int(traffic)),
-        ("rank_correlation".into(), Json::Num(corr)),
         ("candidates_seen".into(), Json::int(49_153)),
         ("candidates_per_sec".into(), Json::Num(100_000.0)),
     ])
@@ -33,13 +32,13 @@ fn injected_regression_produces_attribution_table() {
     let current_path = dir.join("current.json");
     std::fs::write(
         &baseline_path,
-        doc(vec![record("cg/test", 288_696, 491_632_668, 1.0)]).render(),
+        doc(vec![record("cg/test", 288_696, 491_632_668)]).render(),
     )
     .unwrap();
     // Inject: cycles blow past the 1.10x gate; traffic moves a little too.
     std::fs::write(
         &current_path,
-        doc(vec![record("cg/test", 400_000, 500_000_000, 1.0)]).render(),
+        doc(vec![record("cg/test", 400_000, 500_000_000)]).render(),
     )
     .unwrap();
 
@@ -71,7 +70,7 @@ fn injected_regression_produces_attribution_table() {
     // Control: an unchanged current file passes without the table.
     std::fs::write(
         &current_path,
-        doc(vec![record("cg/test", 288_696, 491_632_668, 1.0)]).render(),
+        doc(vec![record("cg/test", 288_696, 491_632_668)]).render(),
     )
     .unwrap();
     let ok = Command::new(env!("CARGO_BIN_EXE_bench_check"))

@@ -21,8 +21,8 @@
 //!
 //! A dense tensor (`rel = 1`, `rel_std = 0`) is granted its full footprint
 //! and spills nothing at every level, so overbooking is exactly the
-//! identity on dense workloads — the invariant the regression baselines and
-//! the sim↔surrogate exactness contract rely on.
+//! identity on dense workloads — the invariant the regression baselines
+//! rely on.
 
 use cello_tensor::sparse::OccupancyStats;
 use serde::{Deserialize, Serialize};

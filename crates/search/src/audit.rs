@@ -2,8 +2,8 @@
 //!
 //! The three-tier funnel ([`crate::tuner`]) discards candidates at three
 //! lossy stages — the tier-0 symbolic prune, schedule-key deduplication,
-//! and the surrogate keep-fraction cut — and only the survivors reach the
-//! exact simulator. The plain [`SearchOutcome`]
+//! and the tier-1 keep-fraction cut — and only the survivors reach the
+//! exact tier. The plain [`SearchOutcome`]
 //! reports aggregate counts; this module answers the forensic questions a
 //! regression hunt actually asks:
 //!
@@ -15,7 +15,7 @@
 //!    silently eating (or double-counting) candidates.
 //! 2. **Is tier 0 ranking sanely?** The sketch scalar is cross-checked
 //!    against exact sim cycles on a sampled survivor subset via Spearman
-//!    rank correlation ([`crate::surrogate::spearman`]).
+//!    rank correlation ([`spearman`]).
 //! 3. **Did the prune cost us the winner?** A deterministic sample of the
 //!    *pruned* assignments is re-scored through the exact simulator; any
 //!    sampled candidate whose cost strictly beats the reported winner is
@@ -33,7 +33,6 @@
 
 use crate::cost::{rank, Evaluated};
 use crate::strategy::{SplitMix64, Strategy};
-use crate::surrogate::spearman;
 use crate::tier0::{Tier0Model, Tier0Prune};
 use crate::tuner::{SearchOutcome, Tier, Tuner, TIER0_SWEEP_SEED};
 use serde::{Deserialize, Serialize};
@@ -88,10 +87,10 @@ pub struct FunnelAudit {
     /// Died by deduplication: distinct pick vectors that collapsed to an
     /// already-scored canonical schedule.
     pub dedup_merged: u64,
-    /// Distinct schedules the surrogate ranked (the keep-fraction cut's
+    /// Distinct schedules tier 1 ranked (the keep-fraction cut's
     /// input; 0 for single-tier strategies).
     pub surrogate_ranked: u64,
-    /// Died at the surrogate cut: ranked below the keep fraction.
+    /// Died at the tier-1 cut: ranked below the keep fraction.
     pub surrogate_dropped: u64,
     /// Promoted to the exact simulator (distinct schedules).
     pub promoted: u64,
@@ -166,7 +165,7 @@ impl<'a> Tuner<'a> {
         let surr_before = self.cache.surrogate_evaluations();
         let mut seen: u64 = 0;
 
-        // Stage 1+2: the traversal, scored through the surrogate when a
+        // Stage 1+2: the traversal, scored through tier 1 when a
         // real prefilter follows, exactly otherwise — mirroring
         // `tune_seeded` / `tune_prefiltered` step for step.
         let tier = if prefiltered {
@@ -401,6 +400,54 @@ impl<'a> Tuner<'a> {
     }
 }
 
+/// Spearman rank correlation between two paired samples (average ranks for
+/// ties). Returns 0.0 for degenerate inputs (fewer than two points, or a
+/// side with zero rank variance while the other varies). When **both**
+/// sides are constant the rankings trivially agree and the result is 1.0 —
+/// a workload whose every candidate costs the same is a perfectly
+/// predicted one, not a model failure.
+pub fn spearman(xs: &[u64], ys: &[u64]) -> f64 {
+    if xs.len() != ys.len() || xs.len() < 2 {
+        return 0.0;
+    }
+    let rx = average_ranks(xs);
+    let ry = average_ranks(ys);
+    let n = rx.len() as f64;
+    let mean = (n + 1.0) / 2.0;
+    let (mut cov, mut vx, mut vy) = (0.0f64, 0.0f64, 0.0f64);
+    for (a, b) in rx.iter().zip(&ry) {
+        let (da, db) = (a - mean, b - mean);
+        cov += da * db;
+        vx += da * da;
+        vy += db * db;
+    }
+    match (vx == 0.0, vy == 0.0) {
+        (true, true) => 1.0,
+        (true, false) | (false, true) => 0.0,
+        _ => cov / (vx * vy).sqrt(),
+    }
+}
+
+/// 1-based ranks with ties sharing their average rank.
+fn average_ranks(values: &[u64]) -> Vec<f64> {
+    let mut idx: Vec<usize> = (0..values.len()).collect();
+    idx.sort_by_key(|&i| values[i]);
+    let mut ranks = vec![0.0; values.len()];
+    let mut i = 0;
+    while i < idx.len() {
+        let mut j = i;
+        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
+            j += 1;
+        }
+        let avg = (i + j) as f64 / 2.0 + 1.0;
+        for &k in &idx[i..=j] {
+            ranks[k] = avg;
+        }
+        i = j + 1;
+    }
+    ranks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,5 +608,18 @@ mod tests {
         assert_eq!(a.pruned_sampled, b.pruned_sampled);
         let rho = a.sketch_sim_spearman.expect("tier-0 ran");
         assert!((-1.0..=1.0).contains(&rho), "rho in range: {rho}");
+    }
+
+    #[test]
+    fn spearman_basics() {
+        assert!((spearman(&[1, 2, 3, 4], &[10, 20, 30, 40]) - 1.0).abs() < 1e-12);
+        assert!((spearman(&[1, 2, 3, 4], &[40, 30, 20, 10]) + 1.0).abs() < 1e-12);
+        // Ties share average ranks and still correlate.
+        assert!(spearman(&[1, 1, 2, 3], &[5, 5, 9, 12]) > 0.99);
+        // Degenerate inputs.
+        assert_eq!(spearman(&[1], &[2]), 0.0);
+        assert_eq!(spearman(&[3, 3, 3], &[1, 2, 3]), 0.0);
+        // Both constant: trivial agreement, not a failure.
+        assert_eq!(spearman(&[3, 3, 3], &[7, 7, 7]), 1.0);
     }
 }

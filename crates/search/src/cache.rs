@@ -10,12 +10,13 @@
 //! within one [`crate::Tuner`], so a beam run after an exhaustive run on
 //! the same space is nearly free.
 //!
-//! Two memo tables live side by side under the same keys: the exact
-//! simulator tier (`lookup`/`insert`) and the analytic surrogate tier
-//! (`lookup_surrogate`/`insert_surrogate`). `Strategy::Prefiltered` fills
-//! the surrogate table while traversing and the exact table only for
-//! survivors; a later exact-tier run over the same space then starts from
-//! whatever the prefilter already paid for.
+//! Two memo tables live side by side under the same keys: the exact tier
+//! (`lookup`/`insert`) and tier 1 (`lookup_surrogate`/`insert_surrogate`).
+//! Both hold `cello_sim::evaluate` costs; they are kept apart so each tier
+//! counts its own scorings and hits. `Strategy::Prefiltered` fills the
+//! tier-1 table while traversing and the exact table only for survivors; a
+//! later exact-tier run over the same space then starts from whatever the
+//! prefilter already paid for.
 //!
 //! Each tier's table is **lock-striped** into `SHARDS` shards selected by
 //! the key's low bits: `batch_with`'s rayon workers used to serialize on a
@@ -105,7 +106,7 @@ impl EvalCache {
         self.map.put(key, cost);
     }
 
-    /// Cached surrogate score for `key`, counting a surrogate hit.
+    /// Cached tier-1 cost for `key`, counting a tier-1 hit.
     pub fn lookup_surrogate(&self, key: ScheduleKey) -> Option<CostEstimate> {
         let found = self.surrogate_map.get(key);
         if found.is_some() {
@@ -114,7 +115,7 @@ impl EvalCache {
         found
     }
 
-    /// Records a fresh surrogate scoring.
+    /// Records a fresh tier-1 scoring.
     pub fn insert_surrogate(&self, key: ScheduleKey, cost: CostEstimate) {
         self.surrogate_evaluations.fetch_add(1, Ordering::Relaxed);
         self.surrogate_map.put(key, cost);
@@ -130,12 +131,12 @@ impl EvalCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct schedules scored by the surrogate so far.
+    /// Number of distinct schedules scored in tier 1 so far.
     pub fn surrogate_evaluations(&self) -> u64 {
         self.surrogate_evaluations.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups served from the surrogate cache.
+    /// Number of lookups served from the tier-1 table.
     pub fn surrogate_hits(&self) -> u64 {
         self.surrogate_hits.load(Ordering::Relaxed)
     }
@@ -174,7 +175,7 @@ mod tests {
     fn tiers_do_not_alias() {
         let cache = EvalCache::new();
         cache.insert_surrogate(k(1), cost(3));
-        assert!(cache.lookup(k(1)).is_none(), "surrogate fill is tier-local");
+        assert!(cache.lookup(k(1)).is_none(), "tier-1 fill is tier-local");
         cache.insert(k(1), cost(7));
         assert_eq!(cache.lookup_surrogate(k(1)).unwrap().cycles, 3);
         assert_eq!(cache.lookup(k(1)).unwrap().cycles, 7);

@@ -39,18 +39,16 @@
 //!   precomputed per-decision effects, no schedule built and no phase walk,
 //!   pruned by symbolic Pareto dominance so only non-dominated sketches
 //!   reach the concrete tiers;
-//! - [`surrogate`]: the tier-1 analytic cost model — the same
-//!   [`cello_sim::phases::PhasePlan`] the simulator replays, scored with a
-//!   closed-form CHORD capacity split instead of the stateful RIFF walk
-//!   (orders of magnitude cheaper, validated by rank correlation);
 //! - [`tuner`]: drives everything — candidates are scored in parallel
 //!   (rayon) through `cello_sim::evaluate`'s cheap traffic+roofline path,
-//!   or analytically prefiltered first under `Strategy::Prefiltered`
-//!   (both concrete tiers memoized in one shared lock-striped cache keyed
-//!   by interned 128-bit schedule keys);
+//!   the one cost model every concrete tier uses. Under
+//!   `Strategy::Prefiltered` the traversal is scored into a tier-1 memo
+//!   table and only its top-ranked fraction is promoted to the exact table
+//!   (both tables live in one shared lock-striped cache keyed by interned
+//!   128-bit schedule keys);
 //! - [`audit`]: funnel forensics — [`Tuner::tune_audited`] replays a tune
 //!   while ledgering where every candidate died (tier-0 prune, schedule
-//!   dedup, surrogate cut), cross-checks tier-0 sketch rank against exact
+//!   dedup, tier-1 cut), cross-checks tier-0 sketch rank against exact
 //!   sim rank, and samples the pruned set for survivor loss.
 //!
 //! Every strategy is deterministic: parallel evaluation preserves order,
@@ -74,13 +72,13 @@
 //! assert!(outcome.best_cycles.cost.cycles <= outcome.baseline.cost.cycles);
 //! assert!(!outcome.pareto.is_empty());
 //!
-//! // Two-tier: rank the space analytically, sim-evaluate the top 20%.
+//! // Two-tier: rank the traversal in tier 1, promote the top 20% to tier 2.
 //! let two_tier = tuner.tune(&Strategy::prefiltered(0.2, Strategy::Beam { width: 4 }));
 //! assert!(two_tier.best_cycles.cost.cycles <= two_tier.baseline.cost.cycles);
 //! assert!(two_tier.surrogate_scored > 0);
 //!
-//! // Three-tier: sketch-prune symbolically, surrogate-rank the survivors,
-//! // sim-evaluate the top 20% of those.
+//! // Three-tier: sketch-prune symbolically, rank the survivors in tier 1,
+//! // promote the top 20% of those.
 //! let funnel = tuner.tune(&Strategy::prefiltered(
 //!     0.2,
 //!     Strategy::Tier0 { budget: 512, keep: 32 },
@@ -95,17 +93,23 @@ pub mod cost;
 pub mod fingerprint;
 pub mod space;
 pub mod strategy;
-pub mod surrogate;
 pub mod tier0;
 pub mod tuner;
 
-pub use audit::{AuditConfig, FunnelAudit};
+pub use audit::{spearman, AuditConfig, FunnelAudit};
 pub use cache::EvalCache;
 pub use candidate::Candidate;
 pub use cost::{pareto_front, Evaluated};
 pub use fingerprint::{fingerprint, Fingerprint, Fnv128Writer, ScheduleKey};
 pub use space::{Choice, Decision, RepartitionProfile, SearchSpace, SpaceConfig};
 pub use strategy::Strategy;
-pub use surrogate::{spearman, surrogate_cost};
 pub use tier0::{Sketch, Tier0Model, Tier0Prune};
 pub use tuner::{SearchOutcome, Tuner};
+
+/// Tier 1 of [`Strategy::Prefiltered`] under its former name: the
+/// simulator's [`evaluate_schedule`](cello_sim::evaluate::evaluate_schedule),
+/// the one cost model of the funnel. It and `Prefiltered` remain for the
+/// `cellobench` tune replay; collapsing the funnel to sketch → sim needs a
+/// benchmark change first, and also deletes `tune_prefiltered`, the tier-1
+/// memo table and the audit's `surrogate_dropped` leg.
+pub use cello_sim::evaluate::evaluate_schedule as surrogate_cost;

@@ -1,5 +1,5 @@
 //! Search strategies: exhaustive, beam, seeded random sampling, the
-//! symbolic tier-0 sweep, and the tiered analytic prefilter.
+//! symbolic tier-0 sweep, and the tiered prefilter.
 //!
 //! Strategies only decide **which assignments to score**; scoring itself
 //! (parallel evaluation, memoization, Pareto bookkeeping) lives in
@@ -45,17 +45,20 @@ pub enum Strategy {
         /// Max sketch-Pareto survivors promoted to concrete scoring.
         keep: usize,
     },
-    /// Tiered search: run `inner`'s traversal entirely on the analytic
-    /// surrogate ([`crate::surrogate::surrogate_cost`], tier 1), rank every
+    /// Tiered search: run `inner`'s traversal in tier 1, rank every
     /// distinct schedule it visited, keep the top `keep_frac` fraction, and
-    /// run `cello_sim::evaluate` only on those survivors (tier 2). Both
-    /// tiers share the tuner's memo cache. `keep_frac >= 1.0` keeps the
-    /// whole visited set — no pruning — so the tuner degenerates it to the
-    /// inner strategy exactly. With [`Self::Tier0`] as `inner` this is the
-    /// full three-tier funnel: tier 0 prunes symbolically, the surrogate
-    /// ranks the survivors, the simulator scores the top fraction.
+    /// promote only those survivors to the exact tier (tier 2). Both tiers
+    /// score with `cello_sim::evaluate` and keep their own table in the
+    /// tuner's memo cache. `keep_frac >= 1.0` keeps the whole visited set —
+    /// no pruning — so the tuner degenerates it to the inner strategy
+    /// exactly. With [`Self::Tier0`] as `inner` this is the full three-tier
+    /// funnel: tier 0 prunes symbolically, tier 1 ranks the survivors, tier
+    /// 2 reports over the top fraction. This variant remains for the
+    /// `cellobench` tune replay: collapsing the funnel to sketch → sim needs
+    /// a benchmark change first, and also deletes `tune_prefiltered`, the
+    /// tier-1 memo table and the audit's `surrogate_dropped` leg.
     Prefiltered {
-        /// Fraction of surrogate-ranked candidates promoted to exact
+        /// Fraction of tier-1-ranked candidates promoted to exact
         /// evaluation, clamped to `(0, 1]`; at least one always survives.
         keep_frac: f64,
         /// The traversal strategy tier 1 drives (a nested `Prefiltered`

@@ -3,8 +3,8 @@
 //!
 //! The two concrete tiers both pay a per-candidate fixed cost that has
 //! nothing to do with scoring: `Candidate::build` materializes a schedule
-//! through the constraint-validating builder, and even the analytic
-//! surrogate then walks the phase plan. That caps how many candidates a
+//! through the constraint-validating builder, and the simulator then walks
+//! the phase plan. That caps how many candidates a
 //! search can *consider* per second, which caps how wide a space it can
 //! reach. Tier 0 scores an assignment **without building its schedule**:
 //! a [`Sketch`] of four monotone resource terms is computed directly from

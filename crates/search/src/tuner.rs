@@ -2,17 +2,15 @@
 //!
 //! Three evaluation tiers form a funnel. Tier 0 ([`crate::tier0`]) is
 //! symbolic: closed-form cost sketches over raw pick vectors, no schedule
-//! ever built, pruned by Pareto dominance. The two concrete tiers share
-//! one memo cache: the exact simulator (`cello_sim::evaluate`) and the
-//! analytic surrogate ([`crate::surrogate::surrogate_cost`], whose cost
-//! stays a bounded scan no matter how rich the exact tier grows). Direct
-//! strategies score everything exactly; [`Strategy::Prefiltered`]
-//! traverses on the surrogate and promotes only the top-ranked fraction
-//! to the exact tier; with [`Strategy::Tier0`] as its inner traversal the
-//! full funnel runs — sketch-prune thousands of assignments per
-//! millisecond, surrogate-rank the survivors, simulate the top slice —
-//! which is the piece that makes exhaustive-scale spaces
-//! ([`SpaceConfig::widened`]) affordable.
+//! ever built, pruned by Pareto dominance. The two concrete tiers score
+//! with one cost model, the simulator (`cello_sim::evaluate`), and keep one
+//! memo table each in a shared cache. Direct strategies score everything in
+//! the exact tier; [`Strategy::Prefiltered`] traverses in tier 1 and
+//! promotes only the top-ranked fraction to the exact tier; with
+//! [`Strategy::Tier0`] as its inner traversal the full funnel runs —
+//! sketch-prune thousands of assignments per millisecond, rank the
+//! survivors, keep the top slice — which is the piece that makes
+//! exhaustive-scale spaces ([`SpaceConfig::widened`]) affordable.
 
 use crate::cache::EvalCache;
 use crate::candidate::Candidate;
@@ -20,7 +18,6 @@ use crate::cost::{pareto_front, rank, Evaluated};
 use crate::fingerprint::ScheduleKey;
 use crate::space::{SearchSpace, SpaceConfig};
 use crate::strategy::Strategy;
-use crate::surrogate::surrogate_cost;
 use crate::tier0::Tier0Model;
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
@@ -59,7 +56,7 @@ pub struct SearchOutcome {
     /// Assignments the strategy proposed (>= evaluations; the difference is
     /// deduplication plus cache reuse).
     pub candidates_seen: u64,
-    /// Distinct schedules scored by the analytic surrogate during this run
+    /// Distinct schedules scored into the tier-1 memo table during this run
     /// (0 for single-tier strategies).
     pub surrogate_scored: u64,
 }
@@ -147,10 +144,7 @@ impl<'a> Tuner<'a> {
         }
         let costs: Vec<CostEstimate> = fresh
             .par_iter()
-            .map(|(_, schedule)| match tier {
-                Tier::Exact => evaluate_schedule(self.dag, schedule, self.accel),
-                Tier::Surrogate => surrogate_cost(self.dag, schedule, self.accel),
-            })
+            .map(|(_, schedule)| evaluate_schedule(self.dag, schedule, self.accel))
             .collect();
         for ((key, _), cost) in fresh.into_iter().zip(costs) {
             match tier {
@@ -372,10 +366,10 @@ impl<'a> Tuner<'a> {
         )
     }
 
-    /// The two-tier path (see [`Strategy::Prefiltered`]): traverse on the
-    /// surrogate, promote the top `keep_frac` of distinct schedules to the
-    /// exact tier, report over exactly-evaluated candidates only. Seeds ride
-    /// the surrogate traversal as beam guidance *and* are always promoted.
+    /// The two-tier path (see [`Strategy::Prefiltered`]): traverse in tier
+    /// 1, promote the top `keep_frac` of distinct schedules to the exact
+    /// tier, report over exact-tier candidates only. Seeds ride the tier-1
+    /// traversal as beam guidance *and* are always promoted.
     fn tune_prefiltered(
         &self,
         keep_frac: f64,
@@ -388,8 +382,8 @@ impl<'a> Tuner<'a> {
         let surr_before = self.cache.surrogate_evaluations();
         let mut seen: u64 = 0;
 
-        // Tier 1: the inner traversal guided entirely by the surrogate
-        // (its beam ranks partial assignments on analytic scores).
+        // Tier 1: the inner traversal, scored into the tier-1 table (its
+        // beam ranks partial assignments on those scores).
         let mut scored: Vec<Evaluated> = Vec::new();
         scored.extend(self.batch_with(
             vec![self.space.assemble(&self.space.default_picks())],
@@ -398,8 +392,8 @@ impl<'a> Tuner<'a> {
         seen += 1;
         self.traverse(inner, Tier::Surrogate, seed_picks, &mut seen, &mut scored);
 
-        // Rank the distinct visited schedules analytically; keep the top
-        // fraction (at least one).
+        // Rank the distinct visited schedules; keep the top fraction (at
+        // least one).
         let mut keys = HashSet::new();
         let mut uniq: Vec<Evaluated> = scored.into_iter().filter(|e| keys.insert(e.key)).collect();
         uniq.sort_by(rank);
@@ -412,7 +406,7 @@ impl<'a> Tuner<'a> {
 
         // Tier 2: exact evaluation of the survivors, plus the baseline
         // (always part of the comparison set, filtered or not) and the full
-        // seed assignments (cached winners never lost to surrogate ranking).
+        // seed assignments (cached winners never lost to the tier-1 cut).
         let baseline = self
             .eval_batch(vec![self.space.assemble(&self.space.default_picks())])
             .pop()
@@ -495,12 +489,15 @@ impl<'a> Tuner<'a> {
     }
 }
 
-/// Which scoring tier a batch goes through.
+/// Which memo table and counters a batch goes through. Both tiers score
+/// with `cello_sim::evaluate`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tier {
-    /// `cello_sim::evaluate` — exact, expensive.
+    /// Tier 2: the exact table, whose counters are `evaluations` and
+    /// `cache_hits`.
     Exact,
-    /// [`crate::surrogate::surrogate_cost`] — analytic, cheap.
+    /// Tier 1 of [`Strategy::Prefiltered`]: its own table, whose counter is
+    /// `surrogate_scored`.
     Surrogate,
 }
 
@@ -509,6 +506,7 @@ mod tests {
     use super::*;
     use crate::space::SpaceConfig;
     use cello_workloads::cg::{build_cg_dag, CgParams};
+    use cello_workloads::datasets::G2_CIRCUIT;
 
     fn cg(iters: u32) -> TensorDag {
         build_cg_dag(&CgParams {
@@ -631,8 +629,8 @@ mod tests {
 
     /// The acceptance claim of the two-tier pipeline: on the widened
     /// (prefilter-scale) CG space, `Prefiltered(0.1, Beam)` lands within 2%
-    /// of the full exact beam's best total traffic while invoking
-    /// `sim::evaluate` on at most 15% as many candidates.
+    /// of the full exact beam's best total traffic while making at most 15%
+    /// as many exact-tier evaluations.
     #[test]
     fn prefiltered_beam_matches_full_beam_cheaply_on_widened_cg() {
         let dag = cg(3);
@@ -655,14 +653,14 @@ mod tests {
             pre.evaluations,
             full.evaluations,
         );
-        // The analytic tier did the heavy lifting.
+        // Tier 1 did the heavy lifting.
         assert!(pre.surrogate_scored > pre.evaluations);
     }
 
     /// The three-tier acceptance claim: with tier-0 as the inner traversal,
     /// `Prefiltered` lands within 2% of the two-tier funnel's best total
     /// traffic on the widened multi-node CG space while scoring strictly
-    /// fewer candidates on the surrogate (the sketch absorbed the sweep) and
+    /// fewer candidates in tier 1 (the sketch absorbed the sweep) and
     /// sweeping far more assignments overall.
     #[test]
     fn tier0_funnel_matches_two_tier_with_fewer_surrogate_scorings() {
@@ -688,7 +686,7 @@ mod tests {
         );
         assert!(
             funnel.surrogate_scored < two_tier.surrogate_scored,
-            "tier-0 must shrink the surrogate tier ({} vs {})",
+            "tier-0 must shrink tier 1 ({} vs {})",
             funnel.surrogate_scored,
             two_tier.surrogate_scored,
         );
@@ -727,7 +725,7 @@ mod tests {
 
     /// The memo cache is shared across tiers and runs: an exact run after a
     /// prefiltered run re-evaluates only what the prefilter skipped, and
-    /// the prefilter's surrogate table is warm for a second prefilter.
+    /// the prefilter's tier-1 table is warm for a second prefilter.
     #[test]
     fn cache_shared_across_tiers() {
         let dag = cg(1);
@@ -819,6 +817,36 @@ mod tests {
             Tuner::new(&dag, &accel, small_cfg()).tune_seeded(&Strategy::Beam { width: 3 }, &[]);
         assert_eq!(a.best_cycles.key, b.best_cycles.key);
         assert_eq!(a.evaluations, b.evaluations);
+    }
+
+    /// One evaluator for the whole funnel: tier 1 scores with the
+    /// simulator, so on every key both memo tables hold — the baseline,
+    /// the winners and the Pareto front — the tier-1 cost equals the
+    /// tier-2 cost bit for bit, energy included.
+    #[test]
+    fn tier1_and_tier2_costs_agree_bit_for_bit() {
+        let dag = build_cg_dag(&CgParams::from_dataset(&G2_CIRCUIT, 16, 5));
+        let accel = CelloConfig::paper();
+        let tuner = Tuner::new(&dag, &accel, SpaceConfig::widened_with_nodes(&[1]));
+        let out = tuner.tune(&Strategy::prefiltered(
+            0.5,
+            Strategy::Tier0 {
+                budget: 1024,
+                keep: 16,
+            },
+        ));
+        let winners = [
+            &out.baseline,
+            &out.best_cycles,
+            &out.best_dram,
+            &out.best_traffic,
+        ];
+        for e in winners.into_iter().chain(&out.pareto) {
+            let tier1 = tuner.cache.lookup_surrogate(e.key).expect("tier-1 scored");
+            let tier2 = tuner.cache.lookup(e.key).expect("tier-2 scored");
+            assert_eq!(tier1, tier2, "{}", e.key.hex());
+            assert_eq!(tier1.energy_pj.to_bits(), tier2.energy_pj.to_bits());
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn main() {
     cello_obs::log::init_from_env();
     let args = parse_args();
     // The daemon shares the process-global metrics registry so search-layer
-    // counters (exact/surrogate evals, prefilter tallies) show up in the
+    // counters (exact/tier-1 evals, prefilter tallies) show up in the
     // same `metrics` snapshot as the serve-layer ones.
     let registry = cello_obs::metrics::global();
     let service = match Service::open_with_options(&args.cache_dir, registry, args.flight_depth) {

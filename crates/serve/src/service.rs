@@ -315,7 +315,7 @@ impl Service {
         self.obs.compiles.inc();
         cello_obs::debug!(
             "serve",
-            "compiled {} ({}): {} evals, {} surrogate",
+            "compiled {} ({}): {} evals, {} tier-1",
             fp.hash,
             cache.as_str(),
             out.evaluations,

@@ -29,9 +29,8 @@
 //!   traffic/energy aggregate across nodes.
 //!
 //! All of the slicing/multicast/NoC accounting lives in
-//! [`crate::phases::plan_phases`], shared with the `cello-search` analytic
-//! surrogate, so the exact simulator and the cheap prefilter tier can never
-//! disagree about footprints — only about buffer behavior.
+//! [`crate::phases::plan_phases`]; the engine replays that plan against a
+//! stateful memory backend.
 
 use crate::backends::{MemoryBackend, TensorRequest};
 use crate::energy::{noc_energy_pj, offchip_energy_pj, onchip_energy_pj};
@@ -184,10 +183,8 @@ pub fn run_schedule(
 }
 
 /// Cycles an inter-node exchange of `hop_words` word-hops costs, serialized
-/// against the phase (contention-free link model). Public because the
-/// `cello-search` surrogate charges NoC time through this same formula —
-/// one conversion, so the two evaluation tiers cannot drift on it.
-pub fn noc_cycles(hop_words: u64, accel: &CelloConfig) -> u64 {
+/// against the phase (contention-free link model).
+pub(crate) fn noc_cycles(hop_words: u64, accel: &CelloConfig) -> u64 {
     if hop_words == 0 {
         return 0;
     }

@@ -8,9 +8,8 @@
 //!
 //! - [`phases`]: the shared phase-walk planner — per-phase operand accesses
 //!   (multicast-deduped, realized edges skipped, sliced footprints, RIFF
-//!   metadata), compute shares and NoC hop-words, consumed by both the
-//!   exact engine and the `cello-search` analytic surrogate so the two
-//!   evaluation tiers cannot drift;
+//!   metadata), compute shares and NoC hop-words, computed once per
+//!   schedule and replayed by the engine;
 //! - [`engine`]: replays a [`phases::PhasePlan`] phase by phase, issuing
 //!   tensor-granular reads/writes to a [`backends::MemoryBackend`] and
 //!   accumulating per-phase roofline timing; multi-node schedules
@@ -29,7 +28,7 @@
 //!   scores candidates with;
 //! - [`overlap`]: the transfer-timing ledger — prefetch/double-buffer
 //!   overlap ([`cello_core::TransferTuning`]) converted into exposed
-//!   transfer cycles, shared verbatim by the engine and the surrogate;
+//!   transfer cycles, the one place the engine times DRAM transfers;
 //! - [`scaling`]: the §V-B strong-scaling harness — naive-vs-scalable as
 //!   two partitioned schedules scored by the same engine;
 //! - [`report`]: run reports, geomeans, TSV emission;

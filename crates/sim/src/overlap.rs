@@ -1,9 +1,8 @@
 //! The overlap-aware cycle timeline — *when* DRAM transfers happen.
 //!
-//! The engine and the `cello-search` surrogate both walk phases and charge
-//! DRAM traffic; this module is the one place that converts those per-phase
-//! byte demands into cycles under a [`TransferTuning`], so the exact
-//! simulator and the analytic tier can never drift on transfer timing.
+//! The engine walks phases and charges DRAM traffic; this module is the one
+//! place that converts those per-phase byte demands into cycles under a
+//! [`TransferTuning`].
 //!
 //! ## The model
 //!

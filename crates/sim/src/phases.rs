@@ -7,11 +7,9 @@
 //! RIFF `(freq, dist)` metadata attached with any `PriorityBias` already
 //! applied), the per-node compute share, and the NoC hop-words the §V-B
 //! partition charges. The [`crate::engine`] *replays* the plan against a
-//! stateful [`crate::backends::MemoryBackend`]; the `cello-search`
-//! surrogate scores the same plan with closed-form CHORD estimates. Because
-//! both tiers consume one plan, their footprint, slicing, multicast, and
-//! NoC accounting cannot drift apart — the only thing the surrogate
-//! approximates is the buffer's replacement behavior.
+//! stateful [`crate::backends::MemoryBackend`], so footprint, slicing,
+//! multicast, and NoC accounting are decided here once and the backend
+//! decides only the buffer's replacement behavior.
 
 use cello_core::score::binding::{Binding, Schedule};
 use cello_core::score::multinode::{NocModel, PartitionAxis};
@@ -207,9 +205,8 @@ pub fn plan_phases(dag: &TensorDag, schedule: &Schedule) -> PhasePlan {
     };
     // Tailors-style overbooking: an occupancy-carrying CHORD operand is
     // granted capacity at its expected occupancy (`words` shrinks to the
-    // grant) and charged the modeled overflow as `spill_words`. Computed
-    // here — inside the one plan both tiers consume — so the engine and the
-    // surrogate cannot disagree about grants or spills. Off, non-CHORD, or
+    // grant) and charged the modeled overflow as `spill_words`, decided
+    // once per access in the plan the engine replays. Off, non-CHORD, or
     // occupancy-free tensors keep the worst-case dense model bit for bit.
     let overbook = schedule.chord_overbook;
     let occ_words = |meta: &TensorMeta, binding: Binding, words: u64| -> (u64, u64) {
@@ -245,7 +242,7 @@ pub fn plan_phases(dag: &TensorDag, schedule: &Schedule) -> PhasePlan {
         })
     };
     // The DSE-searched half of the SCORE-CHORD interface: bias the derived
-    // RIFF metadata before the backend (or the surrogate) sees it.
+    // RIFF metadata before the backend sees it.
     let biased = |tensor: TensorId, freq: u32, dist: u32| -> (u32, u32) {
         match biases[tensor] {
             Some(bias) => {

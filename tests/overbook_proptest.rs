@@ -1,7 +1,7 @@
 //! Property tests for occupancy-derived footprints and Tailors-style
 //! CHORD overbooking.
 //!
-//! Four contracts from the sparsity-aware design:
+//! Three contracts from the sparsity-aware design:
 //!
 //! 1. **Grant sandwich** — an overbooked grant never exceeds the
 //!    worst-case-dense footprint and the modeled spill never exceeds the
@@ -9,21 +9,16 @@
 //!    level 0 is the identity.
 //! 2. **Dense identity** — a workload whose measured occupancy is fully
 //!    dense replays the pre-occupancy worst-case model bit-identically at
-//!    every overbooking level, in the exact engine AND the analytic
-//!    surrogate; likewise overbooking-off replays it for any occupancy.
+//!    every overbooking level; likewise overbooking-off replays it for any
+//!    occupancy.
 //! 3. **Spill monotonicity** — with the mean fixed, raising the
 //!    occupancy variance can only raise the modeled DRAM traffic of an
 //!    overbooked schedule (the refetch tail grows with the skew).
-//! 4. **Surrogate ranking** — on widened spaces that include the
-//!    overbook menu, the surrogate's estimates rank like the exact
-//!    simulator's (Spearman >= 0.9), so the funnel can triage overbooked
-//!    candidates.
 
 use cello::core::accel::CelloConfig;
 use cello::core::score::binding::{build_schedule_with, ScheduleConstraints, ScheduleOptions};
 use cello::core::{ChordOverbook, MAX_OVERBOOK_LEVEL};
 use cello::graph::dag::TensorDag;
-use cello::search::{spearman, surrogate_cost, SearchSpace, SpaceConfig};
 use cello::sim::evaluate::evaluate_schedule;
 use cello::tensor::sparse::OccupancyStats;
 use cello::workloads::cg::{build_cg_dag, CgParams};
@@ -81,8 +76,8 @@ proptest! {
     }
 
     /// Dense measured occupancy replays the worst-case model bit-for-bit
-    /// at every overbooking level — in the exact engine and the
-    /// surrogate — and any occupancy replays it with overbooking off.
+    /// at every overbooking level, and any occupancy replays it with
+    /// overbooking off.
     /// This is the "no silent drift" guarantee: carrying stats on a
     /// matrix that turns out dense, or declining the overbook knob,
     /// costs nothing.
@@ -100,9 +95,8 @@ proptest! {
         let plain = ScheduleConstraints::none();
         let baseline = build_schedule_with(&baseline_dag, opts, &plain);
         let base_sim = evaluate_schedule(&baseline_dag, &baseline, &accel);
-        let base_est = surrogate_cost(&baseline_dag, &baseline, &accel);
 
-        // Dense stats + any level: identical in both tiers.
+        // Dense stats + any level: identical.
         let dense_dag = cg(m, iterations, Some(OccupancyStats::dense()));
         let mut overbooked = ScheduleConstraints::none();
         overbooked.chord_overbook = Some(ChordOverbook::at(level));
@@ -111,12 +105,8 @@ proptest! {
             evaluate_schedule(&dense_dag, &s, &accel), base_sim,
             "dense occupancy diverged in the engine at level {}", level
         );
-        prop_assert_eq!(
-            surrogate_cost(&dense_dag, &s, &accel), base_est,
-            "dense occupancy diverged in the surrogate at level {}", level
-        );
 
-        // Skewed stats + overbooking off: identical in both tiers.
+        // Skewed stats + overbooking off: identical.
         let skewed_dag = cg(m, iterations, Some(occ(rel_mean, rel_std)));
         for off in [None, Some(ChordOverbook::off())] {
             let mut c = ScheduleConstraints::none();
@@ -125,10 +115,6 @@ proptest! {
             prop_assert_eq!(
                 evaluate_schedule(&skewed_dag, &s, &accel), base_sim,
                 "overbook-off spelling {:?} diverged in the engine", off
-            );
-            prop_assert_eq!(
-                surrogate_cost(&skewed_dag, &s, &accel), base_est,
-                "overbook-off spelling {:?} diverged in the surrogate", off
             );
         }
     }
@@ -161,48 +147,6 @@ proptest! {
             "variance raised but traffic fell: {} < {} (mean {rel_mean}, \
              std {std_lo} -> {}, level {level})",
             hi.dram_bytes, lo.dram_bytes, std_lo + std_delta
-        );
-    }
-
-    /// The surrogate ranks overbook-enabled widened spaces like the exact
-    /// sim (Spearman >= 0.9 on cycles) — the contract the funnel needs
-    /// before it may triage overbooked candidates.
-    #[test]
-    fn surrogate_ranks_overbooked_spaces(
-        m in 20_000u64..120_000,
-        iterations in 2u32..5,
-        rel_mean in 0.1f64..0.9,
-        rel_std in 0.1f64..0.5,
-        seed in 0u64..1_000,
-    ) {
-        let dag = cg(m, iterations, Some(occ(rel_mean, rel_std)));
-        let accel = CelloConfig::paper();
-        let cfg = SpaceConfig::widened();
-        prop_assert!(
-            !cfg.overbook_menu.is_empty(),
-            "widened spaces must include the overbook dimension"
-        );
-        let space = SearchSpace::from_dag(&dag, &cfg);
-        prop_assert!(
-            space.decisions.iter().any(|d| d.name == "overbook"),
-            "occupancy-carrying DAG must gate the overbook dimension on"
-        );
-        let mut est = Vec::new();
-        let mut sim = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for picks in space.sample_assignments(32, seed) {
-            let schedule = space.assemble(&picks).build(&dag);
-            if !seen.insert(cello::search::Candidate::schedule_key(&schedule)) {
-                continue;
-            }
-            est.push(surrogate_cost(&dag, &schedule, &accel).cycles);
-            sim.push(evaluate_schedule(&dag, &schedule, &accel).cycles);
-        }
-        prop_assert!(est.len() >= 8, "degenerate sample: {} distinct", est.len());
-        let rho = spearman(&est, &sim);
-        prop_assert!(
-            rho >= 0.9,
-            "m={m} iters={iterations} seed={seed}: cycle rho {rho:.3}"
         );
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests for the DSE engine (`cello-search`): determinism of the
 //! Pareto front under a fixed seed, the guarantee that tuning never loses
 //! to the `ScheduleOptions::cello()` paper heuristic on the toy
-//! chain/diamond DAGs, and soundness of the tier-0 symbolic prune (it
-//! never discards the sim-optimal candidate on exhaustively-coverable
-//! spaces).
+//! chain/diamond DAGs, soundness of the tier-0 symbolic prune (it never
+//! discards the sim-optimal candidate on exhaustively-coverable spaces),
+//! and the `Strategy::Prefiltered` contract: `keep_frac = 1.0` degenerates
+//! to the inner strategy, and the exact tier honors the keep budget.
 
 use cello::core::accel::CelloConfig;
 use cello::core::score::binding::{build_schedule, ScheduleOptions};
@@ -14,6 +15,7 @@ use cello::search::{SpaceConfig, Strategy, Tuner};
 use cello::sim::evaluate::evaluate_schedule;
 use cello::tensor::einsum::EinsumSpec;
 use cello::tensor::shape::RankExtent;
+use cello::workloads::cg::{build_cg_dag, CgParams};
 use proptest::prelude::*;
 
 fn spec(m: u64) -> EinsumSpec {
@@ -249,5 +251,77 @@ proptest! {
                 prop_assert!(!out.baseline.cost.dominates(&e.cost), "{}", e.key.hex());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `Prefiltered(keep_frac = 1.0, inner)` keeps the whole visited set —
+    /// it must return the identical best candidate (and Pareto front) as
+    /// running the inner strategy directly.
+    #[test]
+    fn prefilter_keep_all_matches_inner(
+        m in 20_000u64..120_000,
+        width in 2usize..5,
+    ) {
+        let dag = build_cg_dag(&CgParams {
+            m,
+            occupancy: 4.0,
+            a_payload_words: 2 * 4 * m + m + 1,
+            n: 16,
+            nprime: 16,
+            iterations: 2,
+            a_occupancy: None,
+        });
+        let accel = CelloConfig::paper();
+        let cfg = SpaceConfig::widened();
+        let inner = Strategy::Beam { width };
+        let direct = Tuner::new(&dag, &accel, cfg.clone()).tune(&inner);
+        let pre = Tuner::new(&dag, &accel, cfg)
+            .tune(&Strategy::prefiltered(1.0, inner));
+        prop_assert_eq!(&pre.best_cycles.key, &direct.best_cycles.key);
+        prop_assert_eq!(&pre.best_cycles.candidate, &direct.best_cycles.candidate);
+        prop_assert_eq!(&pre.best_traffic.key, &direct.best_traffic.key);
+        prop_assert_eq!(
+            pre.pareto.iter().map(|e| e.key).collect::<Vec<_>>(),
+            direct.pareto.iter().map(|e| e.key).collect::<Vec<_>>()
+        );
+    }
+
+    /// The prefilter honors its budget on every space it meets: sim
+    /// evaluations never exceed the tier-1-ranked keep fraction (plus
+    /// the always-evaluated baseline), and the tuned result still never
+    /// loses to the paper heuristic.
+    #[test]
+    fn prefilter_budget_and_soundness(
+        m in 20_000u64..120_000,
+        keep in 0.05f64..0.5,
+        seed in 0u64..100,
+    ) {
+        let dag = build_cg_dag(&CgParams {
+            m,
+            occupancy: 4.0,
+            a_payload_words: 2 * 4 * m + m + 1,
+            n: 16,
+            nprime: 16,
+            iterations: 2,
+            a_occupancy: None,
+        });
+        let accel = CelloConfig::paper();
+        let tuner = Tuner::new(&dag, &accel, SpaceConfig::widened());
+        let out = tuner.tune(&Strategy::prefiltered(
+            keep,
+            Strategy::Random { samples: 40, seed },
+        ));
+        prop_assert!(out.best_cycles.cost.cycles <= out.baseline.cost.cycles);
+        // Budget: survivors = ceil(keep * distinct tier-1-scored) + the
+        // baseline evaluation.
+        let cap = (keep * out.surrogate_scored as f64).ceil() as u64 + 1;
+        prop_assert!(
+            out.evaluations <= cap,
+            "evals {} > cap {cap} (surrogate_scored {})",
+            out.evaluations, out.surrogate_scored
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for overlap-aware DRAM transfer scheduling.
 //!
-//! Three contracts from the transfer-tuning design:
+//! Two contracts from the transfer-tuning design:
 //!
 //! 1. **Roofline sandwich** — prefetch/double-buffering can hide transfer
 //!    cycles behind compute but never manufactures bandwidth: an
@@ -10,16 +10,12 @@
 //!    overlap", it is bit-for-bit the pre-overlap serialized model, for
 //!    every spelling of "off" (`None`, `TransferTuning::off()`, a
 //!    denormalized depth-0 with the double-buffer flag set).
-//! 3. **Surrogate ranking** — on widened spaces that include the transfer
-//!    menu, the analytic surrogate's *cycle* estimates rank like the
-//!    exact simulator's (Spearman >= 0.9), so the prefilter can be
-//!    trusted to triage overlapped candidates.
 
 use cello::core::accel::CelloConfig;
 use cello::core::score::binding::{build_schedule_with, ScheduleConstraints, ScheduleOptions};
 use cello::core::TransferTuning;
 use cello::graph::dag::TensorDag;
-use cello::search::{spearman, surrogate_cost, SearchSpace, SpaceConfig};
+use cello::search::{SearchSpace, SpaceConfig};
 use cello::sim::evaluate::evaluate_schedule;
 use cello::workloads::cg::{build_cg_dag, CgParams};
 use proptest::prelude::*;
@@ -120,41 +116,5 @@ proptest! {
                 prop_assert_eq!(replay, baseline, "off spelling {:?} diverged", off);
             }
         }
-    }
-
-    /// The surrogate's cycle estimates rank transfer-enabled widened
-    /// spaces like the exact sim (Spearman >= 0.9) — the contract the
-    /// prefilter needs before it may triage overlapped candidates.
-    #[test]
-    fn surrogate_cycles_rank_transfer_enabled_spaces(
-        m in 20_000u64..120_000,
-        iterations in 2u32..5,
-        seed in 0u64..1_000,
-    ) {
-        let dag = cg(m, iterations);
-        let accel = CelloConfig::paper();
-        let cfg = SpaceConfig::widened();
-        prop_assert!(
-            !cfg.transfer_menu.is_empty(),
-            "widened spaces must include the transfer dimension"
-        );
-        let space = SearchSpace::from_dag(&dag, &cfg);
-        let mut est = Vec::new();
-        let mut sim = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for picks in space.sample_assignments(32, seed) {
-            let schedule = space.assemble(&picks).build(&dag);
-            if !seen.insert(cello::search::Candidate::schedule_key(&schedule)) {
-                continue;
-            }
-            est.push(surrogate_cost(&dag, &schedule, &accel).cycles);
-            sim.push(evaluate_schedule(&dag, &schedule, &accel).cycles);
-        }
-        prop_assert!(est.len() >= 8, "degenerate sample: {} distinct", est.len());
-        let rho = spearman(&est, &sim);
-        prop_assert!(
-            rho >= 0.9,
-            "m={m} iters={iterations} seed={seed}: cycle rho {rho:.3}"
-        );
     }
 }
