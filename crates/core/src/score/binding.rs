@@ -485,7 +485,18 @@ pub fn build_schedule_with(
     opts: ScheduleOptions,
     constraints: &ScheduleConstraints,
 ) -> Schedule {
-    let cls = classify(dag);
+    build_schedule_from(dag, classify(dag), opts, constraints)
+}
+
+/// [`build_schedule_with`] over a precomputed `cls`, which must be
+/// `classify(dag)`. Callers building many schedules of one DAG classify
+/// once and pass a clone to each build.
+pub fn build_schedule_from(
+    dag: &TensorDag,
+    cls: Classification,
+    opts: ScheduleOptions,
+    constraints: &ScheduleConstraints,
+) -> Schedule {
     let partition = normalize_partition(dag, constraints.partition);
     let orders: Vec<LoopOrder> = dag
         .topo_order()

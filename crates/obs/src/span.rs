@@ -237,6 +237,12 @@ impl SpanGuard {
         });
         SpanGuard { active: true }
     }
+
+    /// A guard that records nothing: what `span!` yields while collection
+    /// is off, without evaluating its arguments.
+    pub fn inert() -> SpanGuard {
+        SpanGuard { active: false }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -268,17 +274,22 @@ impl Drop for SpanGuard {
 
 /// Opens a wall-clock span guard: `let _s = span!("tune");` or
 /// `let _s = span!("phase", idx = i, bytes = b);`. The span closes when the
-/// guard drops. No-op (one atomic load) unless [`set_enabled`] was called.
+/// guard drops. No-op (one atomic load) unless [`set_enabled`] was called:
+/// while collection is off the argument expressions are not evaluated.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         $crate::span::SpanGuard::enter($name, Vec::new())
     };
     ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        $crate::span::SpanGuard::enter(
-            $name,
-            vec![$((stringify!($key).to_string(), $crate::span::ArgValue::from($value))),+],
-        )
+        if $crate::span::enabled() {
+            $crate::span::SpanGuard::enter(
+                $name,
+                vec![$((stringify!($key).to_string(), $crate::span::ArgValue::from($value))),+],
+            )
+        } else {
+            $crate::span::SpanGuard::inert()
+        }
     };
 }
 

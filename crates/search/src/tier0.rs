@@ -9,10 +9,10 @@
 //! reach. Tier 0 scores an assignment **without building its schedule**:
 //! a [`Sketch`] of four monotone resource terms is computed directly from
 //! the [`SearchSpace`] decision vector and DAG-level quantities
-//! precomputed once per space. [`Tier0Model::new`] builds one default
-//! schedule per (scheduler preset × SRAM split) pair — a few dozen builds
-//! total, paid once — and the per-assignment sketch afterwards is
-//! O(decisions) with no allocation.
+//! precomputed once per space. [`Tier0Model::new`] classifies the DAG once
+//! and runs one binding pass per (scheduler preset × SRAM split) pair over
+//! that classification, paid once per space; the per-assignment sketch
+//! afterwards is O(decisions) with no allocation.
 //!
 //! The split axis matters to the *DRAM* term, not just capacity: the
 //! pipeline buffer gates which edges can realize at all
@@ -63,10 +63,11 @@ use crate::space::{Choice, SearchSpace};
 use crate::strategy::SplitMix64;
 use cello_core::accel::CelloConfig;
 use cello_core::chord::PriorityBias;
-use cello_core::score::binding::Binding;
+use cello_core::score::binding::{build_schedule_from, Binding};
+use cello_core::score::classify::classify;
 use cello_core::score::multinode::{NocModel, Partition, PartitionAxis};
 use cello_core::{ChordOverbook, TransferTuning};
-use cello_graph::dag::TensorDag;
+use cello_graph::dag::{NodeId, TensorDag};
 use cello_tensor::shape::RankId;
 use cello_tensor::sparse::OccupancyStats;
 use std::collections::HashMap;
@@ -110,6 +111,19 @@ impl Sketch {
             .saturating_add(self.0[2])
             .saturating_add(self.0[3])
     }
+}
+
+/// What the sketch needs of one named tensor (a node output or an
+/// external input).
+#[derive(Clone, Copy)]
+struct TensorInfo<'a> {
+    words: u64,
+    /// Reads after production: out-edges of a node output, consumers of an
+    /// external.
+    uses: u64,
+    ranks: &'a [RankId],
+    occupancy: Option<OccupancyStats>,
+    external: bool,
 }
 
 /// One potential occupant of CHORD capacity: a hot CHORD-bound tensor from
@@ -226,35 +240,39 @@ pub struct Tier0Model {
 
 impl Tier0Model {
     /// Precomputes sketch ingredients for `space` over `dag`/`accel`: one
-    /// default schedule per (preset, SRAM split) pair — the only builds
-    /// tier 0 ever pays — the unified CHORD pressure list, and
-    /// per-decision effects.
+    /// classification of `dag`, one binding pass per (preset, SRAM split)
+    /// pair over it (the only schedules tier 0 ever binds), the unified
+    /// CHORD pressure list, and per-decision effects.
     pub fn new(dag: &TensorDag, accel: &CelloConfig, space: &SearchSpace) -> Self {
-        // Tensor name -> (words, uses, ranks, occupancy) over node outputs
-        // and externals.
-        #[allow(clippy::type_complexity)]
-        let mut meta: HashMap<&str, (u64, u64, &[RankId], Option<OccupancyStats>)> = HashMap::new();
+        // Tensor name -> what the sketch needs of it, over node outputs and
+        // externals (an external shadows a node output of the same name).
+        let mut out_edges = vec![0u64; dag.node_count()];
+        for (_, e) in dag.edges() {
+            out_edges[e.src] += 1;
+        }
+        let mut meta: HashMap<&str, TensorInfo> = HashMap::new();
         for (id, node) in dag.nodes() {
-            let uses = dag.edges().filter(|(_, e)| e.src == id.0).count() as u64;
             meta.insert(
                 &node.output.name,
-                (
-                    node.output.words,
-                    uses,
-                    &node.output.ranks,
-                    node.output.occupancy,
-                ),
+                TensorInfo {
+                    words: node.output.words,
+                    uses: out_edges[id.0],
+                    ranks: &node.output.ranks,
+                    occupancy: node.output.occupancy,
+                    external: false,
+                },
             );
         }
         for ext in dag.externals() {
             meta.insert(
                 &ext.meta.name,
-                (
-                    ext.meta.words,
-                    ext.consumers.len() as u64,
-                    &ext.meta.ranks,
-                    ext.meta.occupancy,
-                ),
+                TensorInfo {
+                    words: ext.meta.words,
+                    uses: ext.consumers.len() as u64,
+                    ranks: &ext.meta.ranks,
+                    occupancy: ext.meta.occupancy,
+                    external: true,
+                },
             );
         }
 
@@ -269,8 +287,10 @@ impl Tier0Model {
         let preset_count = preset_di.map_or(1, |di| space.decisions[di].choices.len());
         let n_splits = split_di.map_or(1, |di| space.decisions[di].choices.len());
 
-        // Build each (preset, split) default schedule once; derive its DRAM
-        // floor and which tensors it binds to CHORD.
+        // Bind each (preset, split) default schedule once over a single
+        // classification; derive its DRAM floor and which tensors it binds
+        // to CHORD.
+        let cls = classify(dag);
         let mut bases = Vec::with_capacity((preset_count * n_splits).min(MAX_BASES));
         let mut pressure: Vec<PressureTensor> = Vec::new();
         let mut pressure_idx: HashMap<String, usize> = HashMap::new();
@@ -287,15 +307,20 @@ impl Tier0Model {
                 if let Some(di) = split_di {
                     space.apply_pick(&mut c, di, si);
                 }
-                let schedule = c.build(dag);
+                let schedule = build_schedule_from(dag, cls.clone(), c.options, &c.constraints);
                 let chord_on = schedule.options.enable_chord;
                 let mut dram_words = 0u64;
                 for (name, binding) in &schedule.binding {
-                    let &(words, uses, ranks, occupancy) = match meta.get(name.as_str()) {
-                        Some(m) => m,
-                        None => continue,
+                    let Some(&TensorInfo {
+                        words,
+                        uses,
+                        ranks,
+                        occupancy,
+                        external,
+                    }) = meta.get(name.as_str())
+                    else {
+                        continue;
                     };
-                    let external = dag.externals().iter().any(|e| &e.meta.name == name);
                     let terminal = !external && uses == 0;
                     match binding {
                         Binding::Dram => {
@@ -425,26 +450,25 @@ impl Tier0Model {
                     let name = dag
                         .edges()
                         .find(|(_, e)| e.dst == *node)
-                        .and_then(|(_, e)| {
-                            dag.nodes()
-                                .find(|(id, _)| id.0 == e.src)
-                                .map(|(_, n)| n.output.name.clone())
-                        });
+                        .map(|(_, e)| dag.node(NodeId(e.src)).output.name.clone());
                     match name {
                         Some(name) => {
                             let idx = *pressure_idx.entry(name.clone()).or_insert_with(|| {
-                                let (words, uses, ranks, occupancy) = meta
-                                    .get(name.as_str())
-                                    .copied()
-                                    .unwrap_or((0, 1, &[], None));
+                                let t = meta.get(name.as_str()).copied().unwrap_or(TensorInfo {
+                                    words: 0,
+                                    uses: 1,
+                                    ranks: &[],
+                                    occupancy: None,
+                                    external: false,
+                                });
                                 pressure.push(PressureTensor {
-                                    words,
-                                    uses: uses.max(1),
-                                    score: pressure_score(words, uses),
-                                    ranks: ranks.to_vec(),
+                                    words: t.words,
+                                    uses: t.uses.max(1),
+                                    score: pressure_score(t.words, t.uses),
+                                    ranks: t.ranks.to_vec(),
                                     // Cut intermediates are node outputs.
                                     external: false,
-                                    occupancy,
+                                    occupancy: t.occupancy,
                                     member: 0,
                                 });
                                 pressure.len() - 1
@@ -744,43 +768,15 @@ impl Tier0Model {
     /// it fits, a seeded uniform sample otherwise) and returns the
     /// sketch-Pareto survivors, capped at `keep` by scalar magnitude.
     /// Deterministic: same space + budget + keep + seed ⇒ same survivors.
+    ///
+    /// Once the front is full, a candidate whose scalar exceeds the front's
+    /// largest (or ties it, below saturation) is skipped without a
+    /// dominance scan (`Front::offer` argues why that is exact). On the
+    /// capped sweeps the tuner runs, this skips most of the budget.
     pub fn prune(&self, space: &SearchSpace, budget: u64, keep: usize, seed: u64) -> Tier0Prune {
         let budget = budget.max(1);
-        let keep = keep.max(1);
         let total = space.exhaustive_size();
-        struct Entry {
-            sketch: Sketch,
-            scalar: u64,
-            order: u64,
-            picks: Vec<usize>,
-        }
-        // `keep` may be enormous ("keep everything"); cap the pre-allocation,
-        // not the logic.
-        let mut kept: Vec<Entry> = Vec::with_capacity(keep.saturating_add(1).min(4096));
-        let consider = |picks: &[usize], order: u64, kept: &mut Vec<Entry>| {
-            let sketch = self.sketch(picks);
-            if kept.iter().any(|k| k.sketch.dominates(&sketch)) {
-                return;
-            }
-            kept.retain(|k| !sketch.dominates(&k.sketch));
-            kept.push(Entry {
-                sketch,
-                scalar: sketch.scalar(),
-                order,
-                picks: picks.to_vec(),
-            });
-            if kept.len() > keep {
-                // Drop the worst non-dominated survivor: largest scalar,
-                // latest admission on ties (incumbents win).
-                let worst = kept
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, k)| (k.scalar, k.order))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                kept.remove(worst);
-            }
-        };
+        let mut front = Front::new(keep);
         let radices: Vec<usize> = space.decisions.iter().map(|d| d.choices.len()).collect();
         let mut picks = vec![0usize; radices.len()];
         let swept;
@@ -788,7 +784,7 @@ impl Tier0Model {
             // Exhaustive odometer walk, in-place increments (same order as
             // `SearchSpace::index_to_picks`).
             for order in 0..total {
-                consider(&picks, order, &mut kept);
+                front.offer(self.sketch(&picks), order, &picks);
                 for (p, &radix) in picks.iter_mut().zip(&radices) {
                     *p += 1;
                     if *p < radix {
@@ -806,15 +802,96 @@ impl Tier0Model {
                 for (p, &radix) in picks.iter_mut().zip(&radices) {
                     *p = rng.below(radix as u64) as usize;
                 }
-                consider(&picks, order, &mut kept);
+                front.offer(self.sketch(&picks), order, &picks);
             }
             swept = budget;
         }
-        kept.sort_by_key(|k| k.order);
         Tier0Prune {
-            kept: kept.into_iter().map(|k| k.picks).collect(),
+            kept: front.into_kept(),
             swept,
         }
+    }
+}
+
+/// One member of a sweep's front.
+struct Entry {
+    sketch: Sketch,
+    scalar: u64,
+    order: u64,
+    picks: Vec<usize>,
+}
+
+/// The sketch-Pareto front of a sweep, capped at `keep` members by
+/// `(scalar, order)`: admission drops every member the newcomer dominates,
+/// and an overfull front evicts its largest scalar, latest admission on
+/// ties (incumbents win).
+struct Front {
+    keep: usize,
+    entries: Vec<Entry>,
+    /// Largest `scalar` among `entries`; refreshed whenever they change.
+    max_scalar: u64,
+}
+
+impl Front {
+    fn new(keep: usize) -> Self {
+        let keep = keep.max(1);
+        Front {
+            keep,
+            // `keep` may be enormous ("keep everything"); cap the
+            // pre-allocation, not the logic.
+            entries: Vec::with_capacity(keep.saturating_add(1).min(4096)),
+            max_scalar: 0,
+        }
+    }
+
+    /// Offers the sweep's `order`-th assignment; orders must increase
+    /// across calls.
+    ///
+    /// Early exit: on a full front, a candidate with `scalar > max_scalar`,
+    /// or `scalar == max_scalar` below `u64::MAX`, leaves the front as it
+    /// was, so it is skipped unscanned. Dominating a member needs a scalar
+    /// no larger than the member's, and strictly smaller unless the sum
+    /// saturates, so such a candidate removes nobody. Admitted, it would
+    /// then be the unique `(scalar, order)` maximum of an overfull front
+    /// and be evicted at once. The `>` half holds for any cap key that
+    /// dominance cannot raise; the tie half also needs dominance to lower
+    /// the key strictly, which is why saturated scalars fall through. A
+    /// lexicographic key over all four terms, such as a (cycles, DRAM, NoC,
+    /// spill) cap order, keeps both.
+    fn offer(&mut self, sketch: Sketch, order: u64, picks: &[usize]) {
+        let scalar = sketch.scalar();
+        if self.entries.len() >= self.keep
+            && (scalar > self.max_scalar || (scalar == self.max_scalar && scalar != u64::MAX))
+        {
+            return;
+        }
+        if self.entries.iter().any(|k| k.sketch.dominates(&sketch)) {
+            return;
+        }
+        self.entries.retain(|k| !sketch.dominates(&k.sketch));
+        self.entries.push(Entry {
+            sketch,
+            scalar,
+            order,
+            picks: picks.to_vec(),
+        });
+        if self.entries.len() > self.keep {
+            let worst = self
+                .entries
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, k)| (k.scalar, k.order))
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            self.entries.remove(worst);
+        }
+        self.max_scalar = self.entries.iter().map(|k| k.scalar).max().unwrap_or(0);
+    }
+
+    /// The surviving assignments, in admission order.
+    fn into_kept(mut self) -> Vec<Vec<usize>> {
+        self.entries.sort_by_key(|k| k.order);
+        self.entries.into_iter().map(|k| k.picks).collect()
     }
 }
 
@@ -861,9 +938,7 @@ fn partition_choice(dag: &TensorDag, partition: Partition) -> PartitionChoice {
             // intermediate ships in full between stage nodes.
             let mut words = 0u64;
             for (_, edge) in dag.edges() {
-                if let Some((_, node)) = dag.nodes().find(|(id, _)| id.0 == edge.src) {
-                    words = words.saturating_add(node.output.words);
-                }
+                words = words.saturating_add(dag.node(NodeId(edge.src)).output.words);
             }
             words
         }
@@ -1128,6 +1203,179 @@ mod tests {
                 base,
                 "dense occupancy sketches identically at every level"
             );
+        }
+    }
+
+    /// The front upkeep as it was before the early exit, kept verbatim as
+    /// the differential reference for [`Front`]: `(sketch, picks)` in sweep
+    /// order in, survivors in admission order out.
+    fn reference_front(
+        stream: impl IntoIterator<Item = (Sketch, Vec<usize>)>,
+        keep: usize,
+    ) -> Vec<Vec<usize>> {
+        let keep = keep.max(1);
+        let mut kept: Vec<Entry> = Vec::with_capacity(keep.saturating_add(1).min(4096));
+        let consider = |sketch: Sketch, picks: &[usize], order: u64, kept: &mut Vec<Entry>| {
+            if kept.iter().any(|k| k.sketch.dominates(&sketch)) {
+                return;
+            }
+            kept.retain(|k| !sketch.dominates(&k.sketch));
+            kept.push(Entry {
+                sketch,
+                scalar: sketch.scalar(),
+                order,
+                picks: picks.to_vec(),
+            });
+            if kept.len() > keep {
+                // Drop the worst non-dominated survivor: largest scalar,
+                // latest admission on ties (incumbents win).
+                let worst = kept
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, k)| (k.scalar, k.order))
+                    .map(|(i, _)| i)
+                    .expect("non-empty");
+                kept.remove(worst);
+            }
+        };
+        for (order, (sketch, picks)) in stream.into_iter().enumerate() {
+            consider(sketch, &picks, order as u64, &mut kept);
+        }
+        kept.sort_by_key(|k| k.order);
+        kept.into_iter().map(|k| k.picks).collect()
+    }
+
+    /// `prune`'s sweep spelled with the public enumeration calls
+    /// (`index_to_picks`, `sample_assignments`) and fed to the reference.
+    fn reference_prune(
+        model: &Tier0Model,
+        space: &SearchSpace,
+        budget: u64,
+        keep: usize,
+        seed: u64,
+    ) -> Vec<Vec<usize>> {
+        let total = space.exhaustive_size();
+        let picks: Vec<Vec<usize>> = if total <= budget {
+            (0..total).map(|i| space.index_to_picks(i)).collect()
+        } else {
+            space.sample_assignments(budget as usize, seed)
+        };
+        reference_front(picks.into_iter().map(|p| (model.sketch(&p), p)), keep)
+    }
+
+    /// A synthetic sketch stream that is dense in the early exit's edge
+    /// cases: small terms make scalar ties and equal sketches common, and
+    /// huge terms saturate the scalar at `u64::MAX`. On odd seeds the first
+    /// term is pinned at `u64::MAX`, so every scalar saturates and the
+    /// front fills with saturated sketches that still dominate one another.
+    fn synthetic_stream(len: usize, seed: u64) -> Vec<(Sketch, Vec<usize>)> {
+        let mut rng = SplitMix64::new(seed);
+        let pinned = seed % 2 == 1;
+        (0..len)
+            .map(|i| {
+                let mut term = || match rng.below(16) {
+                    0 => u64::MAX,
+                    1 => u64::MAX / 2 + rng.below(3),
+                    _ => rng.below(4),
+                };
+                let first = if pinned { u64::MAX } else { term() };
+                (Sketch([first, term(), term(), term()]), vec![i])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn front_matches_the_reference_on_synthetic_streams() {
+        const LEN: usize = 300;
+        let mut saturated = 0;
+        for seed in 0..48u64 {
+            let stream = synthetic_stream(LEN, seed);
+            saturated += stream
+                .iter()
+                .filter(|(s, _)| s.scalar() == u64::MAX)
+                .count();
+            for keep in [1, 2, 96, LEN + 1] {
+                let mut front = Front::new(keep);
+                for (order, (sketch, picks)) in stream.iter().enumerate() {
+                    front.offer(*sketch, order as u64, picks);
+                }
+                assert_eq!(
+                    front.into_kept(),
+                    reference_front(stream.iter().cloned(), keep),
+                    "seed {seed}, keep {keep}"
+                );
+            }
+        }
+        assert!(saturated > 0, "the streams must exercise saturated scalars");
+    }
+
+    fn gcn(layers: u32) -> TensorDag {
+        cello_workloads::gcn::build_gcn_dag(&cello_workloads::gcn::GcnParams::from_dataset(
+            &cello_workloads::datasets::CORA,
+            layers,
+        ))
+    }
+
+    fn hpcg(nx: u64) -> TensorDag {
+        cello_workloads::hpcg::build_hpcg_dag(&cello_workloads::hpcg::HpcgParams {
+            nx,
+            n: 16,
+            iterations: 2,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// `prune` returns exactly the reference's survivors on both
+        /// branches: the exhaustive odometer (cut, steer, loop-order, bias
+        /// and transfer menus narrowed so the space fits the budget) and
+        /// the seeded sample of the full widened space.
+        #[test]
+        fn prune_matches_the_reference(
+            workload in 0u32..3,
+            size in 0u32..2,
+            mesh in 0usize..3,
+            per_phase in proptest::prelude::any::<bool>(),
+            keep in 1usize..40,
+            seed in 0u64..1_000,
+        ) {
+            let dag = match workload {
+                0 => cg(2 + size),
+                1 => hpcg(16 + 16 * size as u64),
+                _ => gcn(1 + size),
+            };
+            let accel = CelloConfig::paper();
+            let nodes: &[u64] = [&[1u64][..], &[1, 4], &[1, 4, 16, 64]][mesh];
+            let mut wide = SpaceConfig::widened_with_nodes(nodes);
+            if per_phase {
+                wide = wide.with_repartition(accel.sram_words());
+            }
+            let narrow = SpaceConfig {
+                max_cut_points: 1,
+                max_steer_tensors: 1,
+                max_loop_order_nodes: 0,
+                max_chord_bias_tensors: 0,
+                transfer_menu: wide.transfer_menu[..1].to_vec(),
+                ..wide.clone()
+            };
+            for (cfg, exhaustive) in [(narrow, true), (wide, false)] {
+                let space = SearchSpace::from_dag(&dag, &cfg);
+                let model = Tier0Model::new(&dag, &accel, &space);
+                let total = space.exhaustive_size();
+                let budget = if exhaustive { total } else { 2_048 };
+                proptest::prop_assert!(
+                    if exhaustive { total <= 40_000 } else { total > budget },
+                    "{total} assignments do not fit the branch under test"
+                );
+                for k in [keep, 96] {
+                    let got = model.prune(&space, budget, k, seed);
+                    proptest::prop_assert_eq!(
+                        got.kept,
+                        reference_prune(&model, &space, budget, k, seed)
+                    );
+                }
+            }
         }
     }
 
