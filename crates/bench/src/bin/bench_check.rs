@@ -51,7 +51,7 @@
 //! `BENCH_dse.json` plus `BENCH_serve.json` when present, vs
 //! `results/bench_baseline.json`).
 
-use cello_bench::json::Json;
+use cello_obs::json::Json;
 
 /// Allowed relative regression on cycles and traffic.
 const TOLERANCE: f64 = 0.10;

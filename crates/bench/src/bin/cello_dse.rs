@@ -64,10 +64,10 @@
 //! Usage: `cargo run --release --bin cello_dse [-- --nodes 1,4,16,64]
 //! [--prefilter] [--tier0] [--per-phase-sram] [--quick] [--audit]`
 
-use cello_bench::json::Json;
 use cello_bench::{emit, f3};
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
+use cello_obs::json::Json;
 use cello_search::{AuditConfig, FunnelAudit, SearchOutcome, SpaceConfig, Strategy, Tuner};
 use cello_workloads::bicgstab::{build_bicgstab_dag, BicgParams};
 use cello_workloads::cg::{build_cg_dag, CgParams};

@@ -27,7 +27,7 @@
 //! needs no selector.
 
 use cello_bench::explain;
-use cello_bench::json::Json;
+use cello_obs::json::Json;
 use cello_sim::report::RunReport;
 use std::process::exit;
 

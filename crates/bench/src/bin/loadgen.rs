@@ -23,8 +23,8 @@
 //!   [--addr 127.0.0.1:7070] [--clients 8] [--rounds 4]
 //!   [--cache-dir DIR] [--mtx data/pde_512.mtx] [--quick]`
 
-use cello_bench::json::Json;
 use cello_bench::{emit, f3};
+use cello_obs::json::Json;
 use cello_obs::HistogramSnapshot;
 use cello_serve::protocol::{CacheTag, Request, Response};
 use cello_serve::{serve, Service};

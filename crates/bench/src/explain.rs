@@ -25,8 +25,8 @@
 //! spill tail is the overbook writeback the backend never saw
 //! (`phase_dram_bytes[p] − phase_stats[p].dram_bytes()`).
 
-use crate::json::Json;
 use cello_mem::stats::AccessStats;
+use cello_obs::json::Json;
 use cello_sim::report::RunReport;
 
 /// Schema tag for `--report-out` documents.

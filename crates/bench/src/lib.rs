@@ -13,7 +13,10 @@ use cello_sim::report::{tsv, write_results, RunReport};
 use rayon::prelude::*;
 
 pub mod explain;
-pub mod json;
+/// Re-export of the codec for `cellobench/src/serve.rs`, which imports
+/// `cello_bench::json::Json`; everything in the workspace uses
+/// `cello_obs::json` directly.
+pub use cello_obs::json;
 
 /// One cell of a sweep: a labeled workload DAG under a labeled accelerator.
 pub struct GridCell {

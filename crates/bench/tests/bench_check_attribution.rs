@@ -5,7 +5,7 @@
 //! with the ranked field-delta table — a tripped gate must name what
 //! moved, not just the ratio.
 
-use cello_bench::json::Json;
+use cello_obs::json::Json;
 use std::process::Command;
 
 fn record(name: &str, cycles: u64, traffic: u64) -> Json {

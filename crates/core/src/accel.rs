@@ -14,10 +14,9 @@ use crate::chord::{ChordConfig, ChordPolicyKind};
 use cello_mem::cache::CacheConfig;
 use cello_mem::dram::DramModel;
 use cello_tensor::intensity::Roofline;
-use serde::{Deserialize, Serialize};
 
 /// Full accelerator configuration shared by every Table IV combination.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CelloConfig {
     /// Number of MAC units (16384).
     pub pe_count: u64,

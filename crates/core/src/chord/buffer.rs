@@ -24,11 +24,10 @@
 
 use super::table::{RiffIndexTable, RiffPriority, TableError};
 use cello_mem::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which replacement machinery is active.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChordPolicyKind {
     /// PRELUDE only: fill free space head-first, spill the rest, never evict
     /// another tensor (the §VII-C3 ablation configuration).
@@ -38,7 +37,7 @@ pub enum ChordPolicyKind {
 }
 
 /// CHORD configuration (Table V: 4 MB data array, 64-entry RIFF table).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChordConfig {
     /// Data-array capacity in words.
     pub capacity_words: u64,
@@ -63,7 +62,7 @@ impl ChordConfig {
 }
 
 /// Outcome of a consume: how many words hit on-chip vs streamed from DRAM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConsumeResult {
     /// Words served from the CHORD data array.
     pub hit_words: u64,
@@ -72,7 +71,7 @@ pub struct ConsumeResult {
 }
 
 /// Per-tensor word-conservation ledger (for tests and reporting).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TensorAudit {
     /// Words produced on-chip (dirty creation).
     pub produced: u64,

@@ -16,7 +16,6 @@
 //! each mutation — semantically identical and trivially invariant-preserving
 //! (the incremental shifts are a hardware implementation detail).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// RIFF replacement priority over the SCORE-supplied `(freq, dist)` metadata
@@ -30,7 +29,7 @@ use std::cmp::Ordering;
 /// pin the entire capacity even though its *slots*, if lent to the
 /// shorter-lived `R`/`P`/`X`, are re-earned by every iteration's fresh
 /// version; dead tensors (`freq == 0`) always rank lowest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RiffPriority {
     /// Remaining scheduled uses of the tensor (Fig 10 `Freq`).
     pub freq: u32,
@@ -68,7 +67,7 @@ pub const MAX_BIAS_LEVEL: u8 = 3;
 /// can express *how hard* to overrule the derived facts, not just the
 /// direction. Dead tensors (`freq == 0`) are never biased — resurrecting a
 /// tensor nobody reads again could only waste capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PriorityBias {
     /// Treat the tensor as reused sooner and more often: `dist` shrinks and
     /// `freq` grows by `2^level`.
@@ -134,7 +133,7 @@ impl Ord for RiffPriority {
 }
 
 /// One RIFF-index-table entry (Fig 10 row). All sizes in words.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TensorEntry {
     /// Tensor id (`A`, `P`, `R`, …).
     pub name: String,
@@ -157,7 +156,7 @@ pub struct TensorEntry {
 }
 
 /// The table: entries kept in data-array *queue order* (head first).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RiffIndexTable {
     entries: Vec<TensorEntry>,
     capacity_words: u64,
@@ -390,7 +389,7 @@ impl RiffIndexTable {
 }
 
 /// Errors from table operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TableError {
     /// All 64 entries in use.
     TableFull,

@@ -28,11 +28,10 @@ use crate::score::tiling::{pipeline_can_stream, rf_fits};
 use crate::score::transfer::TransferTuning;
 use cello_graph::dag::{EdgeId, NodeId, TensorDag};
 use cello_graph::node::OpKind;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How aggressively a scheduler may realize pipelining (Table IV rows).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelineScope {
     /// Never pipeline (oracle op-by-op, Flexagon-like).
     None,
@@ -48,7 +47,7 @@ pub enum PipelineScope {
 }
 
 /// Scheduler feature switches.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduleOptions {
     /// Pipelining realization scope.
     pub scope: PipelineScope,
@@ -122,7 +121,7 @@ impl ScheduleOptions {
 }
 
 /// Where a tensor lives between producer and consumer(s).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Binding {
     /// Small tensors streamed from the register file (CG's Greek tensors).
     RegisterFile,
@@ -136,7 +135,7 @@ pub enum Binding {
 }
 
 /// One pipeline cluster: ops co-resident on the PE array (Fig 8 boxes).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Phase {
     /// Member ops in topological order.
     pub ops: Vec<NodeId>,
@@ -145,7 +144,7 @@ pub struct Phase {
 }
 
 /// A complete SCORE schedule.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schedule {
     /// Pipeline clusters in execution order.
     pub phases: Vec<Phase>,
@@ -354,7 +353,7 @@ fn shares_multicast_input(
 /// silently dropped rather than rejected — the search treats them as
 /// no-ops, and the memo cache (keyed by the canonicalized *schedule*)
 /// dedupes the resulting duplicates.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScheduleConstraints {
     /// Node indices forced to start a new pipeline cluster (a "cluster cut"):
     /// the builder never joins such a node to the running cluster.

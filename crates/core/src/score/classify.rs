@@ -20,11 +20,10 @@
 
 use cello_graph::dag::{EdgeId, NodeId, TensorDag};
 use cello_graph::node::{Dominance, OpKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Edge-level dependency classification (§V-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dependency {
     /// Producer and consumer execute sequentially; operand written back.
     Sequential,
@@ -49,7 +48,7 @@ impl fmt::Display for Dependency {
 }
 
 /// Output of Algorithm 2 over a DAG.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Classification {
     /// Per-edge dependency (indexed by `EdgeId`).
     pub deps: Vec<Dependency>,

@@ -15,10 +15,9 @@ use crate::score::classify::{Classification, Dependency};
 use cello_graph::dag::{EdgeId, NodeId, TensorDag};
 use cello_tensor::einsum::RankKind;
 use cello_tensor::shape::RankId;
-use serde::{Deserialize, Serialize};
 
 /// A concrete loop order for one op: ranks from outermost to innermost.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoopOrder {
     /// Ranks, outermost first.
     pub order: Vec<RankId>,

@@ -25,11 +25,10 @@
 use cello_graph::dag::TensorDag;
 use cello_graph::node::Dominance;
 use cello_tensor::shape::RankId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A 2-D mesh NoC of `nodes` accelerator nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NocModel {
     /// Number of nodes (assumed arranged in a near-square mesh).
     pub nodes: u64,
@@ -78,7 +77,7 @@ impl NocModel {
 }
 
 /// Which dataflow axis a multi-node schedule parallelizes (Fig 8).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PartitionAxis {
     /// Slice this rank across nodes (Fig 8 bottom when the rank is the
     /// producers' dominant rank): every tensor carrying the rank is split
@@ -96,7 +95,7 @@ pub enum PartitionAxis {
 /// A schedule's multi-node partitioning decision: how many accelerator nodes
 /// share the work and along which [`PartitionAxis`]. `nodes == 1` means the
 /// single-node dataflow regardless of axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Partition {
     /// Number of accelerator nodes (mesh-arranged, see [`NocModel`]).
     pub nodes: u64,

@@ -25,7 +25,6 @@
 //! rely on.
 
 use cello_tensor::sparse::OccupancyStats;
-use serde::{Deserialize, Serialize};
 
 /// Highest meaningful overbook level: beyond this the grant is within 2% of
 /// the expected occupancy and deeper levels change nothing worth searching.
@@ -35,7 +34,7 @@ pub const MAX_OVERBOOK_LEVEL: u8 = 6;
 ///
 /// The default (`level 0`) is the worst-case-dense model: every operand is
 /// granted its full footprint and no spill is charged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ChordOverbook {
     /// Overbooking aggressiveness. 0 = off; each extra level halves the
     /// capacity slack granted above a tensor's expected occupancy.

@@ -16,13 +16,12 @@
 //! floor remains only as a backstop for hand-built schedules.
 
 use crate::score::binding::ScheduleOptions;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One phase's share of the on-chip SRAM: what the pipeline buffer and the
 /// register file reserve; CHORD gets the remainder.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseSplit {
     /// Pipeline-buffer capacity in words during this phase.
     pub pipeline_buffer_words: u64,
@@ -61,7 +60,7 @@ impl PhaseSplit {
 }
 
 /// How the per-phase splits are specified.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PhaseSplits {
     /// Explicit phase-index → split overrides (indices past the built phase
     /// list are ignored; unlisted phases keep the global split).
@@ -80,7 +79,7 @@ pub enum PhaseSplits {
 
 /// A per-phase SRAM repartition request, declared against the SRAM budget it
 /// must respect. See the module docs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhaseRepartition {
     /// The SRAM capacity in words the splits were validated against
     /// (`CelloConfig::sram_words()` for the paper accelerator).
@@ -90,7 +89,7 @@ pub struct PhaseRepartition {
 }
 
 /// Typed rejection of a degenerate repartition.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RepartitionError {
     /// A phase's split reserves more than the whole SRAM
     /// (`pipeline + rf > sram_words`), leaving CHORD negative capacity.

@@ -14,11 +14,10 @@
 
 use cello_graph::dag::TensorDag;
 use cello_tensor::layout::{best_layout, count_swizzles, Layout};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Result of layout selection over a DAG.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SwizzleReport {
     /// Chosen production layout per tensor.
     pub chosen: BTreeMap<String, Layout>,

@@ -12,10 +12,8 @@
 //! - the **sparse tensor** is tiled by *occupancy*: rows per tile chosen so
 //!   the CSR payload (values + column indices + row pointers) fits.
 
-use serde::{Deserialize, Serialize};
-
 /// A tile decision for one operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileChoice {
     /// Rows of the dominant rank per tile (`M0` in the paper's loop nests).
     pub tile_rows: u64,

@@ -20,14 +20,12 @@
 //! reuse capacity for latency hiding — a genuine co-design axis, searched
 //! by `cello-search` like every other schedule decision.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-schedule DRAM transfer-ordering decision (prefetch + double-buffer).
 ///
 /// The default (`depth 0`, single-buffered) is the serialized model: every
 /// phase pays `max(compute, transfer)` with no cross-phase hiding and no
 /// staging carve. See the module docs for the semantics of each knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TransferTuning {
     /// How many upcoming phases may stage their inbound DRAM operands while
     /// earlier phases compute (0 = no prefetch, the serialized model).

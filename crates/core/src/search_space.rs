@@ -19,8 +19,6 @@
 //! CHORD's design space, by contrast, is the RIFF policy's inputs:
 //! `O(nodes + edges)` of DAG metadata — about 10² for ten CG iterations.
 
-use serde::{Deserialize, Serialize};
-
 /// `ln Γ(x)` via the Lanczos approximation (g = 7, n = 9), accurate to ~1e-13
 /// for x > 0 — plenty for log-domain combinatorics.
 pub fn ln_gamma(x: f64) -> f64 {
@@ -65,7 +63,7 @@ pub fn log10_factorial(n: u64) -> f64 {
 
 /// The §VI-B cost report for a buffer of `size` words shared by `tensor_words`
 /// tensors (their full sizes), re-allocated over `time_steps` program points.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SearchSpaceReport {
     /// Buffer capacity in words.
     pub size_words: u64,

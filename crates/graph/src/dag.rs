@@ -15,18 +15,17 @@ use crate::edge::{Edge, ExternalInput, TensorMeta};
 use crate::node::{OpKind, OpNode};
 use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::shape::RankId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within its DAG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// Index of an edge within its DAG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub usize);
 
 /// A DAG of tensor operations (paper Fig 1).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TensorDag {
     nodes: Vec<OpNode>,
     edges: Vec<Edge>,

@@ -10,10 +10,9 @@
 use cello_tensor::layout::Layout;
 use cello_tensor::shape::RankId;
 use cello_tensor::sparse::OccupancyStats;
-use serde::{Deserialize, Serialize};
 
 /// Metadata of a tensor (an op output or an external DAG input such as CG's `A`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TensorMeta {
     /// Tensor name (`"S"`, `"R"`, `"A"`, …) — unique within a DAG.
     pub name: String,
@@ -67,7 +66,7 @@ impl TensorMeta {
 }
 
 /// A producer→consumer edge of the tensor dependency DAG.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Edge {
     /// Producing node index.
     pub src: usize,
@@ -107,7 +106,7 @@ impl Edge {
 /// and the initial `X`, `B`. These are not produced by any node, but they are
 /// first-class reuse candidates: Fig 10's RIFF table holds `A` with `Freq 10`
 /// (one use per CG iteration).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExternalInput {
     /// Tensor metadata.
     pub meta: TensorMeta,

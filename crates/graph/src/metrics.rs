@@ -7,10 +7,9 @@
 //! flight.
 
 use crate::dag::{NodeId, TensorDag};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a DAG.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DagMetrics {
     /// Number of operation nodes.
     pub nodes: usize,

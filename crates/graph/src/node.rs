@@ -13,11 +13,10 @@
 use crate::edge::TensorMeta;
 use cello_tensor::einsum::{EinsumSpec, RankKind};
 use cello_tensor::shape::SkewClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What the node computes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
     /// A multiply-accumulate einsum (GEMM / SpMM / tensor contraction).
     TensorMac,
@@ -28,7 +27,7 @@ pub enum OpKind {
 }
 
 /// Node dominance as drawn in Fig 7.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dominance {
     /// The dominant rank is uncontracted ('U') — candidate pipeline producer.
     Uncontracted,
@@ -75,7 +74,7 @@ pub fn dominance_of(spec: &EinsumSpec, skew_threshold: f64) -> Dominance {
 }
 
 /// An operation node of the tensor dependency DAG.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OpNode {
     /// Short label, e.g. `"1: S=A·P"` (Algorithm 1 line numbers).
     pub name: String,

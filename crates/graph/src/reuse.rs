@@ -8,11 +8,10 @@
 //! is evicted to make room for `R`.
 
 use crate::dag::{NodeId, TensorDag};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Reuse statistics of one tensor under a given schedule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TensorReuse {
     /// Tensor name.
     pub name: String,
@@ -30,7 +29,7 @@ pub struct TensorReuse {
 }
 
 /// Reuse profile of an entire DAG under a schedule (an ordering of its nodes).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ReuseProfile {
     tensors: BTreeMap<String, TensorReuse>,
 }

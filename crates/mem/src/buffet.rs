@@ -9,10 +9,9 @@
 //! between multiple delayed tensors the way RIFF does.
 
 use crate::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 
 /// Errors raised by buffet operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuffetError {
     /// Fill attempted with no credits (buffer full).
     NoCredit,

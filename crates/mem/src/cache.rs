@@ -12,10 +12,9 @@
 //!   which resists scans but still keeps stale line mixtures (Fig 11 step 2).
 
 use crate::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a set-associative cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

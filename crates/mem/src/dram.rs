@@ -6,10 +6,8 @@
 //! energy appears in the paper, so the constant cancels in every reported
 //! ratio.
 
-use serde::{Deserialize, Serialize};
-
 /// Off-chip memory model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DramModel {
     /// Sustained bandwidth in bytes/second.
     pub bandwidth_bytes_per_sec: f64,

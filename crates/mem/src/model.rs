@@ -15,10 +15,8 @@
 //! scales with line count, and CHORD's metadata is a fixed 64-entry × 512-bit
 //! table regardless of data capacity (§VI-B "Hardware overhead reduction").
 
-use serde::{Deserialize, Serialize};
-
 /// The buffer structures Fig 15 compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BufferKind {
     /// Set-associative cache with per-line tags.
     Cache,
@@ -31,7 +29,7 @@ pub enum BufferKind {
 }
 
 /// Area/energy breakdown of one structure (the Fig 15 bars).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Breakdown {
     /// Data array contribution.
     pub data: f64,
@@ -49,7 +47,7 @@ impl Breakdown {
 }
 
 /// Analytical area/energy model calibrated to the paper's 4 MB numbers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AreaEnergyModel {
     /// Data-array area of the 4 MB reference point (mm²).
     pub data_area_4mb_mm2: f64,

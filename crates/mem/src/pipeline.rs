@@ -9,11 +9,10 @@
 //! trips.
 
 use crate::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors the pipeline buffer can raise.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipelineError {
     /// Tile larger than remaining capacity (stall in hardware).
     Full {
@@ -27,7 +26,7 @@ pub enum PipelineError {
 }
 
 /// State of one resident tile.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TileState {
     /// Waiting for its immediate pipelined consumer.
     Staged,

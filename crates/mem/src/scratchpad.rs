@@ -9,11 +9,10 @@
 //! accounting lives in `cello-core::search_space`.
 
 use crate::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors explicit allocation can raise.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScratchpadError {
     /// Not enough free words for the requested allocation.
     OutOfCapacity {
@@ -29,7 +28,7 @@ pub enum ScratchpadError {
 }
 
 /// A named region resident in the scratchpad.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Region {
     /// Offset in words from the scratchpad base.
     pub offset: u64,

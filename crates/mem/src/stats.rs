@@ -6,11 +6,10 @@
 //! (Fig 14); SRAM/tag access counts drive the on-chip energy comparison
 //! (Fig 15b).
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Byte- and access-level counters accumulated during a simulation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Bytes read from DRAM.
     pub dram_read_bytes: u64,

@@ -9,6 +9,7 @@
 //! tracks; children inherit their root's ids and nest by interval
 //! containment, which is how the viewers reconstruct the flame graph.
 
+use crate::json::write_string;
 use crate::span::{ArgValue, SpanNode};
 use std::fmt::Write as _;
 
@@ -30,18 +31,19 @@ fn write_events(out: &mut String, node: &SpanNode, tid: u32, first: &mut bool) {
         out.push_str(", ");
     }
     *first = false;
+    out.push_str("{\"name\": ");
+    write_string(out, &node.name);
     let _ = write!(
         out,
-        "{{\"name\": {}, \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {PID}, \"tid\": {tid}, \"args\": {{",
-        json_string(&node.name),
-        node.ts_us,
-        node.dur_us,
+        ", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {PID}, \"tid\": {tid}, \"args\": {{",
+        node.ts_us, node.dur_us,
     );
     for (i, (key, value)) in node.args.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{}: ", json_string(key));
+        write_string(out, key);
+        out.push_str(": ");
         match value {
             ArgValue::U64(v) => {
                 let _ = write!(out, "{v}");
@@ -50,34 +52,13 @@ fn write_events(out: &mut String, node: &SpanNode, tid: u32, first: &mut bool) {
                 let _ = write!(out, "{v}");
             }
             ArgValue::F64(_) => out.push_str("null"),
-            ArgValue::Str(s) => out.push_str(&json_string(s)),
+            ArgValue::Str(s) => write_string(out, s),
         }
     }
     out.push_str("}}");
     for child in &node.children {
         write_events(out, child, tid, first);
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -116,10 +97,26 @@ mod tests {
         assert_eq!(json.matches("\"tid\": 2").count(), 1);
     }
 
+    /// Every argument kind and escape-worthy names and keys; the exported
+    /// bytes are pinned literally.
     #[test]
-    fn escaping_covers_control_chars() {
-        assert_eq!(json_string("a\"b\\c\td\u{1}"), "\"a\\\"b\\\\c\\td\\u0001\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
+    fn fixed_forest_bytes_are_pinned() {
+        let mut tune = SpanNode::new("tune \"cg\"\n")
+            .arg("evals", u64::MAX)
+            .arg("frac", 0.25)
+            .arg("nan", f64::NAN)
+            .arg("inf", f64::NEG_INFINITY)
+            .arg("big", 1e21)
+            .arg("tag", "hit\n");
+        (tune.ts_us, tune.dur_us) = (10.25, 100.0004);
+        tune.children.push(SpanNode::new("leaf"));
+        let mut root = SpanNode::new("request")
+            .arg("id", 9u64)
+            .arg("key \"q\"\\", "ctl\u{1}\u{1f}\r\t\u{1F600}");
+        root.dur_us = 120.5;
+        root.children.push(tune);
+        let expected = r#"{"traceEvents": [{"name": "request", "ph": "X", "ts": 0.000, "dur": 120.500, "pid": 1, "tid": 1, "args": {"id": 9, "key \"q\"\\": "ctl\u0001\u001f\r\t😀"}}, {"name": "tune \"cg\"\n", "ph": "X", "ts": 10.250, "dur": 100.000, "pid": 1, "tid": 1, "args": {"evals": 18446744073709551615, "frac": 0.25, "nan": null, "inf": null, "big": 1000000000000000000000, "tag": "hit\n"}}, {"name": "leaf", "ph": "X", "ts": 0.000, "dur": 0.000, "pid": 1, "tid": 1, "args": {}}, {"name": "other", "ph": "X", "ts": 0.000, "dur": 0.000, "pid": 1, "tid": 2, "args": {}}], "displayTimeUnit": "ms"}"#;
+        assert_eq!(chrome_trace(&[root, SpanNode::new("other")]), expected);
     }
 
     #[test]

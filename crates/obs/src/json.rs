@@ -1,13 +1,14 @@
-//! Minimal JSON reader/writer for the bench-trajectory artifacts.
-//!
-//! The workspace's vendored serde stand-in has no serializer, and the bench
-//! trajectory only needs flat records of numbers and strings — so this is a
-//! small, dependency-free JSON value with a recursive-descent parser and a
-//! pretty printer. `BENCH_dse.json` is written with [`Json::render`] and
-//! `bench_check` reads both it and `results/bench_baseline.json` back with
-//! [`Json::parse`]; round-tripping is covered by tests.
+//! The workspace's one JSON codec: a value type, a recursive-descent
+//! parser that rejects nesting deeper than [`MAX_DEPTH`], a pretty printer
+//! for artifacts (`BENCH_*.json`, read back by `bench_check`) and a compact
+//! one-line renderer for serve frames and store records. [`crate::chrome`]
+//! escapes its strings through the same writer.
 
 use std::fmt::Write as _;
+
+/// Deepest container nesting [`Json::parse`] accepts. The deepest document
+/// the workspace writes (a store record) nests about seven levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,13 +69,22 @@ impl Json {
     /// stable formatting so committed baselines diff cleanly.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.write_into(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
+    /// Renders on one line with no trailing newline, as the wire needs:
+    /// `{"k": v,"k2": v2}` and `[a,b]`, scalars as [`Json::render`] writes
+    /// them.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write_into(&mut out, None);
+        out
+    }
+
+    /// Pretty-prints at `indent` levels, or on one line for `None`.
+    fn write_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -93,44 +103,25 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => render_string(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    render_string(out, k);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => write_seq(out, "[]", items, indent, |out, item, indent| {
+                item.write_into(out, indent)
+            }),
+            Json::Obj(members) => write_seq(out, "{}", members, indent, |out, (k, v), indent| {
+                write_string(out, k);
+                out.push_str(": ");
+                v.write_into(out, indent);
+            }),
         }
     }
 
     /// Parses a JSON document (the subset above; `\uXXXX` escapes are
-    /// accepted for BMP code points).
+    /// accepted for BMP code points). Containers nested deeper than
+    /// [`MAX_DEPTH`] are an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -139,7 +130,39 @@ impl Json {
     }
 }
 
-fn render_string(out: &mut String, s: &str) {
+/// Writes `items` between the two `brackets`, comma-separated; pretty
+/// layout puts each item on its own line one level deeper than `indent`.
+fn write_seq<T>(
+    out: &mut String,
+    brackets: &str,
+    items: &[T],
+    indent: Option<usize>,
+    mut write_item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    if !items.is_empty() {
+        let inner = indent.map(|i| i + 1);
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if let Some(level) = inner {
+                out.push('\n');
+                out.push_str(&"  ".repeat(level));
+            }
+            write_item(out, item, inner);
+        }
+        if let Some(level) = indent {
+            out.push('\n');
+            out.push_str(&"  ".repeat(level));
+        }
+    }
+    out.push_str(close);
+}
+
+/// Appends `s` as a JSON string literal, quotes included.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -177,11 +200,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the containers enclosing the value at `pos`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -266,7 +294,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -275,7 +303,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -288,7 +316,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -301,7 +329,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -318,6 +346,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn round_trips_bench_shape() {
@@ -378,6 +408,122 @@ mod tests {
             let text = doc.render();
             let back = Json::parse(&text).unwrap();
             assert_eq!(back.get("e"), Some(&Json::Null));
+        }
+    }
+
+    #[test]
+    fn escaping_covers_control_chars() {
+        let escaped = |s: &str| Json::Str(s.into()).compact();
+        assert_eq!(escaped("a\"b\\c\td\u{1}"), "\"a\\\"b\\\\c\\td\\u0001\"");
+        assert_eq!(escaped("plain"), "\"plain\"");
+        assert_eq!(
+            escaped("\r\n\u{1f}\u{7f}\u{1F600}/"),
+            "\"\\r\\n\\u001f\u{7f}\u{1F600}/\""
+        );
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is an error, not a stack overflow.
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        for hostile in ["[".repeat(1 << 20), "{\"a\":".repeat(50_000)] {
+            assert!(Json::parse(&hostile).unwrap_err().contains("nesting"));
+        }
+    }
+
+    /// Byte-for-byte reference for [`Json::compact`]: every scalar and key
+    /// pretty-printed on its own and its trailing newline trimmed.
+    fn reference_compact(v: &Json) -> String {
+        match v {
+            Json::Arr(items) => {
+                let inner: Vec<String> = items.iter().map(reference_compact).collect();
+                format!("[{}]", inner.join(","))
+            }
+            Json::Obj(members) => {
+                let inner: Vec<String> = members
+                    .iter()
+                    .map(|(k, v)| {
+                        let key = Json::Str(k.clone()).render();
+                        format!("{}: {}", key.trim_end(), reference_compact(v))
+                    })
+                    .collect();
+                format!("{{{}}}", inner.join(","))
+            }
+            other => other.render().trim_end().to_string(),
+        }
+    }
+
+    /// `v` as it reads back: non-finite numbers come back as `Null`.
+    fn finite(v: &Json) -> Json {
+        match v {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(finite).collect()),
+            Json::Obj(m) => Json::Obj(m.iter().map(|(k, v)| (k.clone(), finite(v))).collect()),
+            other => other.clone(),
+        }
+    }
+
+    /// Random trees up to four containers deep with adversarial keys,
+    /// strings and numbers (NaN, ±inf, any bit pattern).
+    struct ArbJson;
+
+    impl Strategy for ArbJson {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            arb_json(rng, 4)
+        }
+    }
+
+    fn arb_json(rng: &mut TestRng, depth: u32) -> Json {
+        match rng.next_u64() % if depth == 0 { 4 } else { 6 } {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_u64() & 1 == 1),
+            2 => Json::Num(match rng.next_u64() % 4 {
+                0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(rng.next_u64() % 3) as usize],
+                1 => (rng.next_u64() >> 10) as f64 - (1u64 << 53) as f64,
+                2 => (rng.next_u64() % 1_000_000) as f64 / 1024.0,
+                _ => f64::from_bits(rng.next_u64()),
+            }),
+            3 => Json::Str(arb_string(rng)),
+            4 => Json::Arr(
+                (0..rng.next_u64() % 5)
+                    .map(|_| arb_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.next_u64() % 5)
+                    .map(|_| (arb_string(rng), arb_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        let nasty: Vec<char> =
+            "\"\\\n\r\t\u{0}\u{8}\u{1f}\u{7f}\u{85}\u{2028}\u{3000}\u{1F600}\u{10FFFF}"
+                .chars()
+                .collect();
+        (0..rng.next_u64() % 12)
+            .map(|_| match rng.next_u64() % 3 {
+                0 => nasty[(rng.next_u64() % nasty.len() as u64) as usize],
+                1 => (b' ' + (rng.next_u64() % 95) as u8) as char,
+                _ => char::from_u32((rng.next_u64() % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compact_matches_the_reference_and_both_renderers_round_trip(v in ArbJson) {
+            let line = v.compact();
+            prop_assert_eq!(&line, &reference_compact(&v));
+            let expected = finite(&v);
+            prop_assert_eq!(Json::parse(&line).map_err(TestCaseError::fail)?, expected.clone());
+            prop_assert_eq!(Json::parse(&v.render()).map_err(TestCaseError::fail)?, expected);
         }
     }
 }

@@ -26,13 +26,15 @@
 //! [`chrome::chrome_trace`] renders any span forest as Chrome trace-event
 //! JSON (`"ph": "X"` complete events) loadable in Perfetto or
 //! `chrome://tracing`; [`recorder::FlightRecorder`] is the bounded ring
-//! buffer `cello-serve` keeps recent request spans in.
+//! buffer `cello-serve` keeps recent request spans in. [`json::Json`] is
+//! the workspace's one JSON codec (artifacts, wire, store, traces).
 //!
 //! Every lock in this crate is poison-proof (`PoisonError::into_inner`,
 //! matching the `EvalCache` convention): a panicking thread must never take
 //! the daemon's metrics or flight recorder down with it.
 
 pub mod chrome;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod recorder;

@@ -35,7 +35,6 @@ use crate::cost::{rank, Evaluated};
 use crate::strategy::{SplitMix64, Strategy};
 use crate::tier0::{Tier0Model, Tier0Prune};
 use crate::tuner::{SearchOutcome, Tier, Tuner, TIER0_SWEEP_SEED};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -70,7 +69,7 @@ impl Default for AuditConfig {
 }
 
 /// The per-tier ledger of one audited tune: where every candidate died.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FunnelAudit {
     /// Strategy label (matches the outcome's).
     pub strategy: String,

@@ -6,7 +6,6 @@ use cello_core::score::binding::{
 };
 use cello_core::score::multinode::PartitionAxis;
 use cello_graph::dag::TensorDag;
-use serde::{Deserialize, Serialize};
 
 /// A candidate schedule: preset knobs plus programmatic constraints.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// one through `cello-core`'s constraint-validating builder, so every
 /// candidate yields a schedule that passes `Schedule::validate` (invalid
 /// constraint requests degrade to no-ops and dedupe in the eval cache).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Candidate {
     /// Scheduler feature switches and buffer-partition sizes.
     pub options: ScheduleOptions,

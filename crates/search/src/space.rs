@@ -61,10 +61,9 @@ use cello_core::score::repartition::{PhaseRepartition, PhaseSplit};
 use cello_core::score::transfer::TransferTuning;
 use cello_graph::dag::TensorDag;
 use cello_graph::node::Dominance;
-use serde::{Deserialize, Serialize};
 
 /// One selectable option within a [`Decision`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Choice {
     /// Scheduler feature preset (Table IV row shape).
     Preset {
@@ -145,7 +144,7 @@ pub enum Choice {
 /// Profiles are phase-structure-agnostic (fused vs solo clusters), so one
 /// menu serves every candidate schedule of a space; `sram_words` is the
 /// budget the splits were validated against.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RepartitionProfile {
     /// SRAM capacity in words the splits respect.
     pub sram_words: u64,
@@ -191,7 +190,7 @@ impl RepartitionProfile {
 }
 
 /// One dimension of the space: a named set of mutually-exclusive choices.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Decision {
     /// Human-readable dimension name (shows up in the CLI output).
     pub name: String,
@@ -200,7 +199,7 @@ pub struct Decision {
 }
 
 /// Caps and menus bounding the generated space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpaceConfig {
     /// Max cluster-cut decisions (largest-cluster joiners first).
     pub max_cut_points: usize,
@@ -336,7 +335,7 @@ impl SpaceConfig {
 }
 
 /// The derived decision list for one DAG.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SearchSpace {
     /// Ordered decisions (assignment vectors index into these).
     pub decisions: Vec<Decision>,

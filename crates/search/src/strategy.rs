@@ -8,10 +8,8 @@
 //! a SplitMix64 kept local to this crate so results never drift under
 //! dependency swaps.
 
-use serde::{Deserialize, Serialize};
-
 /// How to traverse the space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Strategy {
     /// Enumerate every assignment. Right for small DAG spaces (the
     /// [`crate::SearchSpace`] caps keep CG-sized spaces in the thousands).

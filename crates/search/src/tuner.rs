@@ -23,7 +23,6 @@ use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
 use cello_sim::evaluate::{evaluate_schedule, CostEstimate};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Seed for tier-0's sampled sweep when the space exceeds the budget.
@@ -33,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 pub(crate) const TIER0_SWEEP_SEED: u64 = 0x7E40;
 
 /// What one `tune` run found.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SearchOutcome {
     /// Strategy label (for reports).
     pub strategy: String,

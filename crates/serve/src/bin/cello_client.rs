@@ -16,8 +16,8 @@
 //! exposition format (raw, scrape-ready), including the live
 //! `request_us_window` summary (p50/p95/p99 over the last 60 s).
 
-use cello_bench::json::Json;
-use cello_serve::protocol::{compact, Request, Response};
+use cello_obs::json::Json;
+use cello_serve::protocol::{Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -219,7 +219,7 @@ fn main() {
             Err(e) => {
                 eprintln!("cello_client: {e}");
                 // Show the raw frame so the typed kind/message is visible.
-                eprintln!("{}", compact(&doc));
+                eprintln!("{}", doc.compact());
                 std::process::exit(1);
             }
         },

@@ -21,10 +21,9 @@
 //! - [`server`]: the `std::net` TCP accept loop over the vendored rayon
 //!   stand-in's worker pool.
 //!
-//! Binaries: `cello_serve` (daemon), `cello_client` (one-shot CLI client),
-//! `loadgen` (N concurrent clients over a mixed CG/HPCG/GCN/BiCGStab
-//! stream; writes `BENCH_serve.json` with p50/p95 latency, throughput, and
-//! cache hit rate — the serving counterpart of `cello_dse --quick`).
+//! Binaries: `cello_serve` (daemon) and `cello_client` (one-shot CLI
+//! client). The `loadgen` load driver lives in `cello-bench`, which
+//! depends on this crate rather than the reverse.
 
 pub mod coalesce;
 pub mod error;

@@ -1,11 +1,11 @@
 //! The newline-delimited JSON wire protocol and the candidate-spec
 //! serialization the persistent store uses.
 //!
-//! One request per line, one response per line, both JSON objects (the
-//! hand-rolled `cello_bench::json` value — the vendored serde has no
-//! serializer). Parsing is *total*: any byte sequence maps to either a
-//! [`Frame`] or a typed [`ServeError`], never a panic — the protocol
-//! proptest feeds arbitrary garbage through [`parse_frame`] to pin that.
+//! One request per line, one response per line, both JSON objects written
+//! with [`Json::compact`] (`cello_obs::json`). Parsing is *total*: any
+//! byte sequence, however deeply nested, maps to either a [`Frame`] or a
+//! typed [`ServeError`], never a panic — the protocol proptest feeds
+//! arbitrary garbage through [`parse_frame`] to pin that.
 //!
 //! A compile request names a workload family (`cg`/`hpcg`/`gcn`/
 //! `bicgstab`), a sparsity pattern (a Table VI `dataset` name or explicit
@@ -15,13 +15,13 @@
 //! compatibility); wrong types and out-of-range values are typed errors.
 
 use crate::error::ServeError;
-use cello_bench::json::Json;
 use cello_core::chord::{PriorityBias, MAX_BIAS_LEVEL};
 use cello_core::score::binding::{Binding, PipelineScope};
 use cello_core::score::loop_order::LoopOrder;
 use cello_core::score::multinode::{Partition, PartitionAxis};
 use cello_core::score::repartition::{PhaseRepartition, PhaseSplit, PhaseSplits};
 use cello_core::{ChordOverbook, TransferTuning, MAX_OVERBOOK_LEVEL};
+use cello_obs::json::Json;
 use cello_search::Candidate;
 use cello_tensor::shape::RankId;
 
@@ -187,32 +187,7 @@ impl Request {
 
     /// One line of wire text (no trailing newline).
     pub fn to_line(&self) -> String {
-        compact(&self.to_json())
-    }
-}
-
-/// Renders a JSON value on one line (the pretty printer is for artifacts;
-/// the wire needs newline-free frames).
-pub fn compact(v: &Json) -> String {
-    match v {
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(compact).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Json::Obj(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| {
-                    let mut key = String::new();
-                    // Keys render through the same escaper as values.
-                    let rendered = Json::Str(k.clone()).render();
-                    key.push_str(rendered.trim_end());
-                    format!("{key}: {}", compact(v))
-                })
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-        other => other.render().trim_end().to_string(),
+        self.to_json().compact()
     }
 }
 
@@ -526,12 +501,13 @@ impl Response {
 /// The error response line for a failed request (`status: "error"`, the
 /// typed kind, and the human-readable message).
 pub fn error_line(id: u64, err: &ServeError) -> String {
-    compact(&Json::Obj(vec![
+    Json::Obj(vec![
         ("id".into(), Json::int(id)),
         ("status".into(), Json::Str("error".into())),
         ("kind".into(), Json::Str(err.kind().into())),
         ("message".into(), Json::Str(err.to_string())),
-    ]))
+    ])
+    .compact()
 }
 
 // ---------------------------------------------------------------------------
@@ -742,12 +718,8 @@ pub fn candidate_from_json(doc: &Json) -> Result<Candidate, ServeError> {
     }
     if let Some(Json::Obj(bias)) = doc.get("bias") {
         for (tensor, b) in bias {
-            // "+N"/"-N"; bare "+"/"-" (pre-graded cache files) parse as
-            // level 1, matching their old semantics exactly.
+            // "+N"/"-N" with N in 1..=MAX_BIAS_LEVEL.
             let level = |rest: &str| -> Result<u8, ServeError> {
-                if rest.is_empty() {
-                    return Ok(1);
-                }
                 rest.parse::<u8>()
                     .ok()
                     .filter(|l| (1..=MAX_BIAS_LEVEL).contains(l))
@@ -937,7 +909,7 @@ mod tests {
             pareto_size: 3,
             dot: Some("digraph cello {}\n".into()),
         };
-        let line = compact(&resp.to_json());
+        let line = resp.to_json().compact();
         assert!(!line.contains('\n'), "dot newlines must be escaped");
         let back = Response::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, resp);
@@ -982,7 +954,7 @@ mod tests {
         c.constraints.chord_overbook = Some(ChordOverbook::at(2));
         let json = candidate_to_json(&c);
         // Through wire text, like a store record.
-        let text = compact(&json);
+        let text = json.compact();
         let back = candidate_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, c);
         // The plain heuristic round-trips too — and emits no transfer or
@@ -1016,6 +988,8 @@ mod tests {
             r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "repartition": {"sram": 10, "fused": [100, 100], "solo": [0, 0]}}"#,
             r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "bias": {"A": "+9"}}"#,
             r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "bias": {"A": "~1"}}"#,
+            r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "bias": {"A": "+"}}"#,
+            r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "bias": {"A": "-"}}"#,
             r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "transfer": {"depth": 0}}"#,
             r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "transfer": {"db": true}}"#,
             r#"{"scope": "any", "hold": true, "multicast": true, "chord": true, "pb": 1, "rf": 1, "overbook": {"level": 0}}"#,
@@ -1026,22 +1000,5 @@ mod tests {
             let err = candidate_from_json(&doc).unwrap_err();
             assert_eq!(err.kind(), "store", "{bad}");
         }
-    }
-
-    /// Cache files written before bias levels existed carry bare "+"/"-"
-    /// tags; they must keep parsing, as level 1 (their old semantics).
-    #[test]
-    fn legacy_ungraded_bias_tags_parse_as_level_one() {
-        let text = r#"{"scope": "any", "hold": true, "multicast": true, "chord": true,
-                       "pb": 1, "rf": 1, "bias": {"A": "+", "B": "-"}}"#;
-        let c = candidate_from_json(&Json::parse(text).unwrap()).unwrap();
-        assert_eq!(
-            c.constraints.chord_priority_bias.get("A"),
-            Some(&PriorityBias::Boost(1))
-        );
-        assert_eq!(
-            c.constraints.chord_priority_bias.get("B"),
-            Some(&PriorityBias::Demote(1))
-        );
     }
 }

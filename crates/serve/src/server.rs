@@ -165,8 +165,8 @@ fn read_capped_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{compact, Request, Response};
-    use cello_bench::json::Json;
+    use crate::protocol::{Request, Response};
+    use cello_obs::json::Json;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cello-server-{tag}-{}", std::process::id()));
@@ -293,10 +293,7 @@ mod tests {
         drop(stream);
         let _ = round_trip(
             addr,
-            &compact(&Json::Obj(vec![(
-                "op".into(),
-                Json::Str("shutdown".into()),
-            )])),
+            &Json::Obj(vec![("op".into(), Json::Str("shutdown".into()))]).compact(),
         );
         daemon.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

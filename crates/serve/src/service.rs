@@ -21,13 +21,13 @@
 
 use crate::coalesce::Coalescer;
 use crate::error::ServeError;
-use crate::protocol::{compact, error_line, parse_frame, CacheTag, Frame, Request, Response};
+use crate::protocol::{error_line, parse_frame, CacheTag, Frame, Request, Response};
 use crate::store::{ScheduleStore, StoredOutcome};
-use cello_bench::json::Json;
 use cello_core::accel::CelloConfig;
 use cello_core::score::binding::Schedule;
 use cello_graph::dag::TensorDag;
 use cello_graph::dot::to_dot_annotated;
+use cello_obs::json::Json;
 use cello_obs::metrics::{Counter, Histogram, Registry};
 use cello_obs::window::WindowedHistogram;
 use cello_obs::{FlightRecorder, SpanRecorder};
@@ -180,11 +180,12 @@ impl Service {
             Ok(Frame::MetricsProm { id }) => (self.metrics_prom_line(id), false),
             Ok(Frame::Trace { id }) => (self.trace_line(id), false),
             Ok(Frame::Shutdown { id }) => (
-                compact(&Json::Obj(vec![
+                Json::Obj(vec![
                     ("id".into(), Json::int(id)),
                     ("status".into(), Json::Str("ok".into())),
                     ("op".into(), Json::Str("shutdown".into())),
-                ])),
+                ])
+                .compact(),
                 true,
             ),
             Ok(Frame::Compile(req)) => {
@@ -204,7 +205,7 @@ impl Service {
                 match outcome {
                     Ok(resp) => {
                         self.obs.ok.inc();
-                        (compact(&resp.to_json()), false)
+                        (resp.to_json().compact(), false)
                     }
                     Err(e) => {
                         self.obs.errors.inc();
@@ -377,7 +378,7 @@ impl Service {
 
     fn stats_line(&self, id: u64) -> String {
         let c = &self.obs;
-        compact(&Json::Obj(vec![
+        Json::Obj(vec![
             ("id".into(), Json::int(id)),
             ("status".into(), Json::Str("ok".into())),
             ("op".into(), Json::Str("stats".into())),
@@ -398,7 +399,8 @@ impl Service {
                 "in_flight".into(),
                 Json::int(self.coalescer.in_flight() as u64),
             ),
-        ]))
+        ])
+        .compact()
     }
 
     /// Point-in-time gauges refresh at snapshot time (shared by the
@@ -455,14 +457,15 @@ impl Service {
                 })
                 .collect(),
         );
-        compact(&Json::Obj(vec![
+        Json::Obj(vec![
             ("id".into(), Json::int(id)),
             ("status".into(), Json::Str("ok".into())),
             ("op".into(), Json::Str("metrics".into())),
             ("counters".into(), counters),
             ("gauges".into(), gauges),
             ("histograms".into(), histograms),
-        ]))
+        ])
+        .compact()
     }
 
     /// The `metrics-prom` op: the registry rendered in the Prometheus text
@@ -479,12 +482,13 @@ impl Service {
             self.obs.request_us_window.snapshot(),
         )]);
         let text = snap.to_prometheus_text_with_windows(&windows);
-        compact(&Json::Obj(vec![
+        Json::Obj(vec![
             ("id".into(), Json::int(id)),
             ("status".into(), Json::Str("ok".into())),
             ("op".into(), Json::Str("metrics-prom".into())),
             ("text".into(), Json::Str(text)),
-        ]))
+        ])
+        .compact()
     }
 
     /// The `trace` op: the flight recorder's retained request span trees
@@ -717,11 +721,22 @@ mod tests {
     fn handle_line_never_panics_and_shutdown_flags() {
         let dir = tmpdir("lines");
         let service = Service::open(&dir).unwrap();
-        for line in ["", "{", "null", r#"{"workload": "fft"}"#] {
+        // Nesting far past the codec's depth cap must not overflow the stack.
+        let deep_arrays = "[".repeat(1 << 20);
+        let deep_objects = "{\"a\":".repeat(50_000);
+        for (line, kind) in [
+            ("", "parse"),
+            ("{", "parse"),
+            ("null", "parse"),
+            (r#"{"workload": "fft"}"#, "unknown-workload"),
+            (&deep_arrays, "parse"),
+            (&deep_objects, "parse"),
+        ] {
             let (resp, shutdown) = service.handle_line(line);
             assert!(resp.contains("\"status\": \"error\""), "{resp}");
             assert!(!shutdown);
-            Json::parse(&resp).expect("error responses are valid JSON");
+            let doc = Json::parse(&resp).expect("error responses are valid JSON");
+            assert_eq!(doc.get("kind").and_then(Json::as_str), Some(kind), "{resp}");
         }
         let (resp, shutdown) = service.handle_line(r#"{"op": "stats"}"#);
         assert!(!shutdown);

@@ -19,8 +19,8 @@
 //! daemon never leaves a half-written record that later parses as garbage.
 
 use crate::error::ServeError;
-use crate::protocol::{candidate_from_json, candidate_to_json, compact, field_str, field_u64};
-use cello_bench::json::Json;
+use crate::protocol::{candidate_from_json, candidate_to_json, field_str, field_u64};
+use cello_obs::json::Json;
 use cello_search::fingerprint::Fingerprint;
 use cello_search::{Candidate, SearchOutcome};
 use cello_sim::evaluate::CostEstimate;
@@ -308,7 +308,7 @@ impl ScheduleStore {
         ]);
         let path = self.path_of(&fp.hash);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, compact(&doc))
+        std::fs::write(&tmp, doc.compact())
             .map_err(|e| ServeError::Store(format!("cannot write {tmp:?}: {e}")))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| ServeError::Store(format!("cannot commit {path:?}: {e}")))?;

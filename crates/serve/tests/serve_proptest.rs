@@ -11,8 +11,8 @@
 //!   key and all four objectives) to an independent fresh compilation of
 //!   the same request.
 
-use cello_bench::json::Json;
 use cello_core::accel::CelloConfig;
+use cello_obs::json::Json;
 use cello_search::{SpaceConfig, Strategy, Tuner};
 use cello_serve::protocol::{parse_frame, CacheTag, Frame, Request, Response};
 use cello_serve::Service;

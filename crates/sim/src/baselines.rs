@@ -21,10 +21,9 @@ use cello_core::accel::CelloConfig;
 use cello_core::score::binding::{build_schedule, ScheduleOptions};
 use cello_graph::dag::TensorDag;
 use cello_mem::cache::{BrripPolicy, LruPolicy};
-use serde::{Deserialize, Serialize};
 
 /// One Table IV row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConfigKind {
     /// Best intra-layer schedule + explicit buffers (oracle op-by-op).
     Flexagon,
@@ -95,7 +94,7 @@ impl ConfigKind {
 }
 
 /// Table II capability row (used by the `tab02_score` harness).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Capabilities {
     /// Intra-operation reuse.
     pub intra_op: bool,

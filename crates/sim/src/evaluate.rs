@@ -28,10 +28,9 @@ use cello_core::accel::CelloConfig;
 use cello_core::chord::{ChordConfig, ChordPolicyKind};
 use cello_core::score::binding::Schedule;
 use cello_graph::dag::TensorDag;
-use serde::{Deserialize, Serialize};
 
 /// The four objectives the search optimizes (Pareto dimensions).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimate {
     /// Total roofline cycles (`max(compute, memory)` per phase, summed,
     /// plus serialized NoC exchanges on multi-node schedules).

@@ -7,10 +7,9 @@
 //! aggregation.
 
 use cello_mem::stats::AccessStats;
-use serde::{Deserialize, Serialize};
 
 /// Result of simulating one configuration on one workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Configuration name (Table IV row).
     pub config: String,

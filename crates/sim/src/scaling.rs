@@ -23,10 +23,9 @@ use cello_core::accel::CelloConfig;
 use cello_core::score::binding::{build_schedule_with, ScheduleConstraints};
 use cello_core::score::multinode::{dominant_partition_rank, Partition};
 use cello_workloads::cg::{build_cg_dag, CgParams};
-use serde::{Deserialize, Serialize};
 
 /// Which inter-node placement the run models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScalingStrategy {
     /// SCORE's placement: dominant rank sliced, small tensors on the NoC.
     Scalable,
@@ -47,7 +46,7 @@ impl ScalingStrategy {
 }
 
 /// Result of one multi-node run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScalingReport {
     /// Node count.
     pub nodes: u64,

@@ -7,10 +7,9 @@
 
 use crate::layout::Layout;
 use crate::shape::Shape2D;
-use serde::{Deserialize, Serialize};
 
 /// A dense `rows × cols` matrix of `f64` with an explicit storage layout.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DenseMatrix {
     shape: Shape2D,
     layout: Layout,

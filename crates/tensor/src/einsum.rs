@@ -11,12 +11,11 @@
 //! are written in.
 
 use crate::shape::{dominant_rank, skew_class, RankExtent, RankId, SkewClass};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Whether a rank is contracted away by the operation or survives to the output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RankKind {
     /// Appears in the output (an "uncontracted" rank, `m`/`n` in a GEMM).
     Uncontracted,
@@ -25,7 +24,7 @@ pub enum RankKind {
 }
 
 /// A parsed einsum such as `"mk,kn->mn"` with per-rank extents attached.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EinsumSpec {
     /// Rank lists of each input tensor, in operand order.
     pub inputs: Vec<Vec<RankId>>,

@@ -11,10 +11,8 @@
 //!   the best case* (≤ 2 ops/byte at 4-byte words), which is the whole reason
 //!   CELLO chases inter-operation reuse instead.
 
-use serde::{Deserialize, Serialize};
-
 /// An arithmetic-intensity measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArithmeticIntensity {
     /// Multiply-accumulate operations performed.
     pub macs: u64,
@@ -53,7 +51,7 @@ pub fn ai_skewed_limit(n: u64) -> f64 {
 
 /// Roofline model (paper Fig 2b): attainable throughput given a machine's
 /// peak compute and memory bandwidth.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Roofline {
     /// Peak MAC throughput in operations/second (e.g. 16384 MACs × 1 GHz).
     pub peak_ops_per_sec: f64,

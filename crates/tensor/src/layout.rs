@@ -7,10 +7,8 @@
 //! of swizzles (§V-B); this module provides the layout vocabulary and the cost
 //! accounting it optimizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Storage order of a 2-D tensor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Rows are contiguous (C order). A consumer streaming along rows is
     /// layout-compatible.

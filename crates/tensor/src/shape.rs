@@ -7,7 +7,6 @@
 //! schedule. This module gives shapes a vocabulary: named ranks, extents, the
 //! dominant rank, and a [`SkewClass`] used by SCORE's dominance analysis.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named rank (loop index / tensor mode), e.g. `m`, `k`, `n`.
@@ -15,7 +14,7 @@ use std::fmt;
 /// Ranks are interned as small copyable tokens so that DAG-level analyses can
 /// compare them cheaply. Names longer than [`RankId::MAX_LEN`] bytes are
 /// rejected at construction.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RankId {
     bytes: [u8; Self::MAX_LEN],
     len: u8,
@@ -72,7 +71,7 @@ impl From<&str> for RankId {
 /// SpMM node of CG as **U**ncontracted-dominant ("the contracted rank is
 /// compressed", Fig 7 caption): `A`'s contracted rank `k` has full extent `M`
 /// but effective extent `nnz/M`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RankExtent {
     /// The rank identifier.
     pub rank: RankId,
@@ -109,7 +108,7 @@ impl RankExtent {
 }
 
 /// Shape classification used throughout the paper's motivation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SkewClass {
     /// All ranks are within `skew_threshold` of each other ("bal" in Fig 7):
     /// the regime DNN accelerators were designed for.
@@ -119,7 +118,7 @@ pub enum SkewClass {
 }
 
 /// A plain 2-D shape helper for matrices (`rows × cols`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Shape2D {
     /// Number of rows.
     pub rows: usize,

@@ -8,10 +8,9 @@
 //! ([`CsrMatrix::payload_words`]): values + column indices + row pointers.
 
 use crate::dense::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Coordinate-format builder for sparse matrices.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,
@@ -99,7 +98,7 @@ pub const OCCUPANCY_BUCKETS: usize = 8;
 /// stats summarize the distribution of those fractions. A fully dense
 /// matrix has `mean == max == 1` and `variance == 0`, so every consumer
 /// degenerates to the dense model bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OccupancyStats {
     /// Rows per block the stats were computed over.
     pub block_rows: u32,
@@ -155,7 +154,7 @@ impl OccupancyStats {
 }
 
 /// Compressed Sparse Row matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -352,7 +351,7 @@ impl CsrMatrix {
 
 /// Compressed Sparse Column matrix (used when a consumer wants the transposed
 /// traversal without a swizzle).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,

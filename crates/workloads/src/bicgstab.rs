@@ -26,10 +26,9 @@ use cello_tensor::dense::DenseMatrix;
 use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::shape::{RankExtent, RankId};
 use cello_tensor::sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Shape parameters for a BiCGStab problem.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BicgParams {
     /// Matrix order `M`.
     pub m: u64,

@@ -29,14 +29,13 @@ use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::kernels::{add, gemm, gemm_at_b, invert_small, spmm, sub};
 use cello_tensor::shape::{RankExtent, RankId};
 use cello_tensor::sparse::{CsrMatrix, OccupancyStats};
-use serde::{Deserialize, Serialize};
 
 /// Row-block granularity for occupancy statistics: aim for ~64 blocks so the
 /// histogram resolves structure without micro-blocking tiny matrices.
 pub(crate) const OCCUPANCY_BLOCK_TARGET: usize = 64;
 
 /// Shape parameters of a CG problem (Table VI/VII).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CgParams {
     /// Large dimension `M` (matrix order).
     pub m: u64,

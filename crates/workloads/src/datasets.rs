@@ -14,11 +14,10 @@
 
 use cello_tensor::gen::{random_graph_adjacency, random_spd};
 use cello_tensor::sparse::{CooMatrix, CsrMatrix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What kind of workload a dataset feeds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DatasetKind {
     /// PDE-style SPD matrix solved with CG/BiCGStab.
     Pde,
@@ -32,7 +31,7 @@ pub enum DatasetKind {
 }
 
 /// One Table VI dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dataset {
     /// SuiteSparse/OMEGA name.
     pub name: &'static str,

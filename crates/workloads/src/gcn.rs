@@ -16,10 +16,9 @@ use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::kernels::{gemm, spmm};
 use cello_tensor::shape::{RankExtent, RankId};
 use cello_tensor::sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// GCN layer shape parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GcnParams {
     /// Vertex count `M`.
     pub vertices: u64,

@@ -12,10 +12,9 @@
 use crate::cg::{build_cg_dag, CgParams, OCCUPANCY_BLOCK_TARGET};
 use cello_graph::dag::TensorDag;
 use cello_tensor::sparse::{OccupancyStats, OCCUPANCY_BUCKETS};
-use serde::{Deserialize, Serialize};
 
 /// HPCG problem shape: CG over an `nx³` 27-point stencil.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HpcgParams {
     /// Grid points per dimension (`m = nx³`).
     pub nx: u64,
@@ -114,7 +113,7 @@ pub fn build_hpcg_dag(prm: &HpcgParams) -> TensorDag {
 }
 
 /// One Table I row.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HpcgEntry {
     /// Supercomputer name.
     pub system: &'static str,

@@ -25,10 +25,9 @@ use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::kernels::spmm;
 use cello_tensor::shape::{RankExtent, RankId};
 use cello_tensor::sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Shape parameters for a power-iteration run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerIterParams {
     /// Matrix order `M`.
     pub m: u64,

@@ -13,10 +13,9 @@ use cello_graph::edge::TensorMeta;
 use cello_graph::node::OpKind;
 use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::shape::{RankExtent, RankId};
-use serde::{Deserialize, Serialize};
 
 /// One convolution lowered to a GEMM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConvGemm {
     /// Output pixels × batch (`M`).
     pub m: u64,
@@ -44,7 +43,7 @@ impl ConvGemm {
 }
 
 /// ResNet-50 conv3_x block parameters (28×28 feature maps).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResNetBlockParams {
     /// Feature-map side (28 for conv3_x).
     pub hw: u64,

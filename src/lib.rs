@@ -3,8 +3,9 @@
 //! Re-exports the whole workspace under one roof so examples, integration
 //! tests and downstream users can `use cello::…` without naming individual
 //! crates. See `README.md` for the architecture overview (including the
-//! `cello-search` auto-tuner, the `cello_dse` CLI, and the `cello-serve`
-//! schedule-compilation daemon with its `cello_client`/`loadgen` tools).
+//! `cello-search` auto-tuner, the `cello_dse` CLI and `loadgen` driver in
+//! `cello-bench`, and the `cello-serve` schedule-compilation daemon with
+//! its `cello_client` tool).
 //!
 //! ```
 //! use cello::tensor::ai_best_gemm;

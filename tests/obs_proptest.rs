@@ -4,9 +4,9 @@
 //! (phase spans tile the model-time root; `dram_bytes` args are verbatim
 //! `RunReport::phase_dram_bytes`).
 
+use cello::obs::json::Json;
 use cello::obs::metrics::HistogramSnapshot;
 use cello::obs::{ArgValue, SpanNode};
-use cello_bench::json::Json;
 use proptest::prelude::*;
 
 proptest! {
@@ -72,32 +72,20 @@ proptest! {
     }
 }
 
-/// Walks a parsed Chrome trace document, returning every event object.
-fn trace_events(doc: &Json) -> Vec<&Json> {
-    let Json::Obj(fields) = doc else {
-        panic!("trace root must be an object");
-    };
-    let events = fields
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .expect("traceEvents key");
-    let Json::Arr(items) = events else {
-        panic!("traceEvents must be an array");
-    };
-    items.iter().collect()
+/// Every event object of a parsed Chrome trace document.
+fn trace_events(doc: &Json) -> &[Json] {
+    doc.get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array")
 }
 
 fn field<'a>(event: &'a Json, key: &str) -> &'a Json {
-    let Json::Obj(fields) = event else {
-        panic!("event must be an object");
-    };
-    &fields.iter().find(|(k, _)| k == key).expect(key).1
+    event.get(key).expect(key)
 }
 
 /// A nested span tree exports one complete (`"ph": "X"`) event per node,
 /// with every event of a tree sharing the root's pid/tid — parseable by the
-/// same vendored JSON reader the bench artifacts use.
+/// workspace JSON codec the bench artifacts use.
 #[test]
 fn nested_span_tree_exports_valid_chrome_trace() {
     let mut root = SpanNode::new("request").arg("id", 7u64);
@@ -117,11 +105,11 @@ fn nested_span_tree_exports_valid_chrome_trace() {
     root.children.push(respond);
 
     let trace = cello::obs::chrome::chrome_trace(&[root]);
-    let doc = Json::parse(&trace).expect("chrome trace parses with cello_bench::json");
+    let doc = Json::parse(&trace).expect("chrome trace parses with cello_obs::json");
     let events = trace_events(&doc);
     assert_eq!(events.len(), 4, "one event per span node");
     let mut names = Vec::new();
-    for event in &events {
+    for event in events {
         assert_eq!(field(event, "ph"), &Json::Str("X".into()));
         assert_eq!(field(event, "pid"), &Json::Num(1.0));
         // All nodes of one tree share the root's lane; viewers nest the
