@@ -2,32 +2,25 @@
 //!
 //! The CELLO evaluation compares schedule/buffer *combinations* (Table IV):
 //! explicit scratchpads, implicitly-managed LRU/BRRIP caches, buffets, and the
-//! paper's hybrid CHORD. This crate provides every buffer mechanism *except*
-//! CHORD (which is the contribution and lives in `cello-core`):
+//! paper's hybrid CHORD (the contribution, which lives in `cello-core`). The
+//! simulator drives the caches trace by trace; the explicit buffers enter
+//! only as [`model::BufferKind`] area and energy rows:
 //!
 //! - [`stats`]: shared access counters (DRAM bytes, SRAM accesses, hits…);
 //! - [`dram`]: bandwidth + energy model of the off-chip interface;
 //! - [`cache`]: trace-driven set-associative cache with pluggable replacement —
 //!   [`cache::LruPolicy`] and [`cache::BrripPolicy`] (Jaleel et al.'s RRIP),
 //!   the `Flex+LRU` / `Flex+BRRIP` baselines;
-//! - [`scratchpad`]: fully explicit, programmer-allocated SRAM (the
-//!   scratchpad whose allocation-search cost §VI-B quantifies);
-//! - [`buffet`]: credit-based explicit-decoupled buffer idiom (Pellauer et
-//!   al.), the Table III/Fig 15 comparison point;
-//! - [`pipeline`]: the explicit pipeline buffer that stages producer/consumer
-//!   tiles, with *hold slots* for delayed-hold dependencies (Fig 6);
-//! - [`model`]: CACTI-lite area & per-access energy, calibrated to the
-//!   paper's published 4 MB figures (Fig 15).
+//! - [`model`]: CACTI-lite area & per-access energy of every buffer kind
+//!   (scratchpad, cache, buffet, CHORD), calibrated to the paper's published
+//!   4 MB figures (Table III, Fig 15).
 
-pub mod buffet;
 pub mod cache;
 pub mod dram;
 pub mod model;
-pub mod pipeline;
-pub mod scratchpad;
 pub mod stats;
 
-pub use cache::{BrripPolicy, CacheConfig, LruPolicy, SetAssocCache, SrripPolicy};
+pub use cache::{BrripPolicy, CacheConfig, LruPolicy, SetAssocCache};
 pub use dram::DramModel;
 pub use model::{AreaEnergyModel, BufferKind};
 pub use stats::AccessStats;

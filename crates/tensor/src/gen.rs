@@ -177,8 +177,6 @@ pub fn grid_for(m: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::spmm;
-    use crate::DenseMatrix;
 
     #[test]
     fn laplacian_2d_shape_and_nnz() {
@@ -202,16 +200,17 @@ mod tests {
         // x^T A x > 0 for a few random-ish x (necessary condition check).
         let a = laplacian_2d(6, 6);
         for seed in 1..5u64 {
-            let mut x = DenseMatrix::zeros(36, 1);
+            let mut x = [0.0f64; 36];
             let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            for i in 0..36 {
+            for xi in x.iter_mut() {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                x.set(i, 0, ((s % 100) as f64 - 50.0) / 50.0 + 0.01);
+                *xi = ((s % 100) as f64 - 50.0) / 50.0 + 0.01;
             }
-            let ax = spmm(&a, &x);
-            let quad: f64 = (0..36).map(|i| x.get(i, 0) * ax.get(i, 0)).sum();
+            let quad: f64 = (0..36)
+                .map(|r| x[r] * a.row(r).map(|(c, v)| v * x[c]).sum::<f64>())
+                .sum();
             assert!(quad > 0.0, "x^T A x = {quad} not positive");
         }
     }
@@ -266,5 +265,31 @@ mod tests {
             random_graph_adjacency(100, 500, 9),
             random_graph_adjacency(100, 500, 9)
         );
+    }
+
+    /// FNV-1a over the CSR arrays: `row_ptr`, `col_idx`, then the bit
+    /// patterns of `values`, each word little-endian.
+    fn csr_digest(a: &CsrMatrix) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let words = a.row_ptr().iter().chain(a.col_idx()).map(|&w| w as u64);
+        for w in words.chain(a.values().iter().map(|v| v.to_bits())) {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generators_match_pinned_digests() {
+        // The datasets and the benchmark draw from these generators, so
+        // their output is pinned bit-for-bit across commits, not only
+        // between two runs of one build.
+        assert_eq!(csr_digest(&random_spd(100, 600, 9)), 0x34f9_9150_8f9e_15ab);
+        assert_eq!(
+            csr_digest(&random_graph_adjacency(100, 500, 9)),
+            0x6c0c_6c69_8814_f0e7
+        );
+        assert_eq!(csr_digest(&laplacian_3d(4, 4, 4)), 0x852b_2c53_e76c_0442);
     }
 }

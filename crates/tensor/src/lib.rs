@@ -1,7 +1,8 @@
 //! # cello-tensor — tensor substrate for the CELLO reproduction
 //!
-//! This crate provides everything the CELLO accelerator study needs to *describe*
-//! and *execute* tensor algebra:
+//! This crate provides everything the CELLO accelerator study needs to
+//! *describe* tensor algebra (the simulator reads shapes and sparsity
+//! structure, never numeric results):
 //!
 //! - [`shape`]: ranks, extents, and skewness metrics (skewed GEMMs are the paper's
 //!   central motivation, §III-A);
@@ -11,26 +12,20 @@
 //!   Eq 3–4);
 //! - [`layout`]: row-/column-major layouts and swizzle (layout transformation)
 //!   accounting (Challenge 4, §III-B);
-//! - [`dense`]/[`sparse`]: dense matrices and CSR/CSC sparse matrices with COO
-//!   builders (CG's `A` operand, §V-B "Handling sparsity");
-//! - [`kernels`]: executable GEMM / SpMM / AXPY / small-inverse kernels, with
-//!   parallel (rayon) variants — these make the workloads *numerically real*,
-//!   so convergence of CG/BiCGStab can be tested, not just modeled;
+//! - [`sparse`]: CSR sparse matrices with a COO builder and block-occupancy
+//!   statistics (CG's `A` operand, §V-B "Handling sparsity");
 //! - [`gen`]: synthetic dataset generators standing in for SuiteSparse matrices
 //!   and OMEGA graphs (see DESIGN.md §2 for the substitution argument).
 
-pub mod dense;
 pub mod einsum;
 pub mod gen;
 pub mod intensity;
-pub mod kernels;
 pub mod layout;
 pub mod shape;
 pub mod sparse;
 
-pub use dense::DenseMatrix;
 pub use einsum::{EinsumSpec, RankKind};
 pub use intensity::{ai_best_gemm, ai_skewed_limit, ArithmeticIntensity};
 pub use layout::Layout;
 pub use shape::{RankExtent, RankId, Shape2D, SkewClass};
-pub use sparse::{CooMatrix, CscMatrix, CsrMatrix};
+pub use sparse::{CooMatrix, CsrMatrix};

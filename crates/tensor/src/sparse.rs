@@ -1,4 +1,4 @@
-//! Sparse matrices: COO builder, CSR and CSC.
+//! Sparse matrices: COO builder and CSR.
 //!
 //! CG's operand `A` is the only sparse tensor in the paper's workloads
 //! (§III-A): shape up to `M × M` with 1–100 non-zeros per row. SCORE "stores
@@ -6,8 +6,6 @@
 //! occupancy" (§V-B), and CHORD stores both the data and the metadata in that
 //! format. The traffic model therefore needs exact payload accounting
 //! ([`CsrMatrix::payload_words`]): values + column indices + row pointers.
-
-use crate::dense::DenseMatrix;
 
 /// Coordinate-format builder for sparse matrices.
 #[derive(Clone, Debug, Default)]
@@ -307,94 +305,6 @@ impl CsrMatrix {
             .find(|&(c, _)| c == col)
             .map_or(0.0, |(_, v)| v)
     }
-
-    /// Dense conversion (for tests on small matrices).
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                out.set(r, c, v);
-            }
-        }
-        out
-    }
-
-    /// CSC conversion.
-    pub fn to_csc(&self) -> CscMatrix {
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
-            col_ptr[c + 1] += 1;
-        }
-        for i in 0..self.cols {
-            col_ptr[i + 1] += col_ptr[i];
-        }
-        let mut row_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        let mut cursor = col_ptr.clone();
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                let dst = cursor[c];
-                row_idx[dst] = r;
-                values[dst] = v;
-                cursor[c] += 1;
-            }
-        }
-        CscMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            col_ptr,
-            row_idx,
-            values,
-        }
-    }
-}
-
-/// Compressed Sparse Column matrix (used when a consumer wants the transposed
-/// traversal without a swizzle).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CscMatrix {
-    rows: usize,
-    cols: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CscMatrix {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The (row, value) pairs of one column.
-    pub fn col(&self, c: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let span = self.col_ptr[c]..self.col_ptr[c + 1];
-        self.row_idx[span.clone()]
-            .iter()
-            .copied()
-            .zip(self.values[span].iter().copied())
-    }
-
-    /// Dense conversion (tests).
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for c in 0..self.cols {
-            for (r, v) in self.col(c) {
-                out.set(r, c, v);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -443,14 +353,6 @@ mod tests {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(0, 1, 1.0);
         assert!(!coo.to_csr().is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn csc_round_trip() {
-        let m = sample();
-        let csc = m.to_csc();
-        assert_eq!(csc.nnz(), m.nnz());
-        assert_eq!(csc.to_dense(), m.to_dense());
     }
 
     #[test]

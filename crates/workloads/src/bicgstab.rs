@@ -1,4 +1,4 @@
-//! BiCGStab (van der Vorst 1992): numeric solver + DAG builder (Fig 13).
+//! BiCGStab (van der Vorst 1992): DAG builder (Fig 13).
 //!
 //! The paper uses BiCGStab as a second PDE solver to show SCORE/CHORD
 //! generalize beyond CG. One iteration is a 9-operation cascade with *two*
@@ -22,10 +22,8 @@
 use cello_graph::dag::{NodeId, TensorDag};
 use cello_graph::edge::TensorMeta;
 use cello_graph::node::OpKind;
-use cello_tensor::dense::DenseMatrix;
 use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::shape::{RankExtent, RankId};
-use cello_tensor::sparse::CsrMatrix;
 
 /// Shape parameters for a BiCGStab problem.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -245,96 +243,9 @@ pub fn build_bicgstab_dag(prm: &BicgParams) -> TensorDag {
     dag
 }
 
-/// Result of a numeric BiCGStab solve (single right-hand side).
-#[derive(Clone, Debug)]
-pub struct BicgResult {
-    /// Solution vector (`M × 1`).
-    pub x: DenseMatrix,
-    /// Iterations run.
-    pub iterations_run: u32,
-    /// ‖r‖₂ after each iteration.
-    pub residual_history: Vec<f64>,
-    /// Whether the tolerance was met.
-    pub converged: bool,
-}
-
-fn dot(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
-    a.data()
-        .iter()
-        .zip(b.data().iter())
-        .map(|(x, y)| x * y)
-        .sum()
-}
-
-/// Numeric BiCGStab for `A·x = b` (van der Vorst 1992).
-pub fn solve_bicgstab(a: &CsrMatrix, b: &DenseMatrix, max_iters: u32, tol: f64) -> BicgResult {
-    use cello_tensor::kernels::spmm;
-    assert_eq!(b.cols(), 1, "solve_bicgstab is single-RHS");
-    let m = a.rows();
-    let mut x = DenseMatrix::zeros(m, 1);
-    let mut r = b.clone();
-    let rhat = r.clone();
-    let (mut rho_prev, mut alpha, mut omega) = (1.0f64, 1.0f64, 1.0f64);
-    let mut v = DenseMatrix::zeros(m, 1);
-    let mut p = DenseMatrix::zeros(m, 1);
-    let mut history = Vec::new();
-    let mut converged = false;
-    let mut it = 0;
-    while it < max_iters {
-        it += 1;
-        let rho = dot(&rhat, &r); // b1
-        if rho.abs() < 1e-300 {
-            break;
-        }
-        let beta = (rho / rho_prev) * (alpha / omega); // scalar
-                                                       // b2: p = r + β (p − ω v)
-        let mut pmwv = p.clone();
-        pmwv.axpy(-omega, &v);
-        p = r.clone();
-        p.axpy(beta, &pmwv);
-        v = spmm(a, &p); // b3
-        let rhat_v = dot(&rhat, &v); // b4
-        if rhat_v.abs() < 1e-300 {
-            break;
-        }
-        alpha = rho / rhat_v;
-        let mut s = r.clone(); // b5
-        s.axpy(-alpha, &v);
-        let t = spmm(a, &s); // b6
-        let tt = dot(&t, &t); // b7
-        omega = if tt.abs() < 1e-300 {
-            0.0
-        } else {
-            dot(&t, &s) / tt
-        };
-        x.axpy(alpha, &p); // b8
-        x.axpy(omega, &s);
-        r = s; // b9
-        r.axpy(-omega, &t);
-        let rnorm = r.frobenius_norm();
-        history.push(rnorm);
-        if rnorm <= tol {
-            converged = true;
-            break;
-        }
-        if omega == 0.0 {
-            break;
-        }
-        rho_prev = rho;
-    }
-    BicgResult {
-        x,
-        iterations_run: it,
-        residual_history: history,
-        converged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cello_tensor::gen::{laplacian_2d, random_spd};
-    use cello_tensor::kernels::spmm;
 
     fn prm() -> BicgParams {
         BicgParams {
@@ -365,43 +276,5 @@ mod tests {
         // BiCGStab is rich in delayed writebacks (v, s, t, p…).
         assert!(h[3] > 0, "expected delayed writebacks, histogram {h:?}");
         assert!(h[1] > 0, "expected pipelineable edges (v→α, t→ω)");
-    }
-
-    #[test]
-    fn numeric_bicgstab_converges_on_spd() {
-        let a = laplacian_2d(18, 18);
-        let mut b = DenseMatrix::zeros(324, 1);
-        for i in 0..324 {
-            b.set(i, 0, ((i % 11) as f64 - 5.0) / 5.0 + 0.05);
-        }
-        let res = solve_bicgstab(&a, &b, 400, 1e-10);
-        assert!(res.converged, "residual {:?}", res.residual_history.last());
-        let ax = spmm(&a, &res.x);
-        assert!(ax.max_abs_diff(&b) < 1e-7);
-    }
-
-    #[test]
-    fn numeric_bicgstab_on_random_spd() {
-        let a = random_spd(250, 1500, 5);
-        let mut b = DenseMatrix::zeros(250, 1);
-        for i in 0..250 {
-            b.set(i, 0, 1.0 + (i % 7) as f64);
-        }
-        let res = solve_bicgstab(&a, &b, 400, 1e-9);
-        let ax = spmm(&a, &res.x);
-        assert!(ax.max_abs_diff(&b) < 1e-6, "{}", ax.max_abs_diff(&b));
-    }
-
-    #[test]
-    fn residuals_shrink() {
-        let a = laplacian_2d(14, 14);
-        let mut b = DenseMatrix::zeros(196, 1);
-        for i in 0..196 {
-            b.set(i, 0, 1.0);
-        }
-        let res = solve_bicgstab(&a, &b, 60, 0.0);
-        let first = res.residual_history.first().copied().unwrap();
-        let last = res.residual_history.last().copied().unwrap();
-        assert!(last < first * 1e-3, "first {first} last {last}");
     }
 }

@@ -1,4 +1,4 @@
-//! Block Conjugate Gradient (paper Algorithm 1): numeric solver + DAG builder.
+//! Block Conjugate Gradient (paper Algorithm 1): DAG builder.
 //!
 //! Block CG solves `A·X = B` for `N` right-hand sides simultaneously
 //! (Eq 2). One loop iteration is the 7-operation cascade of Fig 1:
@@ -19,14 +19,11 @@
 //! paper highlights: `S→4` and `R→7`/`R→4'` (delayed writeback), `X→3'`
 //! (classified pipelineable but unrealizable across clusters → CHORD), `A`
 //! reused every iteration, and the Greek tensors in the register file.
-//! [`solve_block_cg`] is the numeric algorithm over real kernels.
 
 use cello_graph::dag::{NodeId, TensorDag};
 use cello_graph::edge::TensorMeta;
 use cello_graph::node::OpKind;
-use cello_tensor::dense::DenseMatrix;
 use cello_tensor::einsum::EinsumSpec;
-use cello_tensor::kernels::{add, gemm, gemm_at_b, invert_small, spmm, sub};
 use cello_tensor::shape::{RankExtent, RankId};
 use cello_tensor::sparse::{CsrMatrix, OccupancyStats};
 
@@ -325,208 +322,9 @@ pub fn build_cg_dag(prm: &CgParams) -> TensorDag {
     dag
 }
 
-/// Result of a numeric block-CG solve.
-#[derive(Clone, Debug)]
-pub struct CgResult {
-    /// The solution block `X` (`M × N`).
-    pub x: DenseMatrix,
-    /// Iterations actually run.
-    pub iterations_run: u32,
-    /// Worst (max) squared column residual norm among unconverged columns
-    /// after each iteration — `max(diag(Γ))` over the whole block while no
-    /// column has deflated.
-    pub residual_history: Vec<f64>,
-    /// Whether `diag(Γ) ≤ ε` was reached.
-    pub converged: bool,
-}
-
-/// Numeric block CG (Algorithm 1) on real kernels.
-///
-/// ```
-/// use cello_tensor::dense::DenseMatrix;
-/// use cello_tensor::gen::laplacian_2d;
-/// use cello_workloads::cg::solve_block_cg;
-///
-/// let a = laplacian_2d(12, 12); // 144×144 SPD Poisson matrix
-/// let mut b = DenseMatrix::zeros(144, 2);
-/// for i in 0..144 { b.set(i, 0, 1.0); b.set(i, 1, (i % 3) as f64); }
-/// let res = solve_block_cg(&a, &b, 500, 1e-12);
-/// assert!(res.converged);
-/// ```
-///
-/// Block CG can *break down* when the search-direction block loses rank
-/// (columns of `P` become dependent as individual right-hand sides converge
-/// at different rates, driving `Γ_prev` numerically singular). Like
-/// production block solvers, we handle this by **deflation**: converged
-/// columns leave the active block, and each restart phase solves the
-/// column-normalized correction system `A·Y = R·D⁻¹` so `Δ` and `Γ` stay
-/// well-scaled regardless of per-column residual spread. A phase ends on
-/// per-column convergence, conditioning loss, stagnation, or inversion
-/// failure (rank-deficient blocks additionally drop to one column at a
-/// time); the outer loop then recomputes the true residual and re-deflates.
-pub fn solve_block_cg(a: &CsrMatrix, b: &DenseMatrix, max_iters: u32, eps: f64) -> CgResult {
-    assert_eq!(a.rows(), a.cols(), "CG needs a square matrix");
-    assert_eq!(a.rows(), b.rows(), "rhs row mismatch");
-    // A column is done when its squared residual falls below the caller's
-    // eps — or below a relative guard near machine precision, so stalled
-    // columns deflate instead of poisoning Γ for the others.
-    const REL_FLOOR: f64 = 1e-28;
-    let n = b.cols();
-    let floors: Vec<f64> = (0..n).map(|j| eps.max(col_sq(b, j) * REL_FLOOR)).collect();
-    let mut x = DenseMatrix::zeros(b.rows(), n);
-    let mut history = Vec::new();
-    let mut converged = false;
-    let mut it = 0u32;
-    // Block phases share one Krylov space across right-hand sides. When the
-    // residual columns go (near-)collinear, Γ turns numerically singular and
-    // the conjugacy recurrence blows up; a phase that fails to reduce the
-    // residual demotes the solve to per-column scalar phases (the same 7-op
-    // cascade with 1×1 Δ/Γ/Φ), which cannot break down.
-    let mut scalar_mode = false;
-    let mut round = 0usize;
-    while it < max_iters {
-        // True residual, recomputed per phase (kills incremental drift).
-        let resid = sub(b, &spmm(a, &x));
-        let all_active: Vec<usize> = (0..n).filter(|&j| col_sq(&resid, j) > floors[j]).collect();
-        if all_active.is_empty() {
-            converged = true;
-            break;
-        }
-        let active: Vec<usize> = if scalar_mode {
-            vec![all_active[round % all_active.len()]]
-        } else {
-            all_active.clone()
-        };
-        round += 1;
-        // Worst squared residual among unconverged columns *outside* this
-        // phase's block — folded into every history entry so the history
-        // keeps its global "worst unconverged column" meaning even when a
-        // scalar phase works on a single column.
-        let other_worst: f64 = all_active
-            .iter()
-            .filter(|j| !active.contains(j))
-            .map(|&j| col_sq(&resid, j))
-            .fold(0.0f64, f64::max);
-        // Column-normalized correction system A·Y = R_a·D⁻¹.
-        let scales: Vec<f64> = active.iter().map(|&j| col_sq(&resid, j).sqrt()).collect();
-        let start_worst: f64 = scales.iter().map(|s| s * s).fold(0.0f64, f64::max);
-        let mut r = gather_scaled(&resid, &active, &scales);
-        let mut y = DenseMatrix::zeros(b.rows(), active.len());
-        let mut gamma = gemm_at_b(&r, &r); // Γ = RᵀR (≈ I at phase start)
-        let mut p = r.clone();
-        let mut stagnant = 0u32;
-        let mut last_worst = f64::INFINITY;
-        let mut floor_exit = false;
-        while it < max_iters {
-            it += 1;
-            let s = spmm(a, &p); // 1
-            let delta = gemm_at_b(&p, &s); // 2a
-            let Some(delta_inv) = invert_small(&delta) else {
-                // Rank-deficient search block (e.g. duplicate right-hand
-                // sides): demote to one column at a time.
-                scalar_mode = scalar_mode || active.len() > 1;
-                break;
-            };
-            let lambda = gemm(&delta_inv, &gamma); // 2b
-            y = add(&y, &gemm(&p, &lambda)); // 3
-            r = sub(&r, &gemm(&s, &lambda)); // 4
-            let gamma_prev = gamma.clone();
-            gamma = gemm_at_b(&r, &r); // 5
-            let diag = gamma.diagonal();
-            // History records the worst *unscaled* squared residual.
-            let worst = diag
-                .iter()
-                .zip(&scales)
-                .map(|(d, s)| d * s * s)
-                .fold(0.0f64, f64::max);
-            history.push(worst.max(other_worst));
-            let hit_floor = diag
-                .iter()
-                .zip(scales.iter().zip(&active))
-                .any(|(d, (s, &j))| d * s * s <= floors[j]);
-            if hit_floor {
-                last_worst = worst;
-                floor_exit = true;
-                break; // re-deflate in the outer loop
-            }
-            // Stagnation: residual shrinking by less than 0.1% per iteration
-            // for several iterations — conjugacy lost to round-off (healthy
-            // CG at any realistic condition number converges orders of
-            // magnitude faster than this, so only genuine stalls qualify;
-            // a post-breakdown crawl decreases strictly but glacially, which
-            // an exact `worst >= last` test would never catch).
-            if worst > last_worst * 0.999 {
-                stagnant += 1;
-            } else {
-                stagnant = 0;
-            }
-            last_worst = worst;
-            if stagnant >= 3 {
-                break;
-            }
-            let Some(gamma_prev_inv) = invert_small(&gamma_prev) else {
-                scalar_mode = scalar_mode || active.len() > 1;
-                break;
-            };
-            let phi = gemm(&gamma_prev_inv, &gamma); // 6
-            p = add(&r, &gemm(&p, &phi)); // 7
-        }
-        // Fold the correction back: X[:, active] += Y·D.
-        scatter_add_scaled(&mut x, &y, &active, &scales);
-        // A block phase that ended without substantial progress means the
-        // shared Krylov recurrence broke down — demote to scalar phases.
-        // A floor exit is the opposite of breakdown (a column converged and
-        // leaves the block), so it never demotes no matter how little the
-        // slowest column moved.
-        if !scalar_mode && !floor_exit && active.len() > 1 && last_worst > 0.25 * start_worst {
-            scalar_mode = true;
-        }
-    }
-    // Final convergence check when the iteration budget ran out exactly at
-    // a phase boundary.
-    if !converged {
-        let resid = sub(b, &spmm(a, &x));
-        converged = (0..n).all(|j| col_sq(&resid, j) <= floors[j]);
-    }
-    CgResult {
-        x,
-        iterations_run: it,
-        residual_history: history,
-        converged,
-    }
-}
-
-/// Sum of squares of column `j`.
-fn col_sq(m: &DenseMatrix, j: usize) -> f64 {
-    (0..m.rows()).map(|i| m.get(i, j) * m.get(i, j)).sum()
-}
-
-/// Extracts `cols` of `m`, dividing column `k` by `scales[k]`.
-fn gather_scaled(m: &DenseMatrix, cols: &[usize], scales: &[f64]) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(m.rows(), cols.len());
-    for (k, (&j, &s)) in cols.iter().zip(scales).enumerate() {
-        let inv = 1.0 / s;
-        for i in 0..m.rows() {
-            out.set(i, k, m.get(i, j) * inv);
-        }
-    }
-    out
-}
-
-/// `x[:, cols[k]] += y[:, k] * scales[k]`.
-fn scatter_add_scaled(x: &mut DenseMatrix, y: &DenseMatrix, cols: &[usize], scales: &[f64]) {
-    for (k, (&j, &s)) in cols.iter().zip(scales).enumerate() {
-        for i in 0..x.rows() {
-            let v = x.get(i, j) + y.get(i, k) * s;
-            x.set(i, j, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cello_tensor::gen::{laplacian_2d, random_spd};
 
     fn params() -> CgParams {
         CgParams {
@@ -587,68 +385,6 @@ mod tests {
         assert_eq!(profile.tensor("P@1").unwrap().frequency, 4);
         // Terminal-iteration outputs are dead.
         assert_eq!(profile.tensor("X@10").unwrap().frequency, 0);
-    }
-
-    #[test]
-    fn numeric_cg_converges_on_laplacian() {
-        let a = laplacian_2d(20, 20); // 400x400 SPD
-        let mut b = DenseMatrix::zeros(400, 4);
-        for i in 0..400 {
-            for j in 0..4 {
-                b.set(i, j, ((i * 7 + j * 13) % 23) as f64 / 23.0 + 0.1);
-            }
-        }
-        let res = solve_block_cg(&a, &b, 200, 1e-18);
-        assert!(res.converged, "history: {:?}", res.residual_history.last());
-        // Check A·X ≈ B.
-        let ax = spmm(&a, &res.x);
-        assert!(ax.max_abs_diff(&b) < 1e-6, "{}", ax.max_abs_diff(&b));
-    }
-
-    #[test]
-    fn numeric_cg_converges_on_random_spd() {
-        let a = random_spd(300, 1800, 11);
-        let mut b = DenseMatrix::zeros(300, 8);
-        for i in 0..300 {
-            for j in 0..8 {
-                b.set(i, j, (((i + 3 * j) % 17) as f64 - 8.0) / 8.0);
-            }
-        }
-        let res = solve_block_cg(&a, &b, 300, 1e-20);
-        let ax = spmm(&a, &res.x);
-        assert!(ax.max_abs_diff(&b) < 1e-7, "{}", ax.max_abs_diff(&b));
-    }
-
-    #[test]
-    fn block_width_speeds_convergence() {
-        // Block CG with more RHS should not need more iterations for the
-        // same per-column accuracy (it searches a bigger Krylov block).
-        let a = laplacian_2d(12, 12);
-        let ones = |n: usize| {
-            let mut b = DenseMatrix::zeros(144, n);
-            for i in 0..144 {
-                b.set(i, 0, 1.0);
-            }
-            b
-        };
-        let r1 = solve_block_cg(&a, &ones(1), 500, 1e-16);
-        let r8 = solve_block_cg(&a, &ones(8), 500, 1e-16);
-        assert!(r8.iterations_run <= r1.iterations_run);
-    }
-
-    #[test]
-    fn residuals_decrease_monotonically_enough() {
-        let a = laplacian_2d(15, 15);
-        let mut b = DenseMatrix::zeros(225, 2);
-        for i in 0..225 {
-            b.set(i, 0, 1.0);
-            b.set(i, 1, (i % 5) as f64);
-        }
-        let res = solve_block_cg(&a, &b, 50, 0.0);
-        // Residual after the run is far below the start.
-        let first = res.residual_history.first().copied().unwrap();
-        let last = res.residual_history.last().copied().unwrap();
-        assert!(last < first * 1e-6, "first {first} last {last}");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! The paper's datasets come from SuiteSparse (PDE matrices) and OMEGA (GNN
 //! graphs). We register their published statistics and generate synthetic
 //! stand-ins matching `M` and `nnz` (see DESIGN.md §2 — the traffic and
-//! roofline study depends only on shapes/footprints, and our SPD generators
-//! also let the numeric solvers converge). When an actual SuiteSparse
+//! roofline study depends only on shapes/footprints). When an actual SuiteSparse
 //! download is at hand, [`load_matrix_market`] parses the standard
 //! coordinate format (`real`/`integer`/`pattern` fields, `general`/
 //! `symmetric` symmetry) into a [`CsrMatrix`], so CG/HPCG-style DAGs can be
@@ -178,6 +177,13 @@ impl fmt::Display for MtxError {
 
 impl std::error::Error for MtxError {}
 
+/// Largest `rows` or `cols` a Matrix Market size line may declare. CSR
+/// assembly allocates one row pointer per row, so a hostile size line must
+/// fail as a typed error before it reaches the allocator. Equal to the serve
+/// daemon's `caps::MAX_M`, so every loadable file builds a request the
+/// daemon accepts.
+const MAX_MTX_DIM: usize = 50_000_000;
+
 /// Parses Matrix Market coordinate text into CSR. Symmetric files must list
 /// only the lower triangle (`row ≥ col`, the MM spec's rule) and each
 /// off-diagonal entry is mirrored — an upper-triangle entry is a typed
@@ -241,6 +247,12 @@ pub fn parse_matrix_market(text: &str) -> Result<CsrMatrix, MtxError> {
                     })
                 };
                 let (r, c, n) = (parse(fields[0])?, parse(fields[1])?, parse(fields[2])?);
+                if r > MAX_MTX_DIM || c > MAX_MTX_DIM {
+                    return Err(MtxError::Parse {
+                        line: line_no,
+                        msg: format!("{r}x{c} exceeds the {MAX_MTX_DIM} dimension cap"),
+                    });
+                }
                 size = Some((r, c, n, line_no));
                 coo = Some(CooMatrix::new(r, c));
             }
@@ -562,6 +574,20 @@ mod tests {
             (
                 "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 x\n",
                 |e| matches!(e, MtxError::Parse { .. }),
+            ),
+            // Hostile size lines must fail before CSR assembly allocates
+            // `rows + 1` row pointers.
+            (
+                "%%MatrixMarket matrix coordinate real general\n18446744073709551615 1 0\n",
+                |e| matches!(e, MtxError::Parse { line: 2, .. }),
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n100000000000000 1 0\n",
+                |e| matches!(e, MtxError::Parse { line: 2, .. }),
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n1 100000000000000 0\n",
+                |e| matches!(e, MtxError::Parse { line: 2, .. }),
             ),
         ];
         for (text, matches) in cases {

@@ -11,11 +11,8 @@
 use cello_graph::dag::TensorDag;
 use cello_graph::edge::TensorMeta;
 use cello_graph::node::OpKind;
-use cello_tensor::dense::DenseMatrix;
 use cello_tensor::einsum::EinsumSpec;
-use cello_tensor::kernels::{gemm, spmm};
 use cello_tensor::shape::{RankExtent, RankId};
-use cello_tensor::sparse::CsrMatrix;
 
 /// GCN layer shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -126,21 +123,10 @@ pub fn build_gcn_dag(prm: &GcnParams) -> TensorDag {
     dag
 }
 
-/// Numeric single-layer GCN forward pass: `Z = relu(Â·X·W)`.
-pub fn gcn_forward(a: &CsrMatrix, x: &DenseMatrix, w: &DenseMatrix) -> DenseMatrix {
-    let y = spmm(a, x);
-    let mut z = gemm(&y, w);
-    for v in z.data_mut() {
-        *v = v.max(0.0);
-    }
-    z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::{CORA, PROTEIN};
-    use cello_tensor::gen::random_graph_adjacency;
 
     #[test]
     fn dag_shape_single_layer() {
@@ -164,27 +150,6 @@ mod tests {
         let dag = build_gcn_dag(&GcnParams::from_dataset(&PROTEIN, 2));
         assert_eq!(dag.node_count(), 4);
         assert_eq!(dag.edge_count(), 3);
-    }
-
-    #[test]
-    fn numeric_forward_shapes_and_relu() {
-        let a = random_graph_adjacency(50, 250, 1);
-        let mut x = DenseMatrix::zeros(50, 8);
-        let mut w = DenseMatrix::zeros(8, 3);
-        for i in 0..50 {
-            for j in 0..8 {
-                x.set(i, j, ((i * j) % 5) as f64 - 2.0);
-            }
-        }
-        for i in 0..8 {
-            for j in 0..3 {
-                w.set(i, j, ((i + j) % 3) as f64 - 1.0);
-            }
-        }
-        let z = gcn_forward(&a, &x, &w);
-        assert_eq!(z.rows(), 50);
-        assert_eq!(z.cols(), 3);
-        assert!(z.data().iter().all(|&v| v >= 0.0), "ReLU clamps negatives");
     }
 
     #[test]

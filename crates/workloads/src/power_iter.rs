@@ -20,11 +20,8 @@
 use cello_graph::dag::{NodeId, TensorDag};
 use cello_graph::edge::TensorMeta;
 use cello_graph::node::OpKind;
-use cello_tensor::dense::DenseMatrix;
 use cello_tensor::einsum::EinsumSpec;
-use cello_tensor::kernels::spmm;
 use cello_tensor::shape::{RankExtent, RankId};
-use cello_tensor::sparse::CsrMatrix;
 
 /// Shape parameters for a power-iteration run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -129,53 +126,9 @@ pub fn build_power_iter_dag(prm: &PowerIterParams) -> TensorDag {
     dag
 }
 
-/// Result of the numeric power iteration.
-#[derive(Clone, Debug)]
-pub struct PowerIterResult {
-    /// Final (unit-norm) eigenvector estimate.
-    pub x: DenseMatrix,
-    /// Rayleigh-quotient estimate of the dominant eigenvalue.
-    pub eigenvalue: f64,
-    /// Iterations run.
-    pub iterations_run: u32,
-}
-
-/// Numeric power iteration on real kernels (single vector).
-pub fn power_iterate(a: &CsrMatrix, iterations: u32) -> PowerIterResult {
-    assert_eq!(a.rows(), a.cols());
-    let m = a.rows();
-    let mut x = DenseMatrix::zeros(m, 1);
-    for i in 0..m {
-        x.set(i, 0, 1.0 / (m as f64).sqrt());
-    }
-    let mut eigenvalue = 0.0;
-    let mut it = 0;
-    for _ in 0..iterations {
-        it += 1;
-        let y = spmm(a, &x);
-        let nu: f64 = y.data().iter().map(|v| v * v).sum();
-        if nu <= 0.0 {
-            break;
-        }
-        let norm = nu.sqrt();
-        // Rayleigh quotient with unit-norm x: λ ≈ xᵀAx = xᵀy.
-        eigenvalue = x.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        x = y;
-        for v in x.data_mut() {
-            *v /= norm;
-        }
-    }
-    PowerIterResult {
-        x,
-        eigenvalue,
-        iterations_run: it,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cello_tensor::gen::random_spd;
 
     fn prm() -> PowerIterParams {
         PowerIterParams {
@@ -203,29 +156,6 @@ mod tests {
         // Edge 2 of iteration 1 is y -> p3 (transitive via the contraction).
         assert_eq!(cls.deps[2], Dependency::DelayedWriteback);
         assert_eq!(cls.deps[0], Dependency::Pipelineable); // y -> νcontraction
-    }
-
-    #[test]
-    fn numeric_power_iteration_converges() {
-        let a = random_spd(200, 1200, 3);
-        let res = power_iterate(&a, 150);
-        // Check A·x ≈ λ·x.
-        let ax = spmm(&a, &res.x);
-        let mut worst: f64 = 0.0;
-        for i in 0..200 {
-            worst = worst.max((ax.get(i, 0) - res.eigenvalue * res.x.get(i, 0)).abs());
-        }
-        let rel = worst / res.eigenvalue.abs().max(1e-30);
-        assert!(rel < 1e-4, "relative eigen-residual {rel}");
-        assert!(res.eigenvalue > 0.0, "SPD matrices have positive spectrum");
-    }
-
-    #[test]
-    fn unit_norm_maintained() {
-        let a = random_spd(100, 600, 9);
-        let res = power_iterate(&a, 30);
-        let norm: f64 = res.x.data().iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-10);
     }
 
     #[test]
