@@ -2,9 +2,8 @@
 //!
 //! The build container has no route to a cargo registry, so this crate
 //! re-implements the handful of rayon entry points the workspace calls —
-//! `par_iter().map().collect()`, `par_chunks_mut().enumerate().for_each()`,
-//! `into_par_iter().step_by().map().collect()` and `current_num_threads()` —
-//! on top of `std::thread::scope`. Parallelism is real (contiguous chunking,
+//! `par_iter().map().collect()`, `into_par_iter().step_by().map().collect()`
+//! and `current_num_threads()` — on top of `std::thread::scope`. Parallelism is real (contiguous chunking,
 //! one worker per available core), ordering is preserved, and the API shape
 //! matches rayon closely enough that swapping the real crate back in is a
 //! Cargo.toml-only change.
@@ -330,60 +329,9 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Chunked mutable parallel iterator (pre-enumerate).
-pub struct ParChunksMut<'a, T> {
-    chunks: Vec<&'a mut [T]>,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pairs each chunk with its index.
-    pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
-        ParChunksMutEnumerate {
-            chunks: self.chunks,
-        }
-    }
-
-    /// Parallel for-each over chunks.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a mut [T]) + Sync,
-    {
-        parallel_for_each(self.chunks, &f);
-    }
-}
-
-/// Enumerated chunked mutable parallel iterator.
-pub struct ParChunksMutEnumerate<'a, T> {
-    chunks: Vec<&'a mut [T]>,
-}
-
-impl<'a, T: Send> ParChunksMutEnumerate<'a, T> {
-    /// Parallel for-each over `(index, chunk)` pairs.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &'a mut [T])) + Sync,
-    {
-        parallel_for_each(self.chunks.into_iter().enumerate().collect(), &f);
-    }
-}
-
-/// Mirror of rayon's `ParallelSliceMut` (`par_chunks_mut`).
-pub trait ParallelSliceMut<T: Send> {
-    /// Splits into mutable chunks of at most `size` elements.
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut {
-            chunks: self.chunks_mut(size.max(1)).collect(),
-        }
-    }
-}
-
 /// The rayon prelude: the traits that put `par_iter` & friends in scope.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 #[cfg(test)]
@@ -406,17 +354,6 @@ mod tests {
             .collect();
         let seq: Vec<usize> = (0..1000).step_by(7).map(|x| x + 1).collect();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_chunks_mut_enumerate_writes_disjoint() {
-        let mut data = vec![0usize; 64];
-        data.par_chunks_mut(8)
-            .enumerate()
-            .for_each(|(i, chunk)| chunk.iter_mut().for_each(|c| *c = i));
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i / 8);
-        }
     }
 
     #[test]

@@ -10,6 +10,34 @@
 //! - [`BrripPolicy`]: Bimodal RRIP (Jaleel et al., ISCA'10): 2-bit re-reference
 //!   prediction values, distant insertion with occasional long insertion,
 //!   which resists scans but still keeps stale line mixtures (Fig 11 step 2).
+//!
+//! # Stream-granular accounting
+//!
+//! The simulator's cache backend moves whole tensors: each request is one
+//! contiguous [`SetAssocCache::stream`] from a tensor's base address. A
+//! stream steps line numbers and set indices directly (line `l` lives in set
+//! `l % sets`, so any set count works and the index wraps instead of
+//! dividing) and charges its [`AccessStats`] once for the whole stream. Its
+//! results are those of one [`SetAssocCache::access`] per line.
+//!
+//! # The long-stream rule (LRU)
+//!
+//! Take a cache of `S` sets and `W` ways, `C = S·W` lines, and a stream of
+//! `n ≥ 2·C` lines. The stream's lines are distinct and consecutive, so its
+//! first `C` lines (the head) put exactly `W` lines in every set, and LRU,
+//! which keeps the `W` most recently used distinct lines of a set, leaves
+//! every set holding exactly its `W` head lines, whatever it held before.
+//! From then on, line `i` finds in its set only the stream lines `i − S, …,
+//! i − W·S`: it misses and evicts the least recent of them, line `i − C`. So
+//! the head is simulated line by line and the other `n − C` lines are
+//! charged in closed form: all miss; the first `C` of them evict the head
+//! lines and write back those that are dirty, and the other `n − 2·C` evict
+//! lines the stream itself filled, which are dirty exactly when it writes.
+//! The stream leaves its last `C` lines behind, dirty exactly when it
+//! writes, ranked in stream order. LRU picks victims by rank alone, never by
+//! way position, so [`SetAssocCache::stream`] writes those lines oldest-first
+//! into ways `0..W` and every later result is unchanged. BRRIP's insertions
+//! draw on one LFSR shared by all sets, so it keeps the per-line path.
 
 use crate::stats::AccessStats;
 
@@ -18,7 +46,7 @@ use crate::stats::AccessStats;
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
-    /// Line size in bytes (Table V: 16 B).
+    /// Line size in bytes (Table V: 16 B); a power of two.
     pub line_bytes: u64,
     /// Ways per set (Table V: 8).
     pub associativity: usize,
@@ -34,11 +62,31 @@ impl CacheConfig {
         }
     }
 
-    /// Number of sets.
+    /// Number of sets: the capacity's whole lines over the ways. Any
+    /// positive count works (3 MB of 16 B lines in 8 ways is 24 576 sets).
+    ///
+    /// # Panics
+    ///
+    /// When `associativity` is 0, `line_bytes` is not a power of two, or the
+    /// capacity holds fewer lines than one set has ways.
     pub fn sets(&self) -> usize {
-        let lines = self.capacity_bytes / self.line_bytes;
-        let sets = lines as usize / self.associativity;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            self.associativity > 0,
+            "cache associativity must be at least 1"
+        );
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two, got {} B",
+            self.line_bytes
+        );
+        let sets = (self.capacity_bytes / self.line_bytes) as usize / self.associativity;
+        assert!(
+            sets > 0,
+            "a {} B cache holds fewer than {} lines of {} B",
+            self.capacity_bytes,
+            self.associativity,
+            self.line_bytes
+        );
         sets
     }
 }
@@ -55,18 +103,27 @@ pub enum AccessOutcome {
     },
 }
 
-/// Replacement policy plug-in: informed of hits and fills, chooses victims.
+/// Replacement policy plug-in: informed of hits, chooses where fills go.
+///
+/// The cache keeps its ways in one slot array, set `s` at slots
+/// `base..base + ways` with `base = s · ways`. Each call names the set, its
+/// `base` and `ways`, and slots by their index in that array.
 pub trait ReplacementPolicy {
+    /// True when victims follow recency alone and a fresh policy ranks way
+    /// `0` of every set least recent and way `ways − 1` most recent (LRU).
+    /// [`SetAssocCache::stream`] then charges long streams in closed form
+    /// (the module's long-stream rule) and leaves their last lines in way
+    /// order under fresh policy state.
+    const RECENCY_ONLY: bool = false;
     /// Creates state for `sets × ways`.
     fn new(sets: usize, ways: usize) -> Self
     where
         Self: Sized;
-    /// Called when `way` in `set` hits.
-    fn on_hit(&mut self, set: usize, way: usize);
-    /// Called when a line is installed into `way` of `set`.
-    fn on_fill(&mut self, set: usize, way: usize);
-    /// Chooses a victim way in `set` (all ways valid).
-    fn victim(&mut self, set: usize) -> usize;
+    /// Called when `slot` of `set` hits.
+    fn on_hit(&mut self, set: usize, base: usize, ways: usize, slot: usize);
+    /// Chooses the slot of `set` a missing line fills — its first empty way,
+    /// else a victim — and records the fill there.
+    fn fill(&mut self, set: usize, base: usize, ways: usize) -> usize;
     /// Human-readable policy name (Table IV rows).
     fn name(&self) -> &'static str;
 }
@@ -74,35 +131,46 @@ pub trait ReplacementPolicy {
 /// Least-recently-used replacement.
 #[derive(Clone, Debug)]
 pub struct LruPolicy {
-    stamp: u64,
-    last_use: Vec<u64>,
-    ways: usize,
+    /// Recency rank of each slot within its set: 0 is the most recent,
+    /// `ways − 1` the next victim.
+    rank: Vec<u8>,
 }
 
 impl ReplacementPolicy for LruPolicy {
+    const RECENCY_ONLY: bool = true;
+
     fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=256).contains(&ways),
+            "LRU ranks 1 to 256 ways, got {ways}"
+        );
+        // Way 0 starts least recent, so empty ways fill in index order before
+        // any line is evicted: first-empty-then-LRU with no empty check.
         Self {
-            stamp: 0,
-            last_use: vec![0; sets * ways],
-            ways,
+            rank: (0..sets)
+                .flat_map(|_| (0..ways).rev().map(|w| w as u8))
+                .collect(),
         }
     }
 
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        self.last_use[set * self.ways + way] = self.stamp;
+    fn on_hit(&mut self, _set: usize, base: usize, ways: usize, slot: usize) {
+        let r = self.rank[slot];
+        for x in &mut self.rank[base..base + ways] {
+            *x += u8::from(*x < r);
+        }
+        self.rank[slot] = 0;
     }
 
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        self.last_use[set * self.ways + way] = self.stamp;
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways)
-            .min_by_key(|&w| self.last_use[base + w])
-            .expect("associativity > 0")
+    fn fill(&mut self, _set: usize, base: usize, ways: usize) -> usize {
+        // Every way is more recent than the victim, so all of them age.
+        let oldest = (ways - 1) as u8;
+        let mut victim = base;
+        for (slot, x) in (base..).zip(&mut self.rank[base..base + ways]) {
+            victim = if *x == oldest { slot } else { victim };
+            *x = x.wrapping_add(1);
+        }
+        self.rank[victim] = 0;
+        victim
     }
 
     fn name(&self) -> &'static str {
@@ -115,13 +183,17 @@ impl ReplacementPolicy for LruPolicy {
 /// simulations are reproducible).
 #[derive(Clone, Debug)]
 pub struct BrripPolicy {
-    rrpv: Vec<u8>,
-    ways: usize,
+    /// Per set, the high and low bits of each way's RRPV (bit `w` is way `w`).
+    planes: Vec<(u64, u64)>,
+    /// Ways filled so far in each set. Lines are never invalidated, so a
+    /// set's empty ways are always the ones from here on.
+    filled: Vec<u32>,
+    /// Bit mask of a set's ways.
+    way_mask: u64,
     lfsr: u32,
 }
 
 impl BrripPolicy {
-    const RRPV_MAX: u8 = 3;
     /// 1-in-32 long-insertions (the "bimodal throttle").
     const BIMODAL_PERIOD: u32 = 32;
 
@@ -132,42 +204,65 @@ impl BrripPolicy {
         self.lfsr ^= self.lfsr << 5;
         self.lfsr
     }
+
+    /// The first way at RRPV 3 once the set has aged until one reaches it.
+    /// Ageing by ones until then is one step of `3 − max`, after which the
+    /// ways at 3 are those that were at `max`; the bit planes give their mask
+    /// and `trailing_zeros` the first of them.
+    fn victim(&mut self, set: usize) -> usize {
+        let (hi, lo) = self.planes[set];
+        let all = self.way_mask;
+        // (ways at `max`, planes once every way has aged by `3 − max`)
+        let (at_max, aged) = if hi & lo != 0 {
+            (hi & lo, (hi, lo)) // max 3: no ageing
+        } else if hi != 0 {
+            (hi, (hi | lo, !lo & all)) // max 2: +1
+        } else if lo != 0 {
+            (lo, (all, lo)) // max 1: +2
+        } else {
+            (all, (all, all)) // max 0: +3
+        };
+        self.planes[set] = aged;
+        at_max.trailing_zeros() as usize
+    }
 }
 
 impl ReplacementPolicy for BrripPolicy {
     fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=64).contains(&ways),
+            "BRRIP keeps 1 to 64 ways, got {ways}"
+        );
         Self {
-            rrpv: vec![Self::RRPV_MAX; sets * ways],
-            ways,
+            planes: vec![(0, 0); sets],
+            filled: vec![0; sets],
+            way_mask: u64::MAX >> (64 - ways),
             lfsr: 0x2A2A_2A2A,
         }
     }
 
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.rrpv[set * self.ways + way] = 0;
+    fn on_hit(&mut self, set: usize, base: usize, _ways: usize, slot: usize) {
+        let bit = 1u64 << (slot - base);
+        let (hi, lo) = &mut self.planes[set];
+        *hi &= !bit;
+        *lo &= !bit;
     }
 
-    fn on_fill(&mut self, set: usize, way: usize) {
-        let long = self.next_rand().is_multiple_of(Self::BIMODAL_PERIOD);
-        self.rrpv[set * self.ways + way] = if long {
-            Self::RRPV_MAX - 1
+    fn fill(&mut self, set: usize, base: usize, ways: usize) -> usize {
+        let filled = self.filled[set] as usize;
+        let way = if filled < ways {
+            self.filled[set] += 1;
+            filled
         } else {
-            Self::RRPV_MAX
+            self.victim(set)
         };
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        loop {
-            for w in 0..self.ways {
-                if self.rrpv[base + w] == Self::RRPV_MAX {
-                    return w;
-                }
-            }
-            for w in 0..self.ways {
-                self.rrpv[base + w] += 1;
-            }
-        }
+        // Insert at RRPV 3, or 2 on a long insertion.
+        let long = self.next_rand().is_multiple_of(Self::BIMODAL_PERIOD);
+        let bit = 1u64 << way;
+        let (hi, lo) = &mut self.planes[set];
+        *hi |= bit;
+        *lo = if long { *lo & !bit } else { *lo | bit };
+        base + way
     }
 
     fn name(&self) -> &'static str {
@@ -175,27 +270,42 @@ impl ReplacementPolicy for BrripPolicy {
     }
 }
 
+/// Tag of a slot that holds no line (only the last byte of the address
+/// space, under 1-byte lines, has this line number).
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative cache over 64-bit byte addresses.
 pub struct SetAssocCache<P: ReplacementPolicy> {
     config: CacheConfig,
-    tags: Vec<Option<u64>>,
+    /// Line number held by each slot, [`EMPTY`] when none; set-major.
+    tags: Vec<u64>,
+    /// Dirty bit of each slot; empty slots are never dirty.
     dirty: Vec<bool>,
     policy: P,
     sets: usize,
+    ways: usize,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
     stats: AccessStats,
 }
 
 impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// On a geometry [`CacheConfig::sets`] rejects.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         let ways = config.associativity;
         Self {
             config,
-            tags: vec![None; sets * ways],
+            tags: vec![EMPTY; sets * ways],
             dirty: vec![false; sets * ways],
             policy: P::new(sets, ways),
             sets,
+            ways,
+            line_shift: config.line_bytes.trailing_zeros(),
             stats: AccessStats::default(),
         }
     }
@@ -215,77 +325,123 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         self.policy.name()
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
-        ((line as usize) & (self.sets - 1), line)
+    /// Looks `line` up in `set`, filling it on a miss (allocate-on-write
+    /// too). Updates tags, dirty bits and policy state but not `stats`.
+    /// Returns whether it hit and whether a dirty victim was evicted.
+    fn touch(&mut self, set: usize, line: u64, is_write: bool) -> (bool, bool) {
+        let (base, ways) = (set * self.ways, self.ways);
+        // One pass with no early exit: a line is in at most one way.
+        let mut hit = ways;
+        for (w, &tag) in self.tags[base..base + ways].iter().enumerate() {
+            hit = if tag == line { w } else { hit };
+        }
+        if hit < ways {
+            let slot = base + hit;
+            self.dirty[slot] |= is_write;
+            self.policy.on_hit(set, base, ways, slot);
+            return (true, false);
+        }
+        let slot = self.policy.fill(set, base, ways);
+        let dirty_eviction = self.dirty[slot];
+        self.tags[slot] = line;
+        self.dirty[slot] = is_write;
+        (false, dirty_eviction)
+    }
+
+    /// Charges `lines` accesses, `misses` line fills from DRAM and
+    /// `writebacks` line writebacks.
+    fn charge(&mut self, lines: u64, misses: u64, writebacks: u64, is_write: bool) {
+        let line_bytes = self.config.line_bytes;
+        let s = &mut self.stats;
+        s.tag_accesses += lines;
+        if is_write {
+            s.sram_write_words += lines;
+        } else {
+            s.sram_read_words += lines;
+        }
+        s.hits += lines - misses;
+        s.misses += misses;
+        s.dram_read_bytes += misses * line_bytes;
+        s.writebacks += writebacks;
+        s.dram_write_bytes += writebacks * line_bytes;
     }
 
     /// One byte-address access. Charges a tag lookup, a data-array access, and
     /// on a miss a full line of DRAM read (plus a line writeback when a dirty
     /// victim is evicted).
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = self.config.associativity;
-        let base = set * ways;
-        self.stats.tag_accesses += 1;
-        if is_write {
-            self.stats.sram_write_words += 1;
+        let line = addr >> self.line_shift;
+        let set = (line % self.sets as u64) as usize;
+        let (hit, dirty_eviction) = self.touch(set, line, is_write);
+        self.charge(1, u64::from(!hit), u64::from(dirty_eviction), is_write);
+        if hit {
+            AccessOutcome::Hit
         } else {
-            self.stats.sram_read_words += 1;
+            AccessOutcome::Miss { dirty_eviction }
         }
-
-        for w in 0..ways {
-            if self.tags[base + w] == Some(tag) {
-                self.policy.on_hit(set, w);
-                self.dirty[base + w] |= is_write;
-                self.stats.hits += 1;
-                return AccessOutcome::Hit;
-            }
-        }
-
-        // Miss: fill (allocate-on-write too).
-        self.stats.misses += 1;
-        self.stats.dram_read_bytes += self.config.line_bytes;
-        let way = if let Some(w) = (0..ways).find(|&w| self.tags[base + w].is_none()) {
-            w
-        } else {
-            self.policy.victim(set)
-        };
-        let dirty_eviction = self.tags[base + way].is_some() && self.dirty[base + way];
-        if dirty_eviction {
-            self.stats.dram_write_bytes += self.config.line_bytes;
-            self.stats.writebacks += 1;
-        }
-        self.tags[base + way] = Some(tag);
-        self.dirty[base + way] = is_write;
-        self.policy.on_fill(set, way);
-        AccessOutcome::Miss { dirty_eviction }
     }
 
     /// Streams a contiguous `[start, start+bytes)` region, one access per line
     /// (the granularity tensors move at). Returns the number of misses.
+    ///
+    /// Under a [`ReplacementPolicy::RECENCY_ONLY`] policy, a stream of at
+    /// least twice the capacity takes the module's long-stream rule: only
+    /// its first capacity's worth of lines is simulated one by one.
     pub fn stream(&mut self, start: u64, bytes: u64, is_write: bool) -> u64 {
-        let line = self.config.line_bytes;
-        let first = start / line;
-        let last = (start + bytes.max(1) - 1) / line;
-        let mut misses = 0;
-        for l in first..=last {
-            if matches!(self.access(l * line, is_write), AccessOutcome::Miss { .. }) {
-                misses += 1;
+        let first = start >> self.line_shift;
+        let lines = ((start + bytes.max(1) - 1) >> self.line_shift) - first + 1;
+        let capacity = self.tags.len() as u64;
+        let long = P::RECENCY_ONLY && lines >= 2 * capacity;
+        let walked = if long { capacity } else { lines };
+        let (mut misses, mut writebacks) = (0, 0);
+        let mut set = (first % self.sets as u64) as usize;
+        for line in first..first + walked {
+            let (hit, dirty_eviction) = self.touch(set, line, is_write);
+            misses += u64::from(!hit);
+            writebacks += u64::from(dirty_eviction);
+            set += 1;
+            if set == self.sets {
+                set = 0;
             }
         }
+        if long {
+            // The long-stream rule: every set now holds exactly its head
+            // lines, and the rest of the stream misses in closed form.
+            let head_dirty = self.dirty.iter().filter(|&&d| d).count() as u64;
+            misses += lines - capacity;
+            writebacks += head_dirty + if is_write { lines - 2 * capacity } else { 0 };
+            self.settle(first + lines - capacity, is_write);
+        }
+        self.charge(lines, misses, writebacks, is_write);
         misses
+    }
+
+    /// Installs the state a long stream leaves: the `capacity` lines from
+    /// `from` on, each set's oldest in way 0, all `dirty` or all clean,
+    /// ranked by a fresh policy (way 0 least recent).
+    fn settle(&mut self, from: u64, dirty: bool) {
+        let (sets, ways) = (self.sets, self.ways);
+        // Offset from `from` of the first of its lines that maps to set 0.
+        let mut offset = (sets - (from % sets as u64) as usize) % sets;
+        for slots in self.tags.chunks_exact_mut(ways) {
+            for (way, tag) in slots.iter_mut().enumerate() {
+                *tag = from + (offset + way * sets) as u64;
+            }
+            offset += 1;
+            if offset == sets {
+                offset = 0;
+            }
+        }
+        self.dirty.fill(dirty);
+        self.policy = P::new(sets, ways);
     }
 
     /// Flushes all dirty lines to DRAM (end-of-program accounting).
     pub fn flush_dirty(&mut self) {
-        for i in 0..self.tags.len() {
-            if self.tags[i].is_some() && self.dirty[i] {
-                self.stats.dram_write_bytes += self.config.line_bytes;
-                self.stats.writebacks += 1;
-                self.dirty[i] = false;
-            }
-        }
+        let dirty = self.dirty.iter().filter(|&&d| d).count() as u64;
+        self.dirty.fill(false);
+        self.stats.writebacks += dirty;
+        self.stats.dram_write_bytes += dirty * self.config.line_bytes;
     }
 }
 
@@ -438,5 +594,43 @@ mod tests {
             SetAssocCache::<BrripPolicy>::new(tiny()).policy_name(),
             "BRRIP"
         );
+    }
+
+    #[test]
+    fn any_set_count_is_a_valid_geometry() {
+        let c = CacheConfig {
+            capacity_bytes: 3 << 20,
+            line_bytes: 16,
+            associativity: 8,
+        };
+        assert_eq!(c.sets(), 24_576);
+        let mut cache = SetAssocCache::<LruPolicy>::new(c);
+        // Lines k · 24 576 all map to set 0 of 8 ways: the ninth evicts the
+        // first.
+        for k in 0..9u64 {
+            cache.access(k * 24_576 * 16, false);
+        }
+        assert!(matches!(cache.access(0, false), AccessOutcome::Miss { .. }));
+        assert_eq!(cache.stats().misses, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be at least 1")]
+    fn zero_ways_rejected() {
+        CacheConfig {
+            associativity: 0,
+            ..tiny()
+        }
+        .sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_rejected() {
+        CacheConfig {
+            line_bytes: 24,
+            ..tiny()
+        }
+        .sets();
     }
 }

@@ -10,7 +10,12 @@
 //! - [`dram`]: bandwidth + energy model of the off-chip interface;
 //! - [`cache`]: trace-driven set-associative cache with pluggable replacement —
 //!   [`cache::LruPolicy`] and [`cache::BrripPolicy`] (Jaleel et al.'s RRIP),
-//!   the `Flex+LRU` / `Flex+BRRIP` baselines;
+//!   the `Flex+LRU` / `Flex+BRRIP` baselines. A tensor moves as one stream,
+//!   charged once per stream with the results of one access per line; under
+//!   LRU a stream of at least twice the capacity simulates only its first
+//!   capacity's worth of lines and charges the rest in closed form (the
+//!   exact long-stream rule, argued in the module docs). Any set count
+//!   works: lines map to sets by `line % sets`;
 //! - [`model`]: CACTI-lite area & per-access energy of every buffer kind
 //!   (scratchpad, cache, buffet, CHORD), calibrated to the paper's published
 //!   4 MB figures (Table III, Fig 15).
