@@ -49,8 +49,10 @@
 //! or the trajectory fails.
 //!
 //! `--audit` runs every primary tune through
-//! `cello_search::Tuner::tune_audited` instead of `tune` (identical
-//! outcome, same seeds): the per-tier funnel ledger — where every
+//! `cello_search::Tuner::tune_audited` instead of `tune`. That is `tune`
+//! plus post-hoc checks: the same funnel path, so the same outcome and the
+//! same `BENCH_dse.json` apart from `candidates_per_sec`. The per-tier
+//! funnel ledger — where every
 //! candidate died (tier-0 prune / schedule dedup / tier-1 cut /
 //! promoted), the tier-0 sketch-vs-sim Spearman cross-check, and the
 //! sampled survivor-loss probe — lands in `BENCH_audit.json`. The run
@@ -507,8 +509,8 @@ fn run_quick(args: &Args) {
             let started = std::time::Instant::now();
             let tuner = Tuner::new(&w.dag, &w.accel, cfg);
             let strategy = Strategy::prefiltered(KEEP_FRAC, inner.clone());
-            // The audited path replays the identical tune (same seeds, same
-            // ordering) while ledgering where every candidate died.
+            // The audited path runs the same tune, then ledgers where every
+            // candidate died.
             let (out, ledger) = if args.audit {
                 let (out, a) = tuner.tune_audited(&strategy, &AuditConfig::default());
                 (out, Some(a))

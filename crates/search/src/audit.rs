@@ -18,23 +18,26 @@
 //!    rank correlation ([`spearman`]).
 //! 3. **Did the prune cost us the winner?** A deterministic sample of the
 //!    *pruned* assignments is re-scored through the exact simulator; any
-//!    sampled candidate whose cost strictly beats the reported winner is
+//!    sampled candidate whose cost strictly beats the reported winner
+//!    (`cost::cost_order`, no key tiebreak) is
 //!    counted as `survivor_loss`. On exhaustively-coverable spaces the
 //!    check is total: `sim_optimum_survived` evaluates the whole space and
 //!    flags whether the funnel's winner matches the true sim optimum —
 //!    the same property the `tier0_never_discards_the_sim_optimum`
 //!    proptest pins.
 //!
-//! The audit is a *wrapper*: [`Tuner::tune_audited`] replays the exact
-//! `tune` flow (same seeds, same ordering, same memo cache) while
-//! collecting the per-tier ledger, so the returned outcome is identical to
-//! an unaudited run — the forensics cost extra sim evaluations only for
-//! the sampled cross-checks, all after the outcome is fixed.
+//! The audit is `tune` plus post-hoc checks: [`Tuner::tune_audited`] runs
+//! the tuner's one funnel path (the same function [`Tuner::tune`] runs),
+//! which hands back the per-stage counts it already keeps and, when a
+//! tier-0 stage ran, its model and sweep result. The returned outcome is
+//! therefore the unaudited one, field for field. The forensics cost extra
+//! sim evaluations only for the sampled cross-checks, all after the
+//! outcome is fixed.
 
-use crate::cost::{rank, Evaluated};
+use crate::cost::{cost_order, rank};
 use crate::strategy::{SplitMix64, Strategy};
-use crate::tier0::{Tier0Model, Tier0Prune};
-use crate::tuner::{SearchOutcome, Tier, Tuner, TIER0_SWEEP_SEED};
+use crate::tier0::Tier0Prune;
+use crate::tuner::{Funnel, SearchOutcome, Tuner, TIER0_SWEEP_SEED};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -69,7 +72,7 @@ impl Default for AuditConfig {
 }
 
 /// The per-tier ledger of one audited tune: where every candidate died.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FunnelAudit {
     /// Strategy label (matches the outcome's).
     pub strategy: String,
@@ -124,144 +127,23 @@ impl FunnelAudit {
     }
 }
 
-/// Cost-only strict order (no schedule-key tiebreak): `Less` means `a`
-/// genuinely beats `b` on the rank objectives, not merely on key order.
-fn cost_rank(a: &Evaluated, b: &Evaluated) -> Ordering {
-    a.cost
-        .cycles
-        .cmp(&b.cost.cycles)
-        .then(a.cost.dram_bytes.cmp(&b.cost.dram_bytes))
-        .then(a.cost.noc_hop_bytes.cmp(&b.cost.noc_hop_bytes))
-        .then(a.cost.energy_pj.total_cmp(&b.cost.energy_pj))
-}
-
 impl<'a> Tuner<'a> {
-    /// [`Tuner::tune`] with funnel forensics: identical outcome (same
-    /// traversal, same seeds, same memo cache), plus the per-tier
-    /// [`FunnelAudit`] ledger. The audit's extra exact evaluations (rank
-    /// cross-check, pruned-sample re-scores, exhaustive coverage) run
-    /// *after* the outcome is assembled, so they never perturb it.
+    /// [`Tuner::tune`] plus post-hoc checks: the same funnel run (same
+    /// traversal, same memo cache, identical outcome), its per-tier
+    /// [`FunnelAudit`] ledger, and the forensics. The forensics' extra
+    /// exact evaluations (rank cross-check, pruned-sample re-scores,
+    /// exhaustive coverage) run *after* the outcome is assembled, so they
+    /// never perturb it.
     pub fn tune_audited(
         &self,
         strategy: &Strategy,
         cfg: &AuditConfig,
     ) -> (SearchOutcome, FunnelAudit) {
-        // Flatten nested prefilters exactly like `tune_seeded`.
-        let (keep_frac, base) = match strategy {
-            Strategy::Prefiltered { keep_frac, inner } => {
-                let mut b: &Strategy = inner;
-                while let Strategy::Prefiltered { inner, .. } = b {
-                    b = inner;
-                }
-                (Some(*keep_frac), b)
-            }
-            other => (None, other),
-        };
-        let prefiltered = matches!(keep_frac, Some(f) if f < 1.0);
-
-        let hits_before = self.cache.hits();
-        let evals_before = self.cache.evaluations();
-        let surr_before = self.cache.surrogate_evaluations();
-        let mut seen: u64 = 0;
-
-        // Stage 1+2: the traversal, scored through tier 1 when a
-        // real prefilter follows, exactly otherwise — mirroring
-        // `tune_seeded` / `tune_prefiltered` step for step.
-        let tier = if prefiltered {
-            Tier::Surrogate
-        } else {
-            Tier::Exact
-        };
-        let mut scored: Vec<Evaluated> = Vec::new();
-        scored
-            .extend(self.batch_with(vec![self.space.assemble(&self.space.default_picks())], tier));
-        seen += 1;
-
-        // A tier-0 inner stage runs inline (instead of through `traverse`)
-        // so the audit keeps the model and the prune result for its
-        // cross-checks; counters and ordering match `traverse` exactly.
-        let tier0: Option<(Tier0Model, Tier0Prune)> = match *base {
-            Strategy::Tier0 { budget, keep } => {
-                let model = Tier0Model::new(self.dag, self.accel, &self.space);
-                let pruned = model.prune(&self.space, budget, keep, TIER0_SWEEP_SEED);
-                seen += pruned.swept;
-                let registry = cello_obs::metrics::global();
-                registry
-                    .counter("search_tier0_kept")
-                    .add(pruned.kept.len() as u64);
-                registry
-                    .counter("search_tier0_pruned")
-                    .add(pruned.swept - pruned.kept.len() as u64);
-                let batch: Vec<_> = pruned.kept.iter().map(|p| self.space.assemble(p)).collect();
-                scored.extend(self.batch_with(batch, tier));
-                Some((model, pruned))
-            }
-            _ => {
-                self.traverse(base, tier, &[], &mut seen, &mut scored);
-                None
-            }
-        };
-        let (tier0_swept, tier0_kept) = tier0
-            .as_ref()
-            .map_or((0, 0), |(_, p)| (p.swept, p.kept.len() as u64));
-        let tier0_pruned = tier0_swept - tier0_kept;
-        let scored_len = scored.len() as u64;
-
-        // Dedup by canonical schedule key — the second lossy stage.
-        let mut keys = HashSet::new();
-        let mut uniq: Vec<Evaluated> = scored.into_iter().filter(|e| keys.insert(e.key)).collect();
-        let dedup_merged = scored_len - uniq.len() as u64;
-        let surrogate_ranked = if prefiltered { uniq.len() as u64 } else { 0 };
-
-        // The keep-fraction cut (prefiltered) or a full promotion.
-        let (outcome, promoted, surrogate_dropped) = if prefiltered {
-            let keep_frac = keep_frac.expect("prefiltered implies a fraction");
-            uniq.sort_by(rank);
-            let keep =
-                ((keep_frac.max(0.0) * uniq.len() as f64).ceil() as usize).clamp(1, uniq.len());
-            let registry = cello_obs::metrics::global();
-            registry.counter("search_prefilter_kept").add(keep as u64);
-            registry
-                .counter("search_prefilter_dropped")
-                .add((uniq.len() - keep) as u64);
-            let dropped = (uniq.len() - keep) as u64;
-            let baseline = self
-                .eval_batch(vec![self.space.assemble(&self.space.default_picks())])
-                .pop()
-                .expect("baseline evaluates");
-            let survivors: Vec<_> = uniq[..keep].iter().map(|e| e.candidate.clone()).collect();
-            let mut all = vec![baseline.clone()];
-            all.extend(self.eval_batch(survivors));
-            let surrogate_scored = self.cache.surrogate_evaluations() - surr_before;
-            let outcome = self.outcome(
-                strategy.label(),
-                baseline,
-                &all,
-                seen,
-                evals_before,
-                hits_before,
-                surrogate_scored,
-            );
-            (outcome, keep as u64, dropped)
-        } else {
-            // Direct (or keep-everything) run: every distinct schedule was
-            // already exactly scored; the baseline is `scored[0]`.
-            let baseline = uniq.first().expect("baseline scored first").clone();
-            let all = uniq.clone();
-            let outcome = self.outcome(
-                strategy.label(),
-                baseline,
-                &all,
-                seen,
-                evals_before,
-                hits_before,
-                0,
-            );
-            (outcome, uniq.len() as u64, 0)
-        };
-
-        // ---- Forensics (outcome is fixed; everything below is read-only
-        // with respect to the reported result). ----
+        let Funnel {
+            outcome,
+            ledger,
+            tier0,
+        } = self.funnel(strategy, &[]);
 
         // Tier-0 rank cross-check: sketch scalar vs exact sim cycles over
         // the first `rank_samples` survivors (admission order, so the
@@ -279,10 +161,10 @@ impl<'a> Tuner<'a> {
             _ => (None, 0),
         };
 
-        // Survivor-loss check: deterministically re-generate the tier-0
-        // sweep stream, reservoir-sample the *pruned* assignments, and
-        // re-score them exactly. Anything that strictly beats the winner
-        // is a candidate the funnel lost.
+        // Survivor-loss check: replay the tier-0 sweep stream,
+        // reservoir-sample the *pruned* assignments, and re-score them
+        // exactly. Anything that strictly beats the winner is a candidate
+        // the funnel lost.
         let (pruned_sampled, survivor_loss) = match &tier0 {
             Some((_, pruned)) if cfg.pruned_samples > 0 => {
                 let sample = self.sample_pruned(pruned, cfg.pruned_samples, cfg.seed);
@@ -290,7 +172,7 @@ impl<'a> Tuner<'a> {
                     self.eval_batch(sample.iter().map(|p| self.space.assemble(p)).collect());
                 let losses = evals
                     .iter()
-                    .filter(|e| cost_rank(e, &outcome.best_cycles) == Ordering::Less)
+                    .filter(|e| cost_order(e, &outcome.best_cycles) == Ordering::Less)
                     .count() as u64;
                 (sample.len() as u64, losses)
             }
@@ -306,19 +188,19 @@ impl<'a> Tuner<'a> {
                 .collect();
             let evals = self.eval_batch(all);
             let optimum = evals.iter().min_by(|a, b| rank(a, b)).expect("non-empty");
-            cost_rank(optimum, &outcome.best_cycles) != Ordering::Less
+            cost_order(optimum, &outcome.best_cycles) != Ordering::Less
         });
 
         let audit = FunnelAudit {
             strategy: outcome.strategy.clone(),
             candidates_seen: outcome.candidates_seen,
-            tier0_swept,
-            tier0_kept,
-            tier0_pruned,
-            dedup_merged,
-            surrogate_ranked,
-            surrogate_dropped,
-            promoted,
+            tier0_swept: ledger.swept,
+            tier0_kept: ledger.kept,
+            tier0_pruned: ledger.swept - ledger.kept,
+            dedup_merged: ledger.scored - ledger.distinct,
+            surrogate_ranked: ledger.ranked,
+            surrogate_dropped: ledger.dropped,
+            promoted: ledger.promoted,
             sketch_sim_spearman,
             rank_checked,
             pruned_sampled,
@@ -329,14 +211,16 @@ impl<'a> Tuner<'a> {
         registry.counter("search_audit_runs").inc();
         registry
             .counter("search_audit_tier0_pruned")
-            .add(tier0_pruned);
+            .add(audit.tier0_pruned);
         registry
             .counter("search_audit_dedup_merged")
-            .add(dedup_merged);
+            .add(audit.dedup_merged);
         registry
             .counter("search_audit_surrogate_dropped")
-            .add(surrogate_dropped);
-        registry.counter("search_audit_promoted").add(promoted);
+            .add(audit.surrogate_dropped);
+        registry
+            .counter("search_audit_promoted")
+            .add(audit.promoted);
         registry
             .counter("search_audit_survivor_loss")
             .add(survivor_loss);
@@ -344,57 +228,28 @@ impl<'a> Tuner<'a> {
     }
 
     /// Reservoir-samples up to `k` assignments the tier-0 sweep *pruned*,
-    /// by replaying the exact sweep stream (`prune` is deterministic: the
-    /// exhaustive odometer when the space fits the budget, the seeded
-    /// SplitMix64 stream otherwise) and skipping the kept set.
+    /// by replaying the sweep stream ([`SearchSpace::sweep`](crate::SearchSpace::sweep),
+    /// deterministic) and skipping the kept set.
     fn sample_pruned(&self, pruned: &Tier0Prune, k: usize, seed: u64) -> Vec<Vec<usize>> {
-        let kept: HashSet<&Vec<usize>> = pruned.kept.iter().collect();
-        let radices: Vec<usize> = self
-            .space
-            .decisions
-            .iter()
-            .map(|d| d.choices.len())
-            .collect();
-        let mut picks = vec![0usize; radices.len()];
+        let kept: HashSet<&[usize]> = pruned.kept.iter().map(Vec::as_slice).collect();
         let mut reservoir: Vec<Vec<usize>> = Vec::with_capacity(k);
         let mut offered = 0u64;
-        let mut res_rng = SplitMix64::new(seed);
-        let mut offer = |picks: &Vec<usize>, reservoir: &mut Vec<Vec<usize>>| {
-            offered += 1;
-            if reservoir.len() < k {
-                reservoir.push(picks.clone());
-            } else {
-                let j = res_rng.below(offered) as usize;
-                if j < k {
-                    reservoir[j] = picks.clone();
+        let mut rng = SplitMix64::new(seed);
+        self.space
+            .sweep(pruned.swept, TIER0_SWEEP_SEED, |_, picks| {
+                if kept.contains(picks) {
+                    return;
                 }
-            }
-        };
-        let total = self.space.exhaustive_size();
-        if total <= pruned.swept {
-            for _ in 0..total {
-                if !kept.contains(&picks) {
-                    offer(&picks, &mut reservoir);
-                }
-                for (p, &radix) in picks.iter_mut().zip(&radices) {
-                    *p += 1;
-                    if *p < radix {
-                        break;
+                offered += 1;
+                if reservoir.len() < k {
+                    reservoir.push(picks.to_vec());
+                } else {
+                    let j = rng.below(offered) as usize;
+                    if j < k {
+                        reservoir[j] = picks.to_vec();
                     }
-                    *p = 0;
                 }
-            }
-        } else {
-            let mut rng = SplitMix64::new(TIER0_SWEEP_SEED);
-            for _ in 0..pruned.swept {
-                for (p, &radix) in picks.iter_mut().zip(&radices) {
-                    *p = rng.below(radix as u64) as usize;
-                }
-                if !kept.contains(&picks) {
-                    offer(&picks, &mut reservoir);
-                }
-            }
-        }
+            });
         reservoir
     }
 }
@@ -450,6 +305,7 @@ fn average_ranks(values: &[u64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::Evaluated;
     use crate::space::SpaceConfig;
     use cello_core::accel::CelloConfig;
     use cello_workloads::cg::{build_cg_dag, CgParams};
@@ -521,29 +377,122 @@ mod tests {
         }
     }
 
-    /// The audit is a wrapper, not a different search: the audited outcome
-    /// matches the unaudited one key for key.
+    /// Every field of two outcomes, energy compared bit for bit.
+    fn assert_same_outcome(plain: &SearchOutcome, audited: &SearchOutcome) {
+        let label = &plain.strategy;
+        let same = |a: &Evaluated, b: &Evaluated, what: &str| {
+            assert_eq!(a.key, b.key, "{label}: {what} key");
+            assert_eq!(a.candidate, b.candidate, "{label}: {what} candidate");
+            assert_eq!(a.cost, b.cost, "{label}: {what} cost");
+            assert_eq!(
+                a.cost.energy_pj.to_bits(),
+                b.cost.energy_pj.to_bits(),
+                "{label}: {what} energy"
+            );
+        };
+        assert_eq!(plain.strategy, audited.strategy);
+        same(&plain.baseline, &audited.baseline, "baseline");
+        same(&plain.best_cycles, &audited.best_cycles, "best_cycles");
+        same(&plain.best_dram, &audited.best_dram, "best_dram");
+        same(&plain.best_traffic, &audited.best_traffic, "best_traffic");
+        assert_eq!(plain.pareto.len(), audited.pareto.len(), "{label}: pareto");
+        for (a, b) in plain.pareto.iter().zip(&audited.pareto) {
+            same(a, b, "pareto");
+        }
+        assert_eq!(plain.evaluations, audited.evaluations, "{label}");
+        assert_eq!(plain.cache_hits, audited.cache_hits, "{label}");
+        assert_eq!(plain.candidates_seen, audited.candidates_seen, "{label}");
+        assert_eq!(plain.surrogate_scored, audited.surrogate_scored, "{label}");
+    }
+
+    /// The audit is `tune` plus post-hoc checks, not a different search:
+    /// on every strategy shape the audited outcome equals the unaudited
+    /// one field for field.
     #[test]
     fn audited_outcome_matches_unaudited() {
         let dag = cg(2);
         let accel = CelloConfig::paper();
-        let strategy = Strategy::prefiltered(
+        let tier0 = Strategy::Tier0 {
+            budget: 256,
+            keep: 16,
+        };
+        let beam = Strategy::Beam { width: 3 };
+        for strategy in [
+            Strategy::Exhaustive,
+            beam.clone(),
+            Strategy::Random {
+                samples: 40,
+                seed: 7,
+            },
+            tier0.clone(),
+            Strategy::prefiltered(0.25, beam.clone()),
+            Strategy::prefiltered(0.25, tier0.clone()),
+            Strategy::prefiltered(1.0, beam.clone()),
+            Strategy::prefiltered(1.0, tier0.clone()),
+            Strategy::prefiltered(0.25, Strategy::prefiltered(0.5, tier0.clone())),
+        ] {
+            let plain = Tuner::new(&dag, &accel, small_cfg()).tune(&strategy);
+            let tuner = Tuner::new(&dag, &accel, small_cfg());
+            let (audited, _) = tuner.tune_audited(&strategy, &AuditConfig::default());
+            assert_same_outcome(&plain, &audited);
+        }
+    }
+
+    /// The full ledger of two small tunes, pinned: a three-tier funnel and
+    /// a direct beam.
+    #[test]
+    fn ledger_is_pinned() {
+        let dag = cg(2);
+        let accel = CelloConfig::paper();
+        let audit = |strategy: Strategy| {
+            let tuner = Tuner::new(&dag, &accel, small_cfg());
+            tuner.tune_audited(&strategy, &AuditConfig::default()).1
+        };
+        let funnel = audit(Strategy::prefiltered(
             0.25,
             Strategy::Tier0 {
                 budget: 256,
                 keep: 16,
             },
-        );
-        let plain = Tuner::new(&dag, &accel, small_cfg()).tune(&strategy);
-        let tuner = Tuner::new(&dag, &accel, small_cfg());
-        let (audited, _) = tuner.tune_audited(&strategy, &AuditConfig::default());
-        assert_eq!(plain.best_cycles.key, audited.best_cycles.key);
-        assert_eq!(plain.best_traffic.key, audited.best_traffic.key);
-        assert_eq!(plain.candidates_seen, audited.candidates_seen);
-        assert_eq!(plain.surrogate_scored, audited.surrogate_scored);
+        ));
+        let beam = audit(Strategy::Beam { width: 3 });
         assert_eq!(
-            plain.pareto.iter().map(|e| e.key).collect::<Vec<_>>(),
-            audited.pareto.iter().map(|e| e.key).collect::<Vec<_>>(),
+            funnel,
+            FunnelAudit {
+                strategy: "prefilter0.25+tier0b256k16".into(),
+                candidates_seen: 257,
+                tier0_swept: 256,
+                tier0_kept: 16,
+                tier0_pruned: 240,
+                dedup_merged: 6,
+                surrogate_ranked: 11,
+                surrogate_dropped: 8,
+                promoted: 3,
+                sketch_sim_spearman: Some(0.870571500132014),
+                rank_checked: 16,
+                pruned_sampled: 16,
+                survivor_loss: 0,
+                sim_optimum_survived: Some(true),
+            }
+        );
+        assert_eq!(
+            beam,
+            FunnelAudit {
+                strategy: "beam3".into(),
+                candidates_seen: 43,
+                tier0_swept: 0,
+                tier0_kept: 0,
+                tier0_pruned: 0,
+                dedup_merged: 23,
+                surrogate_ranked: 0,
+                surrogate_dropped: 0,
+                promoted: 20,
+                sketch_sim_spearman: None,
+                rank_checked: 0,
+                pruned_sampled: 0,
+                survivor_loss: 0,
+                sim_optimum_survived: Some(true),
+            }
         );
     }
 

@@ -18,16 +18,23 @@ pub struct Evaluated {
     pub cost: CostEstimate,
 }
 
-/// Deterministic total order: cycles, then DRAM bytes, then NoC hop-bytes,
-/// then energy, then the interned key as the final tiebreak.
-pub fn rank(a: &Evaluated, b: &Evaluated) -> Ordering {
+/// The cost order: cycles, then DRAM bytes, then NoC hop-bytes, then
+/// energy. `Less` means `a` beats `b` on the objectives themselves;
+/// schedules that tie on all four compare `Equal`.
+pub(crate) fn cost_order(a: &Evaluated, b: &Evaluated) -> Ordering {
     a.cost
         .cycles
         .cmp(&b.cost.cycles)
         .then(a.cost.dram_bytes.cmp(&b.cost.dram_bytes))
         .then(a.cost.noc_hop_bytes.cmp(&b.cost.noc_hop_bytes))
         .then(a.cost.energy_pj.total_cmp(&b.cost.energy_pj))
-        .then(a.key.cmp(&b.key))
+}
+
+/// Deterministic total order: cycles, then DRAM bytes, then NoC hop-bytes,
+/// then energy (the key-free cost order), then the interned key as the
+/// final tiebreak.
+pub fn rank(a: &Evaluated, b: &Evaluated) -> Ordering {
+    cost_order(a, b).then(a.key.cmp(&b.key))
 }
 
 /// The non-dominated subset of `evaluated` over (cycles, DRAM bytes, NoC
@@ -102,5 +109,9 @@ mod tests {
         v.sort_by(rank);
         let keys: Vec<ScheduleKey> = v.iter().map(|e| e.key).collect();
         assert_eq!(keys, vec![ScheduleKey(3), ScheduleKey(1), ScheduleKey(2)]);
+        // Without the key tiebreak, equal costs tie.
+        assert_eq!(cost_order(&v[1], &v[2]), Ordering::Equal);
+        assert_eq!(rank(&v[1], &v[2]), Ordering::Less);
+        assert_eq!(cost_order(&v[0], &v[1]), Ordering::Less);
     }
 }

@@ -46,10 +46,11 @@
 //!   table and only its top-ranked fraction is promoted to the exact table
 //!   (both tables live in one shared lock-striped cache keyed by interned
 //!   128-bit schedule keys);
-//! - [`audit`]: funnel forensics — [`Tuner::tune_audited`] replays a tune
-//!   while ledgering where every candidate died (tier-0 prune, schedule
-//!   dedup, tier-1 cut), cross-checks tier-0 sketch rank against exact
-//!   sim rank, and samples the pruned set for survivor loss.
+//! - [`audit`]: funnel forensics — [`Tuner::tune_audited`] is `tune` plus
+//!   post-hoc checks: it runs the same funnel path, ledgers where every
+//!   candidate died (tier-0 prune, schedule dedup, tier-1 cut) from the
+//!   counts that path returns, then cross-checks tier-0 sketch rank against
+//!   exact sim rank and samples the pruned set for survivor loss.
 //!
 //! Every strategy is deterministic: parallel evaluation preserves order,
 //! ranking ties break on the canonical schedule key, and the random strategy
@@ -110,6 +111,7 @@ pub use tuner::{SearchOutcome, Tuner};
 /// simulator's [`evaluate_schedule`](cello_sim::evaluate::evaluate_schedule),
 /// the one cost model of the funnel. It and `Prefiltered` remain for the
 /// `cellobench` tune replay; collapsing the funnel to sketch → sim needs a
-/// benchmark change first, and also deletes `tune_prefiltered`, the tier-1
-/// memo table and the audit's `surrogate_dropped` leg.
+/// benchmark change first, and also deletes the tuner's tier-1 cut, the
+/// tier-1 memo table and the ledger's `dropped` count (the audit's
+/// `surrogate_dropped`), each in one place.
 pub use cello_sim::evaluate::evaluate_schedule as surrogate_cost;

@@ -624,6 +624,45 @@ impl SearchSpace {
             .collect()
     }
 
+    /// **The** tier-0 sweep stream: the whole space in odometer order (the
+    /// [`Self::index_to_picks`] order) when it holds at most `budget`
+    /// assignments, `budget` seeded uniform draws otherwise (the
+    /// [`Self::sample_assignments`] stream). Each assignment is lent to
+    /// `visit` with its position in the stream, from one reused buffer.
+    /// Returns how many were visited.
+    pub(crate) fn sweep(
+        &self,
+        budget: u64,
+        seed: u64,
+        mut visit: impl FnMut(u64, &[usize]),
+    ) -> u64 {
+        let total = self.exhaustive_size();
+        let radices: Vec<usize> = self.decisions.iter().map(|d| d.choices.len()).collect();
+        let mut picks = vec![0usize; radices.len()];
+        if total <= budget {
+            for order in 0..total {
+                visit(order, &picks);
+                for (p, &radix) in picks.iter_mut().zip(&radices) {
+                    *p += 1;
+                    if *p < radix {
+                        break;
+                    }
+                    *p = 0;
+                }
+            }
+            total
+        } else {
+            let mut rng = crate::strategy::SplitMix64::new(seed);
+            for order in 0..budget {
+                for (p, &radix) in picks.iter_mut().zip(&radices) {
+                    *p = rng.below(radix as u64) as usize;
+                }
+                visit(order, &picks);
+            }
+            budget
+        }
+    }
+
     /// Inverse of [`Self::assemble`] *across spaces*: the assignment of
     /// **this** space that best reproduces `candidate`, which may have been
     /// assembled by a different space (other node menus, other SRAM splits,

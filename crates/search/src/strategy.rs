@@ -53,8 +53,8 @@ pub enum Strategy {
     /// funnel: tier 0 prunes symbolically, tier 1 ranks the survivors, tier
     /// 2 reports over the top fraction. This variant remains for the
     /// `cellobench` tune replay: collapsing the funnel to sketch → sim needs
-    /// a benchmark change first, and also deletes `tune_prefiltered`, the
-    /// tier-1 memo table and the audit's `surrogate_dropped` leg.
+    /// a benchmark change first, and also deletes the tuner's tier-1 cut,
+    /// the tier-1 memo table and the audit's `surrogate_dropped` leg.
     Prefiltered {
         /// Fraction of tier-1-ranked candidates promoted to exact
         /// evaluation, clamped to `(0, 1]`; at least one always survives.

@@ -60,7 +60,6 @@
 
 use crate::candidate::Candidate;
 use crate::space::{Choice, SearchSpace};
-use crate::strategy::SplitMix64;
 use cello_core::accel::CelloConfig;
 use cello_core::chord::PriorityBias;
 use cello_core::score::binding::{build_schedule_from, Binding};
@@ -764,8 +763,9 @@ impl Tier0Model {
         Sketch([dram_words, noc_word_hops, spill_words, cycles])
     }
 
-    /// Sweeps up to `budget` assignments of `space` (the full odometer when
-    /// it fits, a seeded uniform sample otherwise) and returns the
+    /// Sweeps up to `budget` assignments of `space` (`SearchSpace::sweep`:
+    /// the full odometer when it fits, a seeded uniform sample otherwise)
+    /// and returns the
     /// sketch-Pareto survivors, capped at `keep` by scalar magnitude.
     /// Deterministic: same space + budget + keep + seed ⇒ same survivors.
     ///
@@ -774,38 +774,10 @@ impl Tier0Model {
     /// dominance scan (`Front::offer` argues why that is exact). On the
     /// capped sweeps the tuner runs, this skips most of the budget.
     pub fn prune(&self, space: &SearchSpace, budget: u64, keep: usize, seed: u64) -> Tier0Prune {
-        let budget = budget.max(1);
-        let total = space.exhaustive_size();
         let mut front = Front::new(keep);
-        let radices: Vec<usize> = space.decisions.iter().map(|d| d.choices.len()).collect();
-        let mut picks = vec![0usize; radices.len()];
-        let swept;
-        if total <= budget {
-            // Exhaustive odometer walk, in-place increments (same order as
-            // `SearchSpace::index_to_picks`).
-            for order in 0..total {
-                front.offer(self.sketch(&picks), order, &picks);
-                for (p, &radix) in picks.iter_mut().zip(&radices) {
-                    *p += 1;
-                    if *p < radix {
-                        break;
-                    }
-                    *p = 0;
-                }
-            }
-            swept = total;
-        } else {
-            // Same stream as `SearchSpace::sample_assignments`, drawn into
-            // a reused buffer.
-            let mut rng = SplitMix64::new(seed);
-            for order in 0..budget {
-                for (p, &radix) in picks.iter_mut().zip(&radices) {
-                    *p = rng.below(radix as u64) as usize;
-                }
-                front.offer(self.sketch(&picks), order, &picks);
-            }
-            swept = budget;
-        }
+        let swept = space.sweep(budget.max(1), seed, |order, picks| {
+            front.offer(self.sketch(picks), order, picks)
+        });
         Tier0Prune {
             kept: front.into_kept(),
             swept,
@@ -954,6 +926,7 @@ fn partition_choice(dag: &TensorDag, partition: Partition) -> PartitionChoice {
 mod tests {
     use super::*;
     use crate::space::SpaceConfig;
+    use crate::strategy::SplitMix64;
     use cello_workloads::cg::{build_cg_dag, CgParams};
 
     fn cg(iters: u32) -> TensorDag {
@@ -1245,8 +1218,19 @@ mod tests {
         kept.into_iter().map(|k| k.picks).collect()
     }
 
-    /// `prune`'s sweep spelled with the public enumeration calls
-    /// (`index_to_picks`, `sample_assignments`) and fed to the reference.
+    /// The sweep stream spelled with the public enumeration calls
+    /// (`index_to_picks`, `sample_assignments`).
+    fn reference_stream(space: &SearchSpace, budget: u64, seed: u64) -> Vec<Vec<usize>> {
+        let total = space.exhaustive_size();
+        if total <= budget {
+            (0..total).map(|i| space.index_to_picks(i)).collect()
+        } else {
+            space.sample_assignments(budget as usize, seed)
+        }
+    }
+
+    /// `prune`'s sweep from the reference stream, fed to the reference
+    /// front.
     fn reference_prune(
         model: &Tier0Model,
         space: &SearchSpace,
@@ -1254,12 +1238,7 @@ mod tests {
         keep: usize,
         seed: u64,
     ) -> Vec<Vec<usize>> {
-        let total = space.exhaustive_size();
-        let picks: Vec<Vec<usize>> = if total <= budget {
-            (0..total).map(|i| space.index_to_picks(i)).collect()
-        } else {
-            space.sample_assignments(budget as usize, seed)
-        };
+        let picks = reference_stream(space, budget, seed);
         reference_front(picks.into_iter().map(|p| (model.sketch(&p), p)), keep)
     }
 
@@ -1327,7 +1306,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(12))]
 
-        /// `prune` returns exactly the reference's survivors on both
+        /// `SearchSpace::sweep` yields exactly the reference stream, and
+        /// `prune` returns exactly the reference's survivors, on both
         /// branches: the exhaustive odometer (cut, steer, loop-order, bias
         /// and transfer menus narrowed so the space fits the budget) and
         /// the seeded sample of the full widened space.
@@ -1368,6 +1348,13 @@ mod tests {
                     if exhaustive { total <= 40_000 } else { total > budget },
                     "{total} assignments do not fit the branch under test"
                 );
+                let mut streamed: Vec<Vec<usize>> = Vec::new();
+                let swept = space.sweep(budget, seed, |order, picks| {
+                    assert_eq!(order, streamed.len() as u64, "stream positions count up");
+                    streamed.push(picks.to_vec());
+                });
+                proptest::prop_assert_eq!(swept, streamed.len() as u64);
+                proptest::prop_assert_eq!(streamed, reference_stream(&space, budget, seed));
                 for k in [keep, 96] {
                     let got = model.prune(&space, budget, k, seed);
                     proptest::prop_assert_eq!(

@@ -11,6 +11,11 @@
 //! sketch-prune thousands of assignments per millisecond, rank the
 //! survivors, keep the top slice — which is the piece that makes
 //! exhaustive-scale spaces ([`SpaceConfig::widened`]) affordable.
+//!
+//! Every strategy runs through one private funnel path, `Tuner::funnel`.
+//! [`Tuner::tune`] keeps its outcome; [`Tuner::tune_audited`]
+//! ([`crate::audit`]) also keeps the per-stage counts and the tier-0 stage
+//! it hands back, then runs its checks after the outcome is fixed.
 
 use crate::cache::EvalCache;
 use crate::candidate::Candidate;
@@ -18,11 +23,12 @@ use crate::cost::{pareto_front, rank, Evaluated};
 use crate::fingerprint::ScheduleKey;
 use crate::space::{SearchSpace, SpaceConfig};
 use crate::strategy::Strategy;
-use crate::tier0::Tier0Model;
+use crate::tier0::{Tier0Model, Tier0Prune};
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
 use cello_sim::evaluate::{evaluate_schedule, CostEstimate};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// Seed for tier-0's sampled sweep when the space exceeds the budget.
@@ -174,15 +180,16 @@ impl<'a> Tuner<'a> {
     /// their prefixes always compete in (and survive into) the beam, so a
     /// narrow warm-started beam still walks the cached winners' paths.
     /// Exhaustive, random, and tier-0 traversals ignore seeds — the caller
-    /// evaluates the full seed assignments up front instead.
-    pub(crate) fn traverse(
+    /// evaluates the full seed assignments up front instead. A tier-0
+    /// traversal hands back its model and sweep result.
+    fn traverse(
         &self,
         strategy: &Strategy,
         tier: Tier,
         seeds: &[Vec<usize>],
         seen: &mut u64,
         all: &mut Vec<Evaluated>,
-    ) {
+    ) -> Option<(Tier0Model, Tier0Prune)> {
         match *strategy {
             Strategy::Exhaustive => {
                 let total = self.space.exhaustive_size();
@@ -197,6 +204,7 @@ impl<'a> Tuner<'a> {
                     all.extend(self.batch_with(batch, tier));
                     idx = hi;
                 }
+                None
             }
             Strategy::Beam { width } => {
                 let width = width.max(1);
@@ -259,6 +267,7 @@ impl<'a> Tuner<'a> {
                     beam = next;
                     debug_assert!(!beam.is_empty(), "beam emptied at decision {di}");
                 }
+                None
             }
             Strategy::Random { samples, seed } => {
                 let batch: Vec<Candidate> = self
@@ -269,6 +278,7 @@ impl<'a> Tuner<'a> {
                     .collect();
                 *seen += batch.len() as u64;
                 all.extend(self.batch_with(batch, tier));
+                None
             }
             Strategy::Tier0 { budget, keep } => {
                 // Tier 0: sketch up to `budget` assignments symbolically (no
@@ -289,6 +299,7 @@ impl<'a> Tuner<'a> {
                 let batch: Vec<Candidate> =
                     pruned.kept.iter().map(|p| self.space.assemble(p)).collect();
                 all.extend(self.batch_with(batch, tier));
+                Some((model, pruned))
             }
             Strategy::Prefiltered { .. } => unreachable!("prefilter flattened before traversal"),
         }
@@ -311,157 +322,120 @@ impl<'a> Tuner<'a> {
     /// wide cold beam finds, at a fraction of the sim evaluations —
     /// `cello-serve` pairs seeds with `width / 4`.
     pub fn tune_seeded(&self, strategy: &Strategy, seeds: &[Candidate]) -> SearchOutcome {
-        let _tune_span = cello_obs::span!("tune", strategy = strategy.label(), seeds = seeds.len());
-        let seed_picks: Vec<Vec<usize>> = seeds.iter().map(|c| self.space.project(c)).collect();
-        if let Strategy::Prefiltered { keep_frac, inner } = strategy {
-            // Nested prefilters collapse: pruning an already-pruned
-            // traversal is the same traversal.
-            let mut base: &Strategy = inner;
-            while let Strategy::Prefiltered { inner, .. } = base {
-                base = inner;
-            }
-            if *keep_frac >= 1.0 {
-                // Keeping everything prunes nothing: the tiers collapse and
-                // the run IS the inner strategy (same best, same Pareto).
-                let mut out = self.tune_seeded(base, seeds);
-                out.strategy = strategy.label();
-                return out;
-            }
-            return self.tune_prefiltered(*keep_frac, base, &strategy.label(), &seed_picks);
-        }
-
-        let hits_before = self.cache.hits();
-        let evals_before = self.cache.evaluations();
-        let mut seen: u64 = 0;
-        let mut all: Vec<Evaluated> = Vec::new();
-
-        // Baseline first: the paper heuristic is always part of the run.
-        let baseline = self
-            .eval_batch(vec![self.space.assemble(&self.space.default_picks())])
-            .pop()
-            .expect("baseline evaluates");
-        seen += 1;
-        all.push(baseline.clone());
-
-        // Full seed assignments next: the cached winners re-scored under
-        // this space's configuration, in the comparison set no matter what
-        // the traversal below keeps.
-        if !seed_picks.is_empty() {
-            let batch: Vec<Candidate> = seed_picks.iter().map(|p| self.space.assemble(p)).collect();
-            seen += batch.len() as u64;
-            all.extend(self.eval_batch(batch));
-        }
-
-        self.traverse(strategy, Tier::Exact, &seed_picks, &mut seen, &mut all);
-
-        self.outcome(
-            strategy.label(),
-            baseline,
-            &all,
-            seen,
-            evals_before,
-            hits_before,
-            0,
-        )
+        self.funnel(strategy, seeds).outcome
     }
 
-    /// The two-tier path (see [`Strategy::Prefiltered`]): traverse in tier
-    /// 1, promote the top `keep_frac` of distinct schedules to the exact
-    /// tier, report over exact-tier candidates only. Seeds ride the tier-1
-    /// traversal as beam guidance *and* are always promoted.
-    fn tune_prefiltered(
-        &self,
-        keep_frac: f64,
-        inner: &Strategy,
-        label: &str,
-        seed_picks: &[Vec<usize>],
-    ) -> SearchOutcome {
+    /// The funnel, the one path both [`Self::tune_seeded`] and
+    /// [`Self::tune_audited`] run: the baseline, the seeds, the traversal
+    /// (tier 0 included), the schedule-key dedup, the tier-1 cut when a
+    /// prefilter prunes, and the promotion to the exact tier.
+    ///
+    /// Under [`Strategy::Prefiltered`] with `keep_frac < 1` the traversal
+    /// scores into tier 1, the top `keep_frac` of its distinct schedules
+    /// are promoted, and the report covers exact-tier candidates only;
+    /// seeds ride the tier-1 traversal as beam guidance *and* are always
+    /// promoted. Nested prefilters collapse (pruning an already-pruned
+    /// traversal is the same traversal), and `keep_frac >= 1` prunes
+    /// nothing, so the run *is* the inner strategy. Any other strategy
+    /// scores in the exact tier, seeds first.
+    pub(crate) fn funnel(&self, strategy: &Strategy, seeds: &[Candidate]) -> Funnel {
+        let _tune_span = cello_obs::span!("tune", strategy = strategy.label(), seeds = seeds.len());
+        let seed_picks: Vec<Vec<usize>> = seeds.iter().map(|c| self.space.project(c)).collect();
+        let (keep_frac, base) = match strategy {
+            Strategy::Prefiltered { keep_frac, inner } => {
+                let mut base: &Strategy = inner;
+                while let Strategy::Prefiltered { inner, .. } = base {
+                    base = inner;
+                }
+                let cut = if *keep_frac >= 1.0 {
+                    None
+                } else {
+                    Some(*keep_frac)
+                };
+                (cut, base)
+            }
+            other => (None, other),
+        };
+        let tier = if keep_frac.is_some() {
+            Tier::Surrogate
+        } else {
+            Tier::Exact
+        };
+
         let hits_before = self.cache.hits();
         let evals_before = self.cache.evaluations();
         let surr_before = self.cache.surrogate_evaluations();
         let mut seen: u64 = 0;
 
-        // Tier 1: the inner traversal, scored into the tier-1 table (its
-        // beam ranks partial assignments on those scores).
-        let mut scored: Vec<Evaluated> = Vec::new();
-        scored.extend(self.batch_with(
-            vec![self.space.assemble(&self.space.default_picks())],
-            Tier::Surrogate,
-        ));
+        // Baseline first: the paper heuristic is always part of the run.
+        let default_candidate = || vec![self.space.assemble(&self.space.default_picks())];
+        let mut scored = self.batch_with(default_candidate(), tier);
         seen += 1;
-        self.traverse(inner, Tier::Surrogate, seed_picks, &mut seen, &mut scored);
+        // Direct runs score the full seed assignments next: the cached
+        // winners re-scored under this space's configuration, in the
+        // comparison set no matter what the traversal keeps.
+        if tier == Tier::Exact && !seed_picks.is_empty() {
+            let batch: Vec<Candidate> = seed_picks.iter().map(|p| self.space.assemble(p)).collect();
+            seen += batch.len() as u64;
+            scored.extend(self.eval_batch(batch));
+        }
+        let tier0 = self.traverse(base, tier, &seed_picks, &mut seen, &mut scored);
 
-        // Rank the distinct visited schedules; keep the top fraction (at
-        // least one).
+        // Dedup by canonical schedule key (first occurrence wins).
+        let scored_len = scored.len() as u64;
         let mut keys = HashSet::new();
         let mut uniq: Vec<Evaluated> = scored.into_iter().filter(|e| keys.insert(e.key)).collect();
-        uniq.sort_by(rank);
-        let keep = ((keep_frac.max(0.0) * uniq.len() as f64).ceil() as usize).clamp(1, uniq.len());
-        let registry = cello_obs::metrics::global();
-        registry.counter("search_prefilter_kept").add(keep as u64);
-        registry
-            .counter("search_prefilter_dropped")
-            .add((uniq.len() - keep) as u64);
+        let distinct = uniq.len() as u64;
 
-        // Tier 2: exact evaluation of the survivors, plus the baseline
-        // (always part of the comparison set, filtered or not) and the full
-        // seed assignments (cached winners never lost to the tier-1 cut).
-        let baseline = self
-            .eval_batch(vec![self.space.assemble(&self.space.default_picks())])
-            .pop()
-            .expect("baseline evaluates");
-        let mut survivors: Vec<Candidate> =
-            uniq[..keep].iter().map(|e| e.candidate.clone()).collect();
-        survivors.extend(seed_picks.iter().map(|p| self.space.assemble(p)));
-        let mut all = vec![baseline.clone()];
-        all.extend(self.eval_batch(survivors));
+        let (baseline, all, ranked, dropped, promoted) = match keep_frac {
+            // Direct: every distinct schedule is already exactly scored,
+            // the baseline first.
+            None => (uniq[0].clone(), uniq, 0, 0, distinct),
+            Some(keep_frac) => {
+                // Rank the distinct tier-1 schedules; keep the top fraction
+                // (at least one).
+                uniq.sort_by(rank);
+                let keep =
+                    ((keep_frac.max(0.0) * uniq.len() as f64).ceil() as usize).clamp(1, uniq.len());
+                let registry = cello_obs::metrics::global();
+                registry.counter("search_prefilter_kept").add(keep as u64);
+                registry
+                    .counter("search_prefilter_dropped")
+                    .add(distinct - keep as u64);
+                // Tier 2: exact evaluation of the survivors, plus the
+                // baseline (always part of the comparison set, filtered or
+                // not) and the full seed assignments (cached winners never
+                // lost to the tier-1 cut).
+                let baseline = self
+                    .eval_batch(default_candidate())
+                    .pop()
+                    .expect("baseline evaluates");
+                let mut survivors: Vec<Candidate> =
+                    uniq[..keep].iter().map(|e| e.candidate.clone()).collect();
+                survivors.extend(seed_picks.iter().map(|p| self.space.assemble(p)));
+                let mut all = vec![baseline.clone()];
+                all.extend(self.eval_batch(survivors));
+                (baseline, all, distinct, distinct - keep as u64, keep as u64)
+            }
+        };
 
-        let surrogate_scored = self.cache.surrogate_evaluations() - surr_before;
-        self.outcome(
-            label.to_string(),
-            baseline,
-            &all,
-            seen,
-            evals_before,
-            hits_before,
-            surrogate_scored,
-        )
-    }
-
-    /// Assembles the report over an exactly-evaluated comparison set.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn outcome(
-        &self,
-        strategy: String,
-        baseline: Evaluated,
-        all: &[Evaluated],
-        seen: u64,
-        evals_before: u64,
-        hits_before: u64,
-        surrogate_scored: u64,
-    ) -> SearchOutcome {
-        let best_cycles = all
-            .iter()
-            .min_by(|a, b| rank(a, b))
-            .expect("non-empty")
-            .clone();
-        let best_dram = all
-            .iter()
-            .min_by(|a, b| a.cost.dram_bytes.cmp(&b.cost.dram_bytes).then(rank(a, b)))
-            .expect("non-empty")
-            .clone();
-        let best_traffic = all
-            .iter()
-            .min_by(|a, b| {
-                a.cost
-                    .total_traffic_bytes()
-                    .cmp(&b.cost.total_traffic_bytes())
-                    .then(rank(a, b))
-            })
-            .expect("non-empty")
-            .clone();
+        // The report, over the exactly-evaluated comparison set.
+        let best_by = |order: &dyn Fn(&Evaluated, &Evaluated) -> Ordering| {
+            all.iter()
+                .min_by(|a, b| order(a, b).then(rank(a, b)))
+                .expect("non-empty")
+                .clone()
+        };
+        let best_cycles = best_by(&|_, _| Ordering::Equal);
+        let best_dram = best_by(&|a, b| a.cost.dram_bytes.cmp(&b.cost.dram_bytes));
+        let best_traffic = best_by(&|a, b| {
+            a.cost
+                .total_traffic_bytes()
+                .cmp(&b.cost.total_traffic_bytes())
+        });
         let evaluations = self.cache.evaluations() - evals_before;
         let cache_hits = self.cache.hits() - hits_before;
+        let surrogate_scored = self.cache.surrogate_evaluations() - surr_before;
         // Mirror the per-run aggregates into the global metrics registry so
         // long-lived processes (cello-serve, cello_dse) expose cumulative
         // search counters through one `metrics` snapshot.
@@ -473,19 +447,60 @@ impl<'a> Tuner<'a> {
             .counter("search_surrogate_evals")
             .add(surrogate_scored);
         registry.counter("search_candidates").add(seen);
-        SearchOutcome {
-            strategy,
-            baseline,
-            best_cycles,
-            best_dram,
-            best_traffic,
-            pareto: pareto_front(all),
-            evaluations,
-            cache_hits,
-            candidates_seen: seen,
-            surrogate_scored,
+        let (swept, kept) = tier0
+            .as_ref()
+            .map_or((0, 0), |(_, p)| (p.swept, p.kept.len() as u64));
+        Funnel {
+            outcome: SearchOutcome {
+                strategy: strategy.label(),
+                baseline,
+                best_cycles,
+                best_dram,
+                best_traffic,
+                pareto: pareto_front(&all),
+                evaluations,
+                cache_hits,
+                candidates_seen: seen,
+                surrogate_scored,
+            },
+            ledger: Ledger {
+                swept,
+                kept,
+                scored: scored_len,
+                distinct,
+                ranked,
+                dropped,
+                promoted,
+            },
+            tier0,
         }
     }
+}
+
+/// One run of [`Tuner::funnel`]: the outcome `tune` reports, the counts
+/// the audit ledgers, and the tier-0 stage when one ran.
+pub(crate) struct Funnel {
+    pub(crate) outcome: SearchOutcome,
+    pub(crate) ledger: Ledger,
+    pub(crate) tier0: Option<(Tier0Model, Tier0Prune)>,
+}
+
+/// The funnel's per-stage counts.
+pub(crate) struct Ledger {
+    /// Assignments tier 0 sketched (0 without a tier-0 stage).
+    pub(crate) swept: u64,
+    /// Sketch-Pareto survivors tier 0 promoted.
+    pub(crate) kept: u64,
+    /// Candidates the first concrete tier scored, duplicates included.
+    pub(crate) scored: u64,
+    /// Distinct schedules among them.
+    pub(crate) distinct: u64,
+    /// Distinct schedules the tier-1 cut ranked (0 without a cut).
+    pub(crate) ranked: u64,
+    /// Ranked below the keep fraction.
+    pub(crate) dropped: u64,
+    /// Distinct schedules promoted to the exact tier (seeds aside).
+    pub(crate) promoted: u64,
 }
 
 /// Which memo table and counters a batch goes through. Both tiers score

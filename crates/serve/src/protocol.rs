@@ -22,7 +22,7 @@ use cello_core::score::multinode::{Partition, PartitionAxis};
 use cello_core::score::repartition::{PhaseRepartition, PhaseSplit, PhaseSplits};
 use cello_core::{ChordOverbook, TransferTuning, MAX_OVERBOOK_LEVEL};
 use cello_obs::json::Json;
-use cello_search::Candidate;
+use cello_search::{Candidate, Strategy};
 use cello_tensor::shape::RankId;
 
 /// Hard caps on compile-request parameters. One runaway request must not
@@ -48,6 +48,11 @@ pub mod caps {
     pub const MAX_NODE_MENU: usize = 8;
     /// Max SRAM size in MiB.
     pub const MAX_SRAM_MB: u64 = 1_024;
+    /// Max assignments a `random` strategy draws. The draws, and the
+    /// schedules built from them, are held in memory at once.
+    pub const MAX_RANDOM_SAMPLES: usize = 4_096;
+    /// Max assignments a `tier0` sweep sketches.
+    pub const MAX_TIER0_BUDGET: u64 = 1 << 20;
     /// Max request line length in bytes (a frame beyond this is rejected
     /// before JSON parsing).
     pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -221,6 +226,28 @@ pub(crate) fn field_bool(obj: &Json, key: &str) -> Result<Option<bool>, ServeErr
     }
 }
 
+/// Rejects a `random` draw count or a `tier0` budget above its cap: an
+/// allocation failure aborts the daemon, so the bound must hold before the
+/// tuner runs.
+fn strategy_within_caps(strategy: &Strategy) -> Result<(), ServeError> {
+    match strategy {
+        Strategy::Random { samples, .. } if *samples > caps::MAX_RANDOM_SAMPLES => {
+            Err(ServeError::TooLarge(format!(
+                "random samples {samples} (cap {})",
+                caps::MAX_RANDOM_SAMPLES
+            )))
+        }
+        Strategy::Tier0 { budget, .. } if *budget > caps::MAX_TIER0_BUDGET => {
+            Err(ServeError::TooLarge(format!(
+                "tier0 budget {budget} (cap {})",
+                caps::MAX_TIER0_BUDGET
+            )))
+        }
+        Strategy::Prefiltered { inner, .. } => strategy_within_caps(inner),
+        _ => Ok(()),
+    }
+}
+
 /// Parses one wire line into a [`Frame`] — total over arbitrary bytes.
 pub fn parse_frame(line: &str) -> Result<Frame, ServeError> {
     if line.len() > caps::MAX_LINE_BYTES {
@@ -286,8 +313,9 @@ pub fn parse_frame(line: &str) -> Result<Frame, ServeError> {
         }
     };
     let strategy = field_str(&doc, "strategy")?.unwrap_or_else(|| "beam4".into());
-    if cello_search::Strategy::parse(&strategy).is_none() {
-        return Err(ServeError::UnknownStrategy(strategy));
+    match Strategy::parse(&strategy) {
+        Some(parsed) => strategy_within_caps(&parsed)?,
+        None => return Err(ServeError::UnknownStrategy(strategy)),
     }
     let bounded = |key: &'static str, v: Option<u64>, lo: u64, hi: u64, default: u64| {
         let v = v.unwrap_or(default);
@@ -857,6 +885,24 @@ mod tests {
         );
     }
 
+    /// The caps admit the strategies the benchmark and the trajectory
+    /// send, and everything up to the cap itself.
+    #[test]
+    fn strategies_at_the_caps_parse() {
+        for strategy in [
+            "beam8".to_string(),
+            "prefilter0.1+tier0b49152k96".to_string(),
+            format!("random{}@1", caps::MAX_RANDOM_SAMPLES),
+            format!("prefilter0.5+tier0b{}k16", caps::MAX_TIER0_BUDGET),
+        ] {
+            let line = format!(r#"{{"workload": "cg", "strategy": "{strategy}"}}"#);
+            match parse_frame(&line) {
+                Ok(Frame::Compile(req)) => assert_eq!(req.strategy, strategy),
+                other => panic!("{strategy}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn malformed_frames_are_typed_errors() {
         let cases: Vec<(&str, &str)> = vec![
@@ -876,6 +922,18 @@ mod tests {
             (r#"{"workload": "cg", "iterations": 100000}"#, "too-large"),
             (r#"{"workload": "cg", "m": 99999999999}"#, "too-large"),
             (r#"{"workload": "cg", "iterations": 0}"#, "bad-param"),
+            (
+                r#"{"workload": "cg", "strategy": "random100000000000@1"}"#,
+                "too-large",
+            ),
+            (
+                r#"{"workload": "cg", "strategy": "tier0b1048577k96"}"#,
+                "too-large",
+            ),
+            (
+                r#"{"workload": "cg", "strategy": "prefilter0.1+tier0b99999999999k96"}"#,
+                "too-large",
+            ),
         ];
         for (line, kind) in cases {
             let err = parse_frame(line).expect_err(line);

@@ -224,6 +224,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A strategy whose draws would not fit in memory gets a typed
+    /// `too-large` error before any tuning, and the daemon answers the
+    /// next request.
+    #[test]
+    fn oversized_strategy_is_rejected_and_the_daemon_keeps_serving() {
+        let dir = tmpdir("strategy-cap");
+        let service = Arc::new(Service::open(&dir).unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || serve(listener, service, 2).unwrap())
+        };
+        let mut req = Request::cg("fv1");
+        req.iterations = 1;
+        req.strategy = "random100000000000@1".into();
+        let err = round_trip(addr, &req.to_line());
+        assert!(err.contains("too-large"), "{err}");
+        req.strategy = "beam2".into();
+        req.id = 2;
+        let next =
+            Response::from_json(&Json::parse(&round_trip(addr, &req.to_line())).unwrap()).unwrap();
+        assert_eq!(next.id, 2);
+        assert_eq!(next.cache.as_str(), "miss");
+        let _ = round_trip(addr, r#"{"op": "shutdown"}"#);
+        daemon.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A newline-less flood larger than the frame cap gets a typed
     /// `too-large` error and a closed connection — the daemon buffers at
     /// most `caps::MAX_LINE_BYTES`, it does not read until OOM.
