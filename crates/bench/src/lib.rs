@@ -1,10 +1,11 @@
 //! Shared harness helpers for the figure/table binaries.
 //!
-//! Every `src/bin/figXX_*.rs` / `tabXX_*.rs` binary regenerates one paper
-//! artifact: it prints the same rows/series the paper reports and writes a
-//! TSV under `results/`. This module centralizes the common legwork: running
-//! a grid of (workload × configuration) simulations in parallel, labeling,
-//! and emission.
+//! `src/bin/paper_results.rs` regenerates the main-results figures and the
+//! headline from one grid; every other `src/bin/figXX_*.rs` / `tabXX_*.rs`
+//! binary regenerates one paper artifact. Each prints the same rows/series
+//! the paper reports and writes a TSV per table under `results/`. This
+//! module centralizes the common legwork: running a grid of (workload ×
+//! configuration) simulations in parallel, labeling, and emission.
 
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
@@ -107,7 +108,7 @@ pub fn yn(b: bool) -> String {
     }
 }
 
-/// The standard CG workload grid used by Fig 12/14/16 harnesses.
+/// One labeled CG cell (the Fig 16(b) SRAM sweep builds its grid from these).
 pub fn cg_cell(
     dataset: &cello_workloads::datasets::Dataset,
     n: u64,

@@ -20,7 +20,7 @@
 //!    fixed-bucket latency histograms (p50/p95/p99) behind a global-or-
 //!    injected [`metrics::Registry`], with Prometheus text exposition
 //!    ([`metrics::RegistrySnapshot::to_prometheus_text`]) and
-//!    epoch-bucketed sliding windows ([`mod@window`]) for live rates and
+//!    epoch-bucketed sliding-window histograms ([`mod@window`]) for
 //!    p95-over-last-60s style readouts.
 //!
 //! [`chrome::chrome_trace`] renders any span forest as Chrome trace-event
@@ -45,7 +45,7 @@ pub use log::Level;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use recorder::FlightRecorder;
 pub use span::{ArgValue, SpanNode, SpanRecorder};
-pub use window::{WindowCounter, WindowHistogram, WindowedCounter, WindowedHistogram};
+pub use window::{WindowHistogram, WindowedHistogram};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

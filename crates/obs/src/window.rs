@@ -1,24 +1,23 @@
-//! Epoch-bucketed sliding windows over counters and histograms.
+//! Epoch-bucketed sliding windows over histograms.
 //!
-//! The registry's instruments are cumulative-forever: `requests_total` only
-//! ever grows, and `request_us` mixes yesterday's latencies with this
-//! second's. A window answers the *live* question — "what is the p95 over
-//! the last 60 seconds?" — by bucketing observations into a ring of `N`
-//! epoch-keyed slots and merging only the slots whose epoch falls inside
-//! `(now − N, now]`.
+//! The registry's instruments are cumulative-forever: `request_us` mixes
+//! yesterday's latencies with this second's. A window answers the *live*
+//! question — "what is the p95 over the last 60 seconds?" — by bucketing
+//! observations into a ring of `N` epoch-keyed slots and merging only the
+//! slots whose epoch falls inside `(now − N, now]`.
 //!
 //! Two layers:
 //!
-//! - **Pure cores** ([`WindowHistogram`], [`WindowCounter`]): explicit-epoch
-//!   APIs (`record_at`, `snapshot_at`, `merge`) with no clock and no lock,
-//!   so the algebra is directly property-testable. The merge is
-//!   slot-wise "newer epoch wins, equal epochs combine" — associative and
+//! - **Pure core** ([`WindowHistogram`]): an explicit-epoch API
+//!   (`record_at`, `snapshot_at`, `merge`) with no clock and no lock, so
+//!   the algebra is directly property-testable. The merge is slot-wise
+//!   "newer epoch wins, equal epochs combine" — associative and
 //!   commutative, and an expired slot can never resurrect: a slot only
 //!   moves to a *larger* epoch, and `snapshot_at(now)` ignores anything
 //!   outside the window.
-//! - **Clocked wrappers** ([`WindowedHistogram`], [`WindowedCounter`]):
-//!   `Mutex`-wrapped cores stamped from the system clock, for the serve
-//!   daemon's hot path (one lock + one array write per event).
+//! - **Clocked wrapper** ([`WindowedHistogram`]): a `Mutex`-wrapped core
+//!   stamped from the system clock, for the serve daemon's hot path (one
+//!   lock + one array write per event).
 
 use crate::metrics::HistogramSnapshot;
 use std::sync::Mutex;
@@ -106,70 +105,6 @@ impl WindowHistogram {
     }
 }
 
-/// A sliding-window event counter: the same epoch ring as
-/// [`WindowHistogram`] with a saturating `u64` per slot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WindowCounter {
-    slots: Vec<(u64, u64)>,
-}
-
-impl WindowCounter {
-    /// A window of `buckets` epochs (clamped to at least 1), all zero.
-    pub fn new(buckets: usize) -> Self {
-        WindowCounter {
-            slots: vec![(0, 0); buckets.max(1)],
-        }
-    }
-
-    /// Window length in epochs.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when every slot is zero.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|&(_, n)| n == 0)
-    }
-
-    /// Adds `n` events stamped with `epoch` (late samples from expired
-    /// epochs are dropped).
-    pub fn add_at(&mut self, epoch: u64, n: u64) {
-        let len = self.slots.len() as u64;
-        let slot = &mut self.slots[(epoch % len) as usize];
-        if slot.0 > epoch {
-            return;
-        }
-        if slot.0 < epoch {
-            *slot = (epoch, 0);
-        }
-        slot.1 = slot.1.saturating_add(n);
-    }
-
-    /// Merges another window in (newer epoch wins, equal epochs add).
-    pub fn merge(&mut self, other: &WindowCounter) {
-        for &(epoch, n) in &other.slots {
-            let len = self.slots.len() as u64;
-            let slot = &mut self.slots[(epoch % len) as usize];
-            if slot.0 > epoch {
-                continue;
-            }
-            if slot.0 < epoch {
-                *slot = (epoch, 0);
-            }
-            slot.1 = slot.1.saturating_add(n);
-        }
-    }
-
-    /// Total events in the window ending at `now`.
-    pub fn total_at(&self, now: u64) -> u64 {
-        let len = self.slots.len() as u64;
-        self.slots
-            .iter()
-            .filter(|(epoch, _)| *epoch <= now && epoch.saturating_add(len) > now)
-            .fold(0u64, |acc, &(_, n)| acc.saturating_add(n))
-    }
-}
-
 /// Seconds since the Unix epoch, bucketed by `bucket_secs`.
 fn epoch_now(bucket_secs: u64) -> u64 {
     SystemTime::now()
@@ -211,46 +146,6 @@ impl WindowedHistogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let epoch = epoch_now(self.bucket_secs);
         crate::lock(&self.inner).snapshot_at(epoch)
-    }
-}
-
-/// A clocked, thread-safe [`WindowCounter`] (live rates: `total() /
-/// window_secs()`).
-#[derive(Debug)]
-pub struct WindowedCounter {
-    bucket_secs: u64,
-    inner: Mutex<WindowCounter>,
-}
-
-impl WindowedCounter {
-    /// A window of `buckets` slots, each `bucket_secs` wide.
-    pub fn new(buckets: usize, bucket_secs: u64) -> Self {
-        WindowedCounter {
-            bucket_secs: bucket_secs.max(1),
-            inner: Mutex::new(WindowCounter::new(buckets)),
-        }
-    }
-
-    /// Total window span in seconds.
-    pub fn window_secs(&self) -> u64 {
-        crate::lock(&self.inner).len() as u64 * self.bucket_secs
-    }
-
-    /// Adds one event stamped with the current wall clock.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` events stamped with the current wall clock.
-    pub fn add(&self, n: u64) {
-        let epoch = epoch_now(self.bucket_secs);
-        crate::lock(&self.inner).add_at(epoch, n);
-    }
-
-    /// Total events in the window ending now.
-    pub fn total(&self) -> u64 {
-        let epoch = epoch_now(self.bucket_secs);
-        crate::lock(&self.inner).total_at(epoch)
     }
 }
 
@@ -321,25 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_window_totals_and_merge() {
-        let mut c = WindowCounter::new(3);
-        c.add_at(10, 5);
-        c.add_at(11, 7);
-        assert_eq!(c.total_at(11), 12);
-        assert_eq!(c.total_at(13), 7);
-        assert_eq!(c.total_at(50), 0);
-
-        let mut d = WindowCounter::new(3);
-        d.add_at(11, 1);
-        let mut cd = c.clone();
-        cd.merge(&d);
-        let mut dc = d.clone();
-        dc.merge(&c);
-        assert_eq!(cd, dc);
-        assert_eq!(cd.total_at(11), 13);
-    }
-
-    #[test]
     fn clocked_wrappers_record_and_read() {
         let h = WindowedHistogram::new(60, 1);
         h.record(500);
@@ -348,11 +224,5 @@ mod tests {
         assert_eq!(s.count, 2);
         assert!(s.percentile(95.0) >= 500);
         assert_eq!(h.window_secs(), 60);
-
-        let c = WindowedCounter::new(12, 5);
-        c.inc();
-        c.add(2);
-        assert_eq!(c.total(), 3);
-        assert_eq!(c.window_secs(), 60);
     }
 }
