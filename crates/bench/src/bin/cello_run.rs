@@ -22,6 +22,7 @@
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
 use cello_graph::metrics::metrics;
+use cello_serve::protocol::caps::MAX_SRAM_MB;
 use cello_sim::baselines::{run_config, ConfigKind};
 use cello_workloads::bicgstab::{build_bicgstab_dag, BicgParams};
 use cello_workloads::cg::{build_cg_dag, CgParams};
@@ -43,7 +44,7 @@ USAGE:
               [--iterations <default 10>]
               [--blocks <resnet blocks, default 1>]
               [--bandwidth 1tb|250gb]
-              [--sram-mb <default 4>]
+              [--sram-mb <MiB, default 4>]
               [--trace-out <chrome-trace JSON file>]
               [--report-out <full-report JSON file for cello_explain>]
               [--help]
@@ -106,7 +107,15 @@ fn main() {
     let n: u64 = get("n", "16").parse().expect("--n must be an integer");
     let iterations: u32 = get("iterations", "10").parse().expect("--iterations");
     let blocks: u32 = get("blocks", "1").parse().expect("--blocks");
-    let sram_mb: u64 = get("sram-mb", "4").parse().expect("--sram-mb");
+    // Serve's cap: a 0 MiB SRAM holds no cache lines, and far above the
+    // cap `sram_mb << 20` overflows.
+    let sram_mb = match get("sram-mb", "4").parse::<u64>() {
+        Ok(mb) if (1..=MAX_SRAM_MB).contains(&mb) => mb,
+        _ => {
+            eprintln!("--sram-mb must be an integer in 1..={MAX_SRAM_MB}\n{USAGE}");
+            exit(2);
+        }
+    };
     let trace_out = args.get("trace-out").cloned();
     let report_out = args.get("report-out").cloned();
     let configs = parse_config(&get("config", "all"));

@@ -322,13 +322,6 @@ impl RiffIndexTable {
         }
     }
 
-    /// Marks the resident prefix clean (after a writeback).
-    pub fn mark_clean(&mut self, name: &str) {
-        if let Some(e) = self.get_mut(name) {
-            e.dirty = false;
-        }
-    }
-
     /// Advances every history register by one op; sets the referenced bit of
     /// `touched` tensors.
     pub fn tick_history(&mut self, touched: &[&str]) {
@@ -562,12 +555,12 @@ mod tests {
     }
 
     #[test]
-    fn set_priority_and_mark_clean() {
+    fn set_priority_keeps_the_entry() {
         let mut t = RiffIndexTable::new(100, 64);
         t.insert("A", 10, true, RiffPriority::new(5, 1)).unwrap();
         t.set_priority("A", RiffPriority::new(4, 2));
-        assert_eq!(t.get("A").unwrap().priority, RiffPriority::new(4, 2));
-        t.mark_clean("A");
-        assert!(!t.get("A").unwrap().dirty);
+        let a = t.get("A").unwrap();
+        assert_eq!(a.priority, RiffPriority::new(4, 2));
+        assert!(a.dirty, "a priority refresh does not write back");
     }
 }

@@ -16,8 +16,8 @@
 //!   delayed-writeback / parallel-multicast), [`score::loop_order`] enforces
 //!   the pipelining co-dependence rules, [`score::binding`] forms pipeline
 //!   clusters (Fig 8) and steers each tensor to RF / pipeline buffer / CHORD,
-//!   [`score::tiling`] sizes tiles, and [`score::multinode`] is the scalable
-//!   multi-node dataflow of §V-B.
+//!   [`score::tiling`] gates pipeline streaming and RF residency, and
+//!   [`score::multinode`] is the scalable multi-node dataflow of §V-B.
 //! - [`search_space`]: the §VI-B accounting showing why explicit scratchpad
 //!   allocation explodes (~10⁸⁰ choices) while CHORD's policy space is
 //!   `O(nodes + edges)` (~10²).

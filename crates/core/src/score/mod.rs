@@ -8,8 +8,8 @@
 //! - [`classify`]: Algorithm 2 — tensor-level dependency taxonomy;
 //! - [`loop_order`]: per-op loop orders and the producer/consumer
 //!   co-dependence conditions for pipelining (§V-B);
-//! - [`tiling`]: tile sizing for the pipeline buffer, RF residency of small
-//!   tensors, occupancy-based sparse tiling;
+//! - [`tiling`]: whether a pipelined edge can stream through the pipeline
+//!   buffer, and whether a small tensor fits the register file;
 //! - [`binding`]: cluster formation and tensor→buffer steering (§V-C);
 //! - [`multinode`]: the scalable multi-node dataflow (§V-B "Scalable
 //!   Dataflow") — the mesh NoC model plus the [`multinode::Partition`]

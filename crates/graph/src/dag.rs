@@ -152,31 +152,6 @@ impl TensorDag {
         (0..self.nodes.len()).map(NodeId).collect()
     }
 
-    /// Whether a path `from → … → to` exists (including the trivial length-1
-    /// edge). `from == to` counts as reachable only via an actual cycle, which
-    /// cannot exist here, so it returns `false` for distinct-free self queries.
-    pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        if from == to {
-            return false;
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![from.0];
-        while let Some(u) = stack.pop() {
-            for e in &self.edges {
-                if e.src == u {
-                    if e.dst == to.0 {
-                        return true;
-                    }
-                    if !seen[e.dst] {
-                        seen[e.dst] = true;
-                        stack.push(e.dst);
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// Longest path length (in edges) from `from` to `to`, or `None` if
     /// unreachable. O(V+E) DP over the topological order.
     pub fn longest_path_len(&self, from: NodeId, to: NodeId) -> Option<usize> {
@@ -214,16 +189,6 @@ impl TensorDag {
         }
         path.reverse();
         Some(path.into_iter().map(NodeId).collect())
-    }
-
-    /// Interior nodes of the longest path between an edge's endpoints —
-    /// Algorithm 2's `for pathnode ∈ longestpath(edge)` iterates these.
-    pub fn longest_path_interior(&self, e: EdgeId) -> Vec<NodeId> {
-        let edge = &self.edges[e.0];
-        match self.longest_path(NodeId(edge.src), NodeId(edge.dst)) {
-            Some(path) if path.len() > 2 => path[1..path.len() - 1].to_vec(),
-            _ => Vec::new(),
-        }
     }
 
     /// Whether an edge is *transitive*: a longer path between its endpoints
@@ -303,15 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let dag = dag_with(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert!(dag.reachable(NodeId(0), NodeId(3)));
-        assert!(dag.reachable(NodeId(1), NodeId(2)));
-        assert!(!dag.reachable(NodeId(3), NodeId(0)));
-        assert!(!dag.reachable(NodeId(0), NodeId(0)));
-    }
-
-    #[test]
     fn longest_path_diamond() {
         // 0 -> 1 -> 3, 0 -> 2 -> 3, plus direct 0 -> 3.
         let dag = dag_with(4, &[(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]);
@@ -342,10 +298,15 @@ mod tests {
     fn longest_path_interior_of_transitive_edge() {
         let dag = dag_with(4, &[(0, 1), (0, 3), (1, 2), (2, 3)]);
         // Edge 0->3 has interior {1, 2}.
-        let interior = dag.longest_path_interior(EdgeId(1));
-        assert_eq!(interior, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(
+            dag.longest_path(NodeId(0), NodeId(3)),
+            Some(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)])
+        );
         // Non-transitive edge 0->1 has empty interior.
-        assert!(dag.longest_path_interior(EdgeId(0)).is_empty());
+        assert_eq!(
+            dag.longest_path(NodeId(0), NodeId(1)),
+            Some(vec![NodeId(0), NodeId(1)])
+        );
     }
 
     #[test]
@@ -384,8 +345,8 @@ mod tests {
         );
         // Interior of 4->7 is {5, 6}.
         assert_eq!(
-            dag.longest_path_interior(EdgeId(7)),
-            vec![NodeId(4), NodeId(5)]
+            dag.longest_path(NodeId(3), NodeId(6)),
+            Some(vec![NodeId(3), NodeId(4), NodeId(5), NodeId(6)])
         );
     }
 

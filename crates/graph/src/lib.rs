@@ -10,22 +10,21 @@
 //!   ('U'/'C'/"bal" in Fig 7);
 //! - [`edge`]: producer→consumer edges carrying the intermediate tensor, with
 //!   the rank names the consumer sees (needed for the "unshared" test);
-//! - [`dag`]: the graph itself — topological order, reachability, **transitive
-//!   edge** detection and **longest paths** (both load-bearing in Algorithm 2);
-//! - [`reuse`]: tensor-level reuse distance and frequency — the coarse-grained
-//!   metadata SCORE hands to CHORD's RIFF policy (Fig 10's `Freq`/`Dist`
-//!   columns);
+//! - [`dag`]: the graph itself — topological order, **transitive edge**
+//!   detection and **longest paths** (both load-bearing in Algorithm 2);
 //! - [`dot`]: Graphviz rendering used by the Fig 7 harness.
+//!
+//! The reuse metadata SCORE hands CHORD's RIFF policy (Fig 10's `Freq` and
+//! `Dist` columns) is derived per access by `cello_sim::phases`, where the
+//! schedule's realized edges are known.
 
 pub mod dag;
 pub mod dot;
 pub mod edge;
 pub mod metrics;
 pub mod node;
-pub mod reuse;
 
 pub use dag::{EdgeId, NodeId, TensorDag};
 pub use edge::{Edge, TensorMeta};
 pub use metrics::{metrics, DagMetrics};
 pub use node::{Dominance, OpKind, OpNode};
-pub use reuse::{ReuseProfile, TensorReuse};

@@ -41,11 +41,6 @@ impl DramModel {
     pub fn transfer_cycles(&self, bytes: u64, freq_hz: f64) -> u64 {
         (self.transfer_time(bytes) * freq_hz).ceil() as u64
     }
-
-    /// Energy (picojoules) to transfer `bytes`.
-    pub fn transfer_energy_pj(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.energy_pj_per_byte
-    }
 }
 
 #[cfg(test)]
@@ -73,11 +68,5 @@ mod tests {
         let slow = DramModel::gb250_per_sec();
         let ratio = fast.bandwidth_bytes_per_sec / slow.bandwidth_bytes_per_sec;
         assert!((ratio - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_linear_in_bytes() {
-        let d = DramModel::one_tb_per_sec();
-        assert!((d.transfer_energy_pj(100) - 3120.0).abs() < 1e-9);
     }
 }

@@ -8,7 +8,7 @@
 //! 1. **Structured leveled logging** ([`log`]): `error!`…`trace!` macros
 //!    with a target string, filtered by `CELLO_LOG` (`info` by default,
 //!    `debug,serve=trace` grammar for per-target overrides), written to
-//!    stderr and/or registered [`log::LogSink`]s.
+//!    stderr.
 //! 2. **Hierarchical spans** ([`mod@span`]): `span!("tune")` /
 //!    `span!("phase", idx = i)` guards with wall-clock timing on a
 //!    thread-local stack (collection is off by default — one relaxed atomic

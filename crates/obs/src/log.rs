@@ -3,16 +3,15 @@
 //! The filter grammar is the familiar env-filter subset:
 //! `CELLO_LOG=debug` sets the global level, `CELLO_LOG=debug,serve=trace`
 //! additionally overrides the `serve` target. Unset means `info`; `off`
-//! silences everything. Events pass through every registered [`LogSink`]
-//! (thread-safe; tests capture through one) and, unless disabled, a
-//! timestamped stderr line:
+//! silences everything. An event that passes prints one timestamped stderr
+//! line:
 //!
 //! ```text
 //! [   12.345ms INFO  serve] listening on 127.0.0.1:7070
 //! ```
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Log severity, ordered so `Error < Warn < … < Trace` and a filter level
@@ -113,30 +112,9 @@ impl Filter {
     }
 }
 
-/// A structured log event, as sinks see it.
-#[derive(Clone, Debug)]
-pub struct LogEvent {
-    /// Severity.
-    pub level: Level,
-    /// Component target (`serve`, `search`, …).
-    pub target: String,
-    /// Rendered message.
-    pub message: String,
-    /// Microseconds since the logger first initialized.
-    pub elapsed_us: u64,
-}
-
-/// A thread-safe event sink (tests, ring buffers, files).
-pub trait LogSink: Send + Sync {
-    /// Receives one event that passed the filter.
-    fn event(&self, event: &LogEvent);
-}
-
 struct Logger {
     epoch: Instant,
     filter: Mutex<Filter>,
-    sinks: Mutex<Vec<Arc<dyn LogSink>>>,
-    stderr: Mutex<bool>,
 }
 
 static LOGGER: OnceLock<Logger> = OnceLock::new();
@@ -148,8 +126,6 @@ fn logger() -> &'static Logger {
             Ok(spec) => Filter::parse(&spec),
             Err(_) => Filter::info(),
         }),
-        sinks: Mutex::new(Vec::new()),
-        stderr: Mutex::new(true),
     })
 }
 
@@ -168,46 +144,25 @@ pub fn set_filter(filter: Filter) {
     *crate::lock(&logger().filter) = filter;
 }
 
-/// Registers an event sink (in addition to stderr).
-pub fn add_sink(sink: Arc<dyn LogSink>) {
-    crate::lock(&logger().sinks).push(sink);
-}
-
-/// Enables or disables the stderr line (tests silence it).
-pub fn log_to_stderr(enabled: bool) {
-    *crate::lock(&logger().stderr) = enabled;
-}
-
 /// Whether an event at `level` for `target` would be emitted.
 pub fn enabled(level: Level, target: &str) -> bool {
     crate::lock(&logger().filter).enabled(level, target)
 }
 
-/// The macro entry point: filter, render, fan out. `fmt::Arguments` keeps
-/// message formatting lazy — a filtered-out event never allocates.
+/// The macro entry point: filter, then render to stderr. `fmt::Arguments`
+/// keeps message formatting lazy — a filtered-out event never allocates.
 pub fn log(level: Level, target: &str, args: fmt::Arguments<'_>) {
     let logger = logger();
     if !crate::lock(&logger.filter).enabled(level, target) {
         return;
     }
-    let event = LogEvent {
-        level,
-        target: target.to_string(),
-        message: args.to_string(),
-        elapsed_us: logger.epoch.elapsed().as_micros() as u64,
-    };
-    if *crate::lock(&logger.stderr) {
-        eprintln!(
-            "[{:>9.3}ms {} {}] {}",
-            event.elapsed_us as f64 / 1e3,
-            level.tag(),
-            event.target,
-            event.message,
-        );
-    }
-    for sink in crate::lock(&logger.sinks).iter() {
-        sink.event(&event);
-    }
+    eprintln!(
+        "[{:>9.3}ms {} {}] {}",
+        logger.epoch.elapsed().as_micros() as f64 / 1e3,
+        level.tag(),
+        target,
+        args,
+    );
 }
 
 /// Logs at [`Level::Error`]: `error!("serve", "bind failed: {e}")`.
@@ -285,27 +240,5 @@ mod tests {
         assert!(!f.enabled(Level::Error, "any"));
         assert!(Filter::info().enabled(Level::Info, "x"));
         assert!(!Filter::info().enabled(Level::Debug, "x"));
-    }
-
-    #[test]
-    fn sink_receives_filtered_events() {
-        struct Capture(Mutex<Vec<LogEvent>>);
-        impl LogSink for Capture {
-            fn event(&self, event: &LogEvent) {
-                crate::lock(&self.0).push(event.clone());
-            }
-        }
-        let capture = Arc::new(Capture(Mutex::new(Vec::new())));
-        log_to_stderr(false);
-        add_sink(capture.clone());
-        set_filter(Filter::parse("info,logtest=debug"));
-        crate::debug!("logtest", "captured {}", 42);
-        crate::debug!("elsewhere", "filtered out");
-        let events = crate::lock(&capture.0);
-        let ours: Vec<&LogEvent> = events.iter().filter(|e| e.target == "logtest").collect();
-        assert_eq!(ours.len(), 1);
-        assert_eq!(ours[0].message, "captured 42");
-        assert_eq!(ours[0].level, Level::Debug);
-        assert!(!events.iter().any(|e| e.target == "elsewhere"));
     }
 }

@@ -9,12 +9,10 @@
 //! Two layers:
 //!
 //! - **Pure core** ([`WindowHistogram`]): an explicit-epoch API
-//!   (`record_at`, `snapshot_at`, `merge`) with no clock and no lock, so
-//!   the algebra is directly property-testable. The merge is slot-wise
-//!   "newer epoch wins, equal epochs combine" — associative and
-//!   commutative, and an expired slot can never resurrect: a slot only
-//!   moves to a *larger* epoch, and `snapshot_at(now)` ignores anything
-//!   outside the window.
+//!   (`record_at`, `snapshot_at`) with no clock and no lock, so it is
+//!   directly property-testable. An expired slot can never resurrect: a
+//!   slot only moves to a *larger* epoch, and `snapshot_at(now)` ignores
+//!   anything outside the window.
 //! - **Clocked wrapper** ([`WindowedHistogram`]): a `Mutex`-wrapped core
 //!   stamped from the system clock, for the serve daemon's hot path (one
 //!   lock + one array write per event).
@@ -49,44 +47,18 @@ impl WindowHistogram {
         self.slots.iter().all(|(_, h)| h.count == 0)
     }
 
-    /// The live slot for `epoch`: reused when the epoch matches, reset
-    /// (expiring the old contents) when `epoch` is newer, `None` when
-    /// `epoch` is older than what the slot already holds — a late sample
-    /// from an expired epoch is dropped, never resurrected.
-    fn slot_mut(&mut self, epoch: u64) -> Option<&mut HistogramSnapshot> {
+    /// Records one observation stamped with `epoch`. The epoch's slot is
+    /// reused when the epoch matches and reset (expiring the old contents)
+    /// when `epoch` is newer; a late sample from an epoch older than the
+    /// slot's is dropped, never resurrected.
+    pub fn record_at(&mut self, epoch: u64, v: u64) {
         let len = self.slots.len() as u64;
         let slot = &mut self.slots[(epoch % len) as usize];
-        if slot.0 > epoch {
-            return None;
-        }
         if slot.0 < epoch {
             *slot = (epoch, HistogramSnapshot::empty());
         }
-        Some(&mut slot.1)
-    }
-
-    /// Records one observation stamped with `epoch`.
-    pub fn record_at(&mut self, epoch: u64, v: u64) {
-        if let Some(h) = self.slot_mut(epoch) {
-            h.record(v);
-        }
-    }
-
-    /// Merges a whole pre-aggregated bucket into the `epoch` slot (the
-    /// shard-and-merge path).
-    pub fn merge_at(&mut self, epoch: u64, bucket: &HistogramSnapshot) {
-        if let Some(h) = self.slot_mut(epoch) {
-            h.merge(bucket);
-        }
-    }
-
-    /// Merges another window in, slot-wise: the newer epoch wins a slot,
-    /// equal epochs combine. Associative and commutative (each slot is a
-    /// max-graded semilattice merge), so shard aggregation is
-    /// order-independent.
-    pub fn merge(&mut self, other: &WindowHistogram) {
-        for (epoch, bucket) in &other.slots {
-            self.merge_at(*epoch, bucket);
+        if slot.0 == epoch {
+            slot.1.record(v);
         }
     }
 
@@ -129,11 +101,6 @@ impl WindowedHistogram {
             bucket_secs: bucket_secs.max(1),
             inner: Mutex::new(WindowHistogram::new(buckets)),
         }
-    }
-
-    /// Total window span in seconds.
-    pub fn window_secs(&self) -> u64 {
-        crate::lock(&self.inner).len() as u64 * self.bucket_secs
     }
 
     /// Records one observation stamped with the current wall clock.
@@ -195,27 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_and_keeps_newer_epochs() {
-        let mut a = WindowHistogram::new(4);
-        a.record_at(5, 10);
-        a.record_at(6, 20);
-        let mut b = WindowHistogram::new(4);
-        b.record_at(6, 30);
-        b.record_at(9, 40); // same slot index as 5, newer epoch
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for now in 5..12 {
-            assert_eq!(ab.snapshot_at(now), ba.snapshot_at(now), "now={now}");
-        }
-        // Epoch 9 beat epoch 5 in their shared slot.
-        let s = ab.snapshot_at(9);
-        assert_eq!(s.count, 3, "epochs 6+6 merged, 9 kept, 5 expired");
-    }
-
-    #[test]
     fn clocked_wrappers_record_and_read() {
         let h = WindowedHistogram::new(60, 1);
         h.record(500);
@@ -223,6 +169,5 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 2);
         assert!(s.percentile(95.0) >= 500);
-        assert_eq!(h.window_secs(), 60);
     }
 }

@@ -183,9 +183,9 @@ impl<'a> Tuner<'a> {
         // the sim optimum over the whole space?
         let total = self.space.exhaustive_size();
         let sim_optimum_survived = (total <= cfg.exhaustive_cap).then(|| {
-            let all: Vec<_> = (0..total)
-                .map(|i| self.space.assemble(&self.space.index_to_picks(i)))
-                .collect();
+            let mut all = Vec::with_capacity(total as usize);
+            self.space
+                .sweep(total, 0, |_, picks| all.push(self.space.assemble(picks)));
             let evals = self.eval_batch(all);
             let optimum = evals.iter().min_by(|a, b| rank(a, b)).expect("non-empty");
             cost_order(optimum, &outcome.best_cycles) != Ordering::Less

@@ -212,16 +212,6 @@ impl ScheduleKey {
     pub fn hex(&self) -> String {
         format!("{:032x}", self.0)
     }
-
-    /// Parses the [`Self::hex`] spelling back. Any non-hex or wrong-length
-    /// input returns `None` (old stores carried raw key text here; those
-    /// degrade to a fresh evaluation, never to a wrong hit).
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(ScheduleKey)
-    }
 }
 
 /// Streaming 128-bit FNV-1a hasher that plugs into [`std::fmt::Write`], so
@@ -439,15 +429,12 @@ mod tests {
     #[test]
     fn schedule_key_hex_round_trips() {
         let k = Fnv128Writer::new().finish();
-        assert_eq!(ScheduleKey::from_hex(&k.hex()), Some(k));
         let k2 = ScheduleKey(0x0123_4567_89ab_cdef_0011_2233_4455_6677);
-        assert_eq!(k2.hex().len(), 32);
-        assert_eq!(ScheduleKey::from_hex(&k2.hex()), Some(k2));
-        // Legacy raw-text keys (wrong length / non-hex) degrade to None.
-        assert_eq!(ScheduleKey::from_hex("op.spmv|3;realized"), None);
-        assert_eq!(
-            ScheduleKey::from_hex("zz62272e07bb014262b821756295c58d"),
-            None
-        );
+        assert_eq!(k2.hex(), "0123456789abcdef0011223344556677");
+        // Fixed width, zero-padded, lossless.
+        for key in [k, k2, ScheduleKey(1)] {
+            assert_eq!(key.hex().len(), 32);
+            assert_eq!(u128::from_str_radix(&key.hex(), 16), Ok(key.0));
+        }
     }
 }

@@ -767,9 +767,9 @@ impl SearchSpace {
     }
 
     /// Decodes an exhaustive-enumeration index into an assignment vector
-    /// (mixed-radix, decision 0 least significant — the same odometer order
-    /// `Strategy::Exhaustive` walks). Indices are taken modulo
-    /// [`Self::exhaustive_size`].
+    /// (mixed-radix, decision 0 least significant — the odometer order
+    /// `Strategy::Exhaustive` walks; the tests' random-access reference for
+    /// it). Indices are taken modulo [`Self::exhaustive_size`].
     pub fn index_to_picks(&self, index: u64) -> Vec<usize> {
         let mut rem = index;
         self.decisions

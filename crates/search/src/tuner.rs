@@ -192,18 +192,17 @@ impl<'a> Tuner<'a> {
     ) -> Option<(Tier0Model, Tier0Prune)> {
         match *strategy {
             Strategy::Exhaustive => {
+                // The whole space in odometer order, scored 1 024 at a time.
+                const BATCH: usize = 1024;
                 let total = self.space.exhaustive_size();
-                const BATCH: u64 = 1024;
-                let mut idx = 0u64;
-                while idx < total {
-                    let hi = (idx + BATCH).min(total);
-                    let batch: Vec<Candidate> = (idx..hi)
-                        .map(|i| self.space.assemble(&self.space.index_to_picks(i)))
-                        .collect();
-                    *seen += batch.len() as u64;
-                    all.extend(self.batch_with(batch, tier));
-                    idx = hi;
-                }
+                let mut batch: Vec<Candidate> = Vec::with_capacity(BATCH);
+                self.space.sweep(total, 0, |order, picks| {
+                    batch.push(self.space.assemble(picks));
+                    if batch.len() == BATCH || order + 1 == total {
+                        *seen += batch.len() as u64;
+                        all.extend(self.batch_with(std::mem::take(&mut batch), tier));
+                    }
+                });
                 None
             }
             Strategy::Beam { width } => {
@@ -567,6 +566,31 @@ mod tests {
                 assert!(!a.cost.dominates(&b.cost) || a.key == b.key);
             }
         }
+    }
+
+    /// Exhaustive search is pinned whole: the three winners and the
+    /// counters.
+    #[test]
+    fn exhaustive_outcome_is_pinned() {
+        let dag = cg(2);
+        let accel = CelloConfig::paper();
+        let out = Tuner::new(&dag, &accel, small_cfg()).tune(&Strategy::Exhaustive);
+        let best = (
+            ScheduleKey(0x28ad_2471_15eb_7d9d_0f5b_65dc_8b5d_e37f),
+            CostEstimate {
+                cycles: 9553,
+                dram_bytes: 9_234_564,
+                noc_hop_bytes: 0,
+                energy_pj: 375_812_142.900_000_04,
+            },
+        );
+        for winner in [&out.best_cycles, &out.best_dram, &out.best_traffic] {
+            assert_eq!((winner.key, winner.cost), best);
+        }
+        assert_eq!(
+            (out.evaluations, out.cache_hits, out.candidates_seen),
+            (61, 1, 385)
+        );
     }
 
     #[test]

@@ -33,6 +33,7 @@ use cello_obs::window::WindowedHistogram;
 use cello_obs::{FlightRecorder, SpanRecorder};
 use cello_search::fingerprint::{fingerprint, Fingerprint};
 use cello_search::{SpaceConfig, Strategy, Tuner};
+use cello_sim::evaluate::phase_chord_capacity_words;
 use cello_workloads::bicgstab::{build_bicgstab_dag, BicgParams};
 use cello_workloads::cg::{build_cg_dag, CgParams};
 use cello_workloads::datasets::{registry, Dataset, DatasetKind};
@@ -618,7 +619,8 @@ fn space_of(req: &Request, accel: &CelloConfig) -> SpaceConfig {
 
 /// Renders a scheduled DAG as annotated Graphviz: nodes clustered by phase,
 /// each cluster labeled with its resolved SRAM split (pipeline / RF words
-/// and the CHORD remainder), edges colored by realization.
+/// and the CHORD capacity the engine sizes for that phase), edges colored
+/// by realization.
 pub fn schedule_dot(dag: &TensorDag, schedule: &Schedule, accel: &CelloConfig) -> String {
     let phase_of = schedule.phase_of();
     let labels: Vec<String> = schedule
@@ -627,7 +629,7 @@ pub fn schedule_dot(dag: &TensorDag, schedule: &Schedule, accel: &CelloConfig) -
         .enumerate()
         .map(|(i, s)| {
             let chord = if schedule.options.enable_chord {
-                accel.sram_words().saturating_sub(s.reserved_words())
+                phase_chord_capacity_words(accel, s, &schedule.transfer)
             } else {
                 0
             };
@@ -881,6 +883,42 @@ mod tests {
         assert!(dot.contains("subgraph cluster_0"));
         assert!(dot.contains("pb="), "phase labels carry the SRAM split");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each phase label shows the CHORD capacity the engine sizes for that
+    /// phase, prefetch staging carve included.
+    #[test]
+    fn dot_label_chord_matches_the_engine() {
+        use cello_core::score::binding::{
+            build_schedule_with, ScheduleConstraints, ScheduleOptions,
+        };
+        use cello_core::TransferTuning;
+        let accel = CelloConfig::paper();
+        let dag = build_cg_dag(&CgParams {
+            m: 20_000,
+            occupancy: 4.0,
+            a_payload_words: 2 * 80_000 + 20_001,
+            n: 16,
+            nprime: 16,
+            iterations: 2,
+            a_occupancy: None,
+        });
+        let constraints = ScheduleConstraints {
+            transfer: Some(TransferTuning::double_buffered(1)),
+            ..Default::default()
+        };
+        let schedule = build_schedule_with(&dag, ScheduleOptions::cello(), &constraints);
+        assert!(schedule.transfer.staging_words(accel.staging_quantum_words) > 0);
+        let dot = schedule_dot(&dag, &schedule, &accel);
+        for (i, split) in schedule.phase_splits.iter().enumerate() {
+            let label = format!(
+                "phase {i} | pb={} rf={} chord={}",
+                split.pipeline_buffer_words,
+                split.rf_capacity_words,
+                phase_chord_capacity_words(&accel, split, &schedule.transfer)
+            );
+            assert!(dot.contains(&label), "missing {label:?} in\n{dot}");
+        }
     }
 
     #[test]

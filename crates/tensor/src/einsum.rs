@@ -88,19 +88,6 @@ impl EinsumSpec {
         seen
     }
 
-    /// The contracted ranks: used by an input, absent from the output.
-    pub fn contracted_ranks(&self) -> Vec<RankId> {
-        self.all_ranks()
-            .into_iter()
-            .filter(|r| !self.output.contains(r))
-            .collect()
-    }
-
-    /// The uncontracted ranks (those of the output).
-    pub fn uncontracted_ranks(&self) -> Vec<RankId> {
-        self.output.clone()
-    }
-
     /// Classifies one rank.
     pub fn rank_kind(&self, rank: RankId) -> RankKind {
         if self.output.contains(&rank) {
@@ -126,13 +113,6 @@ impl EinsumSpec {
         dominant_rank(&self.extents()).expect("einsum has at least one rank")
     }
 
-    /// True when the dominant rank is contracted — the "'C'" nodes of Fig 7
-    /// (lines 2 and 5 of CG: `Δ = Pᵀ S`, `Γ = Rᵀ R` contract over the huge `k`).
-    pub fn contracted_dominant(&self) -> bool {
-        matches!(self.rank_kind(self.dominant().rank), RankKind::Contracted)
-            && self.skew(4.0) == SkewClass::Skewed
-    }
-
     /// Skew classification over effective extents.
     pub fn skew(&self, threshold: f64) -> SkewClass {
         skew_class(&self.extents(), threshold)
@@ -145,21 +125,6 @@ impl EinsumSpec {
             .iter()
             .map(|r| self.extents[r].effective)
             .product()
-    }
-
-    /// Number of words in one input operand (product of its ranks' effective
-    /// extents — effective, because compressed tensors only store occupied
-    /// positions).
-    pub fn input_words(&self, idx: usize) -> u64 {
-        self.inputs[idx]
-            .iter()
-            .map(|r| self.extents[r].effective)
-            .product()
-    }
-
-    /// Number of words in the output tensor (outputs are dense: full extents).
-    pub fn output_words(&self) -> u64 {
-        self.output.iter().map(|r| self.extents[r].extent).product()
     }
 }
 
@@ -198,11 +163,6 @@ mod tests {
     #[test]
     fn parse_identifies_contracted_ranks() {
         let g = gemm(512, 512, 512);
-        assert_eq!(g.contracted_ranks(), vec![RankId::new("k")]);
-        assert_eq!(
-            g.uncontracted_ranks(),
-            vec![RankId::new("m"), RankId::new("n")]
-        );
         assert_eq!(g.rank_kind(RankId::new("k")), RankKind::Contracted);
         assert_eq!(g.rank_kind(RankId::new("m")), RankKind::Uncontracted);
     }
@@ -223,12 +183,13 @@ mod tests {
     fn dominance_of_skewed_gemm_is_m() {
         let g = gemm(524_288, 16, 16);
         assert_eq!(g.dominant().rank, RankId::new("m"));
-        assert!(!g.contracted_dominant());
+        assert_eq!(g.rank_kind(g.dominant().rank), RankKind::Uncontracted);
     }
 
     #[test]
     fn contraction_heavy_op_detected() {
-        // Δ[n',n] = Σ_k P[k,n'] S[k,n] with huge k: contracted dominant ('C').
+        // Δ[n',n] = Σ_k P[k,n'] S[k,n] with huge k: the dominant rank is
+        // contracted (a 'C' node under `cello_graph::node::dominance_of`).
         let spec = EinsumSpec::from_parts(
             vec![
                 vec![RankId::new("k"), RankId::new("np")],
@@ -241,27 +202,12 @@ mod tests {
                 RankExtent::dense("n", 16),
             ],
         );
-        assert!(spec.contracted_dominant());
         assert_eq!(spec.dominant().rank, RankId::new("k"));
+        assert_eq!(spec.rank_kind(spec.dominant().rank), RankKind::Contracted);
     }
 
     #[test]
-    fn balanced_gemm_is_not_contracted_dominant() {
-        // 512^3: even though k ties for the max, all ranks are comparable, so the
-        // operator is compute-friendly, not "contraction heavy".
-        assert!(!gemm(512, 512, 512).contracted_dominant());
-    }
-
-    #[test]
-    fn word_counts() {
-        let g = gemm(100, 20, 8);
-        assert_eq!(g.input_words(0), 2000);
-        assert_eq!(g.input_words(1), 160);
-        assert_eq!(g.output_words(), 800);
-    }
-
-    #[test]
-    fn compressed_input_words_use_effective_extent() {
+    fn compressed_rank_macs_use_effective_extent() {
         // SpMM: A is M x M with ~5 nnz per row -> k effective 5.
         let spec = EinsumSpec::from_parts(
             vec![
@@ -275,11 +221,7 @@ mod tests {
                 RankExtent::dense("n", 16),
             ],
         );
-        assert_eq!(spec.input_words(0), 81_920 * 5); // nnz
         assert_eq!(spec.macs(), 81_920 * 5 * 16); // nnz * N
-                                                  // B is indexed by full k rows but only effective are touched per row:
-        assert_eq!(spec.input_words(1), 5 * 16);
-        assert_eq!(spec.output_words(), 81_920 * 16);
     }
 
     #[test]

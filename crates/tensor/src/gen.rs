@@ -4,82 +4,17 @@
 //! G2_circuit, NASA4704) and OMEGA GNN graphs (cora, protein). Those artifacts
 //! are not redistributable here, so we generate **synthetic stand-ins that
 //! match the published `M` and `nnz`** (Table VI). The traffic/roofline study
-//! only depends on shapes and footprints; the generators additionally produce
-//! symmetric positive-definite matrices so the *numeric* CG/BiCGStab solvers
-//! converge (see DESIGN.md §2).
+//! only depends on shapes and footprints; [`random_spd`] additionally keeps
+//! the solver matrices symmetric positive-definite, as CG's input must be.
 
 use crate::sparse::{CooMatrix, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// 2-D 5-point Laplacian on a `nx × ny` grid: SPD, `nnz ≈ 5·nx·ny`.
-///
-/// This is the canonical PDE-solver test matrix (HPCG itself uses a 27-point
-/// 3-D stencil) and the structural stand-in for the paper's "2D/3D problem"
-/// and fluid-dynamics datasets.
-pub fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
-    let m = nx * ny;
-    let mut coo = CooMatrix::new(m, m);
-    let idx = |x: usize, y: usize| y * nx + x;
-    for y in 0..ny {
-        for x in 0..nx {
-            let i = idx(x, y);
-            coo.push(i, i, 4.0);
-            if x > 0 {
-                coo.push(i, idx(x - 1, y), -1.0);
-            }
-            if x + 1 < nx {
-                coo.push(i, idx(x + 1, y), -1.0);
-            }
-            if y > 0 {
-                coo.push(i, idx(x, y - 1), -1.0);
-            }
-            if y + 1 < ny {
-                coo.push(i, idx(x, y + 1), -1.0);
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-/// 3-D 7-point Laplacian on a `nx × ny × nz` grid: SPD, `nnz ≈ 7·n`.
-pub fn laplacian_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
-    let m = nx * ny * nz;
-    let mut coo = CooMatrix::new(m, m);
-    let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = idx(x, y, z);
-                coo.push(i, i, 6.0);
-                if x > 0 {
-                    coo.push(i, idx(x - 1, y, z), -1.0);
-                }
-                if x + 1 < nx {
-                    coo.push(i, idx(x + 1, y, z), -1.0);
-                }
-                if y > 0 {
-                    coo.push(i, idx(x, y - 1, z), -1.0);
-                }
-                if y + 1 < ny {
-                    coo.push(i, idx(x, y + 1, z), -1.0);
-                }
-                if z > 0 {
-                    coo.push(i, idx(x, y, z - 1), -1.0);
-                }
-                if z + 1 < nz {
-                    coo.push(i, idx(x, y, z + 1), -1.0);
-                }
-            }
-        }
-    }
-    coo.to_csr()
-}
-
 /// Symmetric positive-definite matrix with a *target* size and nnz:
 /// a random symmetric pattern of `≈ nnz` off-diagonal entries plus a
 /// diagonally-dominant diagonal. Used to match a SuiteSparse dataset's
-/// published statistics exactly where no stencil fits.
+/// published statistics exactly.
 pub fn random_spd(m: usize, target_nnz: usize, seed: u64) -> CsrMatrix {
     assert!(target_nnz >= m, "need at least the diagonal ({m} entries)");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -166,54 +101,9 @@ pub fn random_graph_adjacency(vertices: usize, target_nnz: usize, seed: u64) -> 
     coo.to_csr()
 }
 
-/// Scales a 2-D grid to approximately hit `(m, nnz)`: returns `(nx, ny)` such
-/// that `nx·ny ≈ m`. Used by the dataset registry to pick stencil dimensions.
-pub fn grid_for(m: usize) -> (usize, usize) {
-    let nx = (m as f64).sqrt().round() as usize;
-    let ny = m.div_ceil(nx.max(1));
-    (nx.max(1), ny.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn laplacian_2d_shape_and_nnz() {
-        let a = laplacian_2d(10, 10);
-        assert_eq!(a.rows(), 100);
-        // interior: 5 per row; edges fewer. nnz = 5*100 - 2*(10+10) = 460
-        assert_eq!(a.nnz(), 460);
-        assert!(a.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn laplacian_3d_shape_and_symmetry() {
-        let a = laplacian_3d(4, 4, 4);
-        assert_eq!(a.rows(), 64);
-        assert!(a.is_symmetric(1e-12));
-        assert!(a.occupancy() > 4.0 && a.occupancy() < 7.0);
-    }
-
-    #[test]
-    fn laplacian_is_positive_definite_ish() {
-        // x^T A x > 0 for a few random-ish x (necessary condition check).
-        let a = laplacian_2d(6, 6);
-        for seed in 1..5u64 {
-            let mut x = [0.0f64; 36];
-            let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            for xi in x.iter_mut() {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                *xi = ((s % 100) as f64 - 50.0) / 50.0 + 0.01;
-            }
-            let quad: f64 = (0..36)
-                .map(|r| x[r] * a.row(r).map(|(c, v)| v * x[c]).sum::<f64>())
-                .sum();
-            assert!(quad > 0.0, "x^T A x = {quad} not positive");
-        }
-    }
 
     #[test]
     fn random_spd_hits_target_stats() {
@@ -250,15 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_for_covers_m() {
-        for m in [100, 9604, 81920, 150102] {
-            let (nx, ny) = grid_for(m);
-            assert!(nx * ny >= m);
-            assert!(nx * ny < m + nx + ny); // tight cover
-        }
-    }
-
-    #[test]
     fn generators_are_deterministic() {
         assert_eq!(random_spd(100, 600, 9), random_spd(100, 600, 9));
         assert_eq!(
@@ -290,6 +171,5 @@ mod tests {
             csr_digest(&random_graph_adjacency(100, 500, 9)),
             0x6c0c_6c69_8814_f0e7
         );
-        assert_eq!(csr_digest(&laplacian_3d(4, 4, 4)), 0x852b_2c53_e76c_0442);
     }
 }

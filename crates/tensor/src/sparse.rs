@@ -36,11 +36,6 @@ impl CooMatrix {
         self.entries.push((row, col, value));
     }
 
-    /// Number of raw (pre-deduplication) entries.
-    pub fn raw_len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Converts to CSR, summing duplicate coordinates and dropping explicit
     /// zeros (including cancellations produced by the summing itself).
     ///
@@ -162,31 +157,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Constructs from raw CSR arrays, validating the invariants.
-    pub fn from_raw(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), rows + 1, "row_ptr length");
-        assert_eq!(col_idx.len(), values.len(), "col_idx/values length");
-        assert_eq!(*row_ptr.last().unwrap(), values.len(), "row_ptr terminator");
-        assert!(
-            row_ptr.windows(2).all(|w| w[0] <= w[1]),
-            "row_ptr must be non-decreasing"
-        );
-        assert!(col_idx.iter().all(|&c| c < cols), "col index out of bounds");
-        Self {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -451,11 +421,5 @@ mod tests {
     fn coo_bounds_checked() {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(2, 0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "row_ptr")]
-    fn from_raw_validates() {
-        let _ = CsrMatrix::from_raw(2, 2, vec![0, 1], vec![0], vec![1.0]);
     }
 }

@@ -368,26 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_matches_fig10() {
-        use cello_graph::reuse::ReuseProfile;
-        let dag = build_cg_dag(&CgParams {
-            iterations: 10,
-            ..params()
-        });
-        let profile = ReuseProfile::compute(&dag, &dag.topo_order());
-        // A is consumed once per iteration: freq 10 (Fig 10).
-        assert_eq!(profile.tensor("A").unwrap().frequency, 10);
-        // R@i: consumed by 5@i, 7@i, 4@(i+1): freq 3 (Fig 10).
-        assert_eq!(profile.tensor("R@1").unwrap().frequency, 3);
-        // X@i: only consumer is 3@(i+1): freq 1 (the paper's X example).
-        assert_eq!(profile.tensor("X@1").unwrap().frequency, 1);
-        // P@i: consumed by 1, 2a, 3, 7 of the next iteration.
-        assert_eq!(profile.tensor("P@1").unwrap().frequency, 4);
-        // Terminal-iteration outputs are dead.
-        assert_eq!(profile.tensor("X@10").unwrap().frequency, 0);
-    }
-
-    #[test]
     fn macs_accounting() {
         let dag = build_cg_dag(&params());
         let spmm_macs = dag.node(NodeId(0)).macs;

@@ -107,11 +107,6 @@ impl ResNetBlockParams {
             n: self.channels,
         }
     }
-
-    /// Total MACs of the residual block (producer excluded).
-    pub fn block_macs(&self) -> u64 {
-        self.conv1().macs() + self.conv2().macs() + self.conv3().macs() + self.m() * self.channels
-    }
 }
 
 fn gemm_spec(c: ConvGemm) -> EinsumSpec {
@@ -352,7 +347,9 @@ mod tests {
         // ResNet blocks are compute-dense: AI far above CG's ~2 ops/byte
         // (the paper notes ResNet is compute-bound at 1 TB/s).
         let p = ResNetBlockParams::conv3x();
-        let macs = p.block_macs() as f64;
+        // The block's MACs: every op but the producer.
+        let dag = build_resnet_block_dag(&p);
+        let macs = dag.nodes().skip(1).map(|(_, n)| n.macs).sum::<u64>() as f64;
         let words = (p.m() * p.channels * 3
             + p.conv1().weight_words()
             + p.conv2().weight_words()

@@ -229,3 +229,71 @@ fn paper_tie_cases_are_exact() {
         run_config(&resnet, ConfigKind::SetLike, &accel2, "resnet").dram_bytes
     );
 }
+
+/// Fig 10's `Freq`/`Dist` columns are the RIFF metadata the engine hands
+/// CHORD: each planned access carries the uses left after it (`freq_after`)
+/// and the ops until the next one (`dist_after`), counted once per consuming
+/// phase with realized edges removed.
+#[test]
+fn reuse_matches_fig10() {
+    use cello::sim::phases::{plan_phases, PhasePlan, PlannedAccess};
+    use std::collections::BTreeSet;
+    let dag = build_cg_dag(&CgParams {
+        m: 81_920,
+        occupancy: 4.0,
+        a_payload_words: 2 * 327_680 + 81_921,
+        n: 16,
+        nprime: 16,
+        iterations: 10,
+        a_occupancy: None,
+    });
+    let accesses = |plan: &PhasePlan| -> Vec<PlannedAccess> {
+        plan.phases
+            .iter()
+            .flat_map(|p| p.accesses.iter().cloned())
+            .collect()
+    };
+    let write = |all: &[PlannedAccess], name: &str| -> (u32, u32) {
+        all.iter()
+            .find(|a| a.write && a.name == name)
+            .map(|a| (a.freq_after, a.dist_after))
+            .unwrap_or_else(|| panic!("no write of {name}"))
+    };
+
+    // One op per phase, no realized edges: every consumer is its own use.
+    let op_by_op = accesses(&plan_phases(
+        &dag,
+        &build_schedule(&dag, ScheduleOptions::best_intra()),
+    ));
+    assert_eq!(dag.node_count(), 80);
+    for (nid, node) in dag.nodes() {
+        let consumers: BTreeSet<usize> = dag
+            .out_edges(nid)
+            .into_iter()
+            .map(|e| dag.edge(e).dst)
+            .collect();
+        let (freq, _) = write(&op_by_op, &node.output.name);
+        assert_eq!(freq, consumers.len() as u32, "{}", node.output.name);
+    }
+    // R@i: consumed by 5@i, 7@i and 4@(i+1), the next op first.
+    assert_eq!(write(&op_by_op, "R@1"), (3, 1));
+    // X@i: only 3@(i+1) reads it (the paper's X example).
+    assert_eq!(write(&op_by_op, "X@1").0, 1);
+    // P@i: read by 1, 2a, 3 and 7 of the next iteration.
+    assert_eq!(write(&op_by_op, "P@1").0, 4);
+    // Terminal-iteration outputs are dead.
+    assert_eq!(write(&op_by_op, "X@10"), (0, u32::MAX));
+    // A is read once per iteration: the first read leaves nine uses.
+    let first_a = op_by_op.iter().find(|a| a.name == "A").unwrap();
+    assert!(first_a.external && !first_a.write);
+    assert_eq!(first_a.freq_after, 9);
+
+    // Under CELLO's fused schedule a realized edge never reaches the
+    // buffer, so those uses leave the metadata CHORD receives.
+    let fused = accesses(&plan_phases(
+        &dag,
+        &build_schedule(&dag, ScheduleOptions::cello()),
+    ));
+    assert_eq!(write(&fused, "R@1").0, 2);
+    assert_eq!(write(&fused, "P@1").0, 3);
+}
