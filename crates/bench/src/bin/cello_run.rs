@@ -31,7 +31,9 @@ use cello_workloads::gcn::{build_gcn_dag, GcnParams};
 use cello_workloads::power_iter::{build_power_iter_dag, PowerIterParams};
 use cello_workloads::resnet::{build_resnet_stage_dag, ResNetBlockParams};
 use std::collections::BTreeMap;
+use std::num::{NonZeroU32, NonZeroU64};
 use std::process::exit;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 cello_run — CELLO accelerator simulator driver
@@ -71,6 +73,15 @@ fn parse_args() -> BTreeMap<String, String> {
     out
 }
 
+/// Parses `--key`'s value as a positive integer, or prints the usage and
+/// exits 2.
+fn positive<T: FromStr>(value: &str, key: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("--{key} must be a positive integer, got {value:?}\n{USAGE}");
+        exit(2);
+    })
+}
+
 fn find_dataset(name: &str) -> Dataset {
     registry()
         .into_iter()
@@ -104,9 +115,9 @@ fn main() {
 
     let workload = get("workload", "cg");
     let dataset_name = get("dataset", "shallow_water1");
-    let n: u64 = get("n", "16").parse().expect("--n must be an integer");
-    let iterations: u32 = get("iterations", "10").parse().expect("--iterations");
-    let blocks: u32 = get("blocks", "1").parse().expect("--blocks");
+    let n = positive::<NonZeroU64>(&get("n", "16"), "n").get();
+    let iterations = positive::<NonZeroU32>(&get("iterations", "10"), "iterations").get();
+    let blocks = positive::<NonZeroU32>(&get("blocks", "1"), "blocks").get();
     // Serve's cap: a 0 MiB SRAM holds no cache lines, and far above the
     // cap `sram_mb << 20` overflows.
     let sram_mb = match get("sram-mb", "4").parse::<u64>() {

@@ -320,8 +320,13 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that flip the global switch and drain the
+    /// global collector; `cargo test` runs tests on parallel threads.
+    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disabled_guards_are_inert() {
+        let _global = GLOBAL.lock().expect("no span test panicked holding it");
         set_enabled(false);
         let before = drain().len();
         {
@@ -332,6 +337,7 @@ mod tests {
 
     #[test]
     fn enabled_guards_collect_trees() {
+        let _global = GLOBAL.lock().expect("no span test panicked holding it");
         set_enabled(true);
         {
             let _root = crate::span!("span-test-root", kind = "test");

@@ -4,11 +4,13 @@
 //! the power-of-two set counts that model accepted).
 //!
 //! Random traces mix single `access`es and unaligned `stream`s of up to five
-//! times the capacity, so the LRU long-stream rule fires; every call's
-//! result and the running `AccessStats` must match, and so must the stats
-//! after `flush_dirty`. The engine-level tests pin the Flex+LRU and
-//! Flex+BRRIP statistics of the benchmark's figure runs, and run both cache
-//! configurations at a 3 MB SRAM, whose 24 576 sets are not a power of two.
+//! times the capacity, so the LRU clean-head rule and the BRRIP event rule
+//! fire; tensor-shaped traces stream a few fixed regions whole, as the
+//! cache backend does. Every call's result and the running `AccessStats`
+//! must match, and so must the stats after `flush_dirty`. The engine-level
+//! tests pin the Flex+LRU and Flex+BRRIP statistics of the benchmark's
+//! figure runs, and run both cache configurations at a 3 MB SRAM, whose
+//! 24 576 sets are not a power of two.
 
 use cello::core::accel::CelloConfig;
 use cello::core::score::binding::build_schedule;
@@ -324,6 +326,149 @@ fn brrip_streams_match_per_line_model() {
         let cfg = random_config(&mut rng, &[1, 2, 4, 8, 16]);
         replay::<BrripPolicy, reference::BrripPolicy>(cfg, &mut rng, 24);
     }
+}
+
+/// Both models side by side; every call must agree on its result and on
+/// the running statistics.
+struct Pair<P: ReplacementPolicy, R: reference::ReplacementPolicy> {
+    cache: SetAssocCache<P>,
+    model: reference::SetAssocCache<R>,
+    cfg: CacheConfig,
+}
+
+impl<P: ReplacementPolicy, R: reference::ReplacementPolicy> Pair<P, R> {
+    fn new(cfg: CacheConfig) -> Self {
+        Self {
+            cache: SetAssocCache::new(cfg),
+            model: reference::SetAssocCache::new(cfg),
+            cfg,
+        }
+    }
+
+    /// Streams `(start, bytes)` through both models; returns the misses.
+    fn stream(&mut self, (start, bytes): (u64, u64), write: bool, call: usize) -> u64 {
+        let cfg = self.cfg;
+        let misses = self.cache.stream(start, bytes, write);
+        assert_eq!(
+            misses,
+            self.model.stream(start, bytes, write),
+            "{cfg:?}: call {call} stream({start}, {bytes}, {write})"
+        );
+        assert_eq!(
+            self.cache.stats(),
+            self.model.stats(),
+            "{cfg:?}: after call {call}"
+        );
+        misses
+    }
+
+    fn flush(&mut self) {
+        self.cache.flush_dirty();
+        self.model.flush_dirty();
+        let cfg = self.cfg;
+        assert_eq!(
+            self.cache.stats(),
+            self.model.stats(),
+            "{cfg:?}: after flush"
+        );
+    }
+}
+
+/// Tensor-shaped traces: four regions laid out as `AddressMap` lays out
+/// tensors (line-aligned, back to back), each streamed whole, read or
+/// written, 72 times in all. Their lengths fall below one line per set,
+/// between that and the capacity `C`, in `[C, 2C)` and in `[2C, 4C)`.
+fn replay_tensors<P, R>(cfg: CacheConfig, rng: &mut Rng)
+where
+    P: ReplacementPolicy,
+    R: reference::ReplacementPolicy,
+{
+    let sets = cfg.sets() as u64;
+    let capacity = cfg.capacity_bytes / cfg.line_bytes;
+    let mut map = AddressMap::default();
+    let names = ["short", "mid", "one", "two"];
+    let lengths = [
+        1 + rng.below(sets),
+        sets + rng.below(capacity - sets + 1),
+        capacity + rng.below(capacity),
+        2 * capacity + rng.below(2 * capacity),
+    ];
+    for (name, lines) in names.iter().zip(lengths) {
+        // A tensor may end inside its last line.
+        map.insert(name, lines * cfg.line_bytes - rng.below(cfg.line_bytes));
+    }
+    let mut pair = Pair::<P, R>::new(cfg);
+    for call in 0..72 {
+        let region = map.range(rng.pick(&names));
+        pair.stream(region, rng.below(3) == 0, call);
+    }
+    pair.flush();
+}
+
+/// Geometries with set counts that are mostly not powers of two; lines of
+/// 4, 16 or 64 B, which `AddressMap`'s 64 B alignment keeps line-aligned.
+fn tensor_config(rng: &mut Rng, ways: usize) -> CacheConfig {
+    let line_bytes = rng.pick(&[4u64, 16, 64]);
+    let sets = 1 + rng.below(16);
+    CacheConfig {
+        capacity_bytes: sets * ways as u64 * line_bytes,
+        line_bytes,
+        associativity: ways,
+    }
+}
+
+#[test]
+fn lru_tensor_traces_match_per_line_model() {
+    let mut rng = Rng(0x5EED_0004);
+    for _ in 0..32 {
+        let ways = rng.pick(&[1, 2, 3, 5, 8, 16, 33, 64]);
+        let cfg = tensor_config(&mut rng, ways);
+        replay_tensors::<LruPolicy, reference::LruPolicy>(cfg, &mut rng);
+    }
+}
+
+#[test]
+fn brrip_tensor_traces_match_per_line_model() {
+    let mut rng = Rng(0x5EED_0005);
+    for _ in 0..32 {
+        let ways = rng.pick(&[1, 2, 3, 4, 7, 8, 16, 24, 63, 64]);
+        let cfg = tensor_config(&mut rng, ways);
+        replay_tensors::<BrripPolicy, reference::BrripPolicy>(cfg, &mut rng);
+    }
+}
+
+/// Writes a region of three capacities, then reads it back twice; between
+/// the write and the reads, LRU streams a disjoint region of one and a half
+/// capacities, whose head is clean. 24 sets of 8 ways.
+#[test]
+fn write_then_read_back_twice() {
+    let cfg = CacheConfig {
+        capacity_bytes: 24 * 8 * 16,
+        line_bytes: 16,
+        associativity: 8,
+    };
+    let c = 24 * 8;
+    let region = (0, 3 * c * 16);
+    // BRRIP keeps the lines it inserted long through the rest of the
+    // write, so each read hits on some of them.
+    let mut brrip = Pair::<BrripPolicy, reference::BrripPolicy>::new(cfg);
+    assert_eq!(brrip.stream(region, true, 0), 3 * c);
+    for call in 1..3 {
+        let misses = brrip.stream(region, false, call);
+        assert!(misses < 3 * c, "read {call} of the region hit nothing");
+    }
+    brrip.flush();
+    // LRU: the disjoint region misses on every line and evicts the `c`
+    // dirty lines the write left behind.
+    let mut lru = Pair::<LruPolicy, reference::LruPolicy>::new(cfg);
+    assert_eq!(lru.stream(region, true, 0), 3 * c);
+    let before = lru.cache.stats().writebacks;
+    assert_eq!(lru.stream((3 * c * 16, c * 24), false, 1), c * 3 / 2);
+    assert_eq!(lru.cache.stats().writebacks - before, c);
+    for call in 2..4 {
+        assert_eq!(lru.stream(region, false, call), 3 * c);
+    }
+    lru.flush();
 }
 
 /// The benchmark's figure inputs: cg/fv1 (16 columns, 2 iterations) and
