@@ -22,27 +22,45 @@
 //! charges long streams by an exact rule of its own
 //! ([`ReplacementPolicy::run_stream`]) and walks the rest line by line.
 //!
-//! # LRU: the clean-head rule
+//! # LRU: the stack-distance test
 //!
 //! Take a cache of `S` sets and `W` ways, `C = S·W` lines, and a stream of
-//! `n ≥ C` lines whose head, its first `C` lines, holds no line resident
-//! before the stream. The stream's lines are distinct and consecutive, so
-//! the head puts exactly `W` lines in every set and all of them miss. LRU
-//! keeps the `W` most recently used distinct lines of a set, so after the
-//! head every set holds exactly its head lines: every line resident before
-//! the stream has been evicted, and the dirty ones written back. From then
-//! on, line `i` finds in its set only the stream lines `i − S, …, i − W·S`:
-//! it misses and evicts the least recent of them, line `i − C`, which is
-//! dirty exactly when the stream writes. So every line misses; the
-//! writebacks are the lines dirty before the stream plus, when it writes,
-//! `n − C`; and the stream leaves its last `C` lines behind, dirty exactly
-//! when it writes, ranked in stream order. LRU picks victims by rank alone,
-//! never by way position, so the cache writes those lines oldest-first into
-//! ways `0..W` under fresh ranks and every later result is unchanged.
+//! `n ≥ C` lines. Its lines are distinct and consecutive, so its head, its
+//! first `C` lines, puts exactly `W` lines in every set.
 //!
-//! A stream of `n ≥ 2·C` lines whose head is not clean walks its head line
-//! by line. The head leaves only its own lines behind, so the rest of the
-//! stream has a clean head and takes the rule. Shorter streams walk.
+//! *If no head line hits, every line misses.* LRU keeps the `W` most
+//! recently used distinct lines of a set, so after the head every set holds
+//! exactly its head lines: every line resident before the stream has been
+//! evicted, and the dirty ones written back. From then on, line `i` finds
+//! in its set only the stream lines `i − S, …, i − W·S`: it misses and
+//! evicts the least recent of them, line `i − C`, which is dirty exactly
+//! when the stream writes. So the writebacks are the lines dirty before the
+//! stream plus, when it writes, `n − C`; and the stream leaves its last `C`
+//! lines behind, dirty exactly when it writes, ranked in stream order. LRU
+//! picks victims by rank alone, never by way position, so the cache writes
+//! those lines oldest-first into ways `0..W` under fresh ranks and every
+//! later result is unchanged.
+//!
+//! *Which head line hits.* Take a line `L` resident before the stream, of
+//! rank `r` in its set (the number of more recent ways; empty ways are
+//! ranked too and never accessed), at position `k` among its set's head
+//! lines. Before `L` is reached its set sees exactly the `k` earlier head
+//! lines of that set. An access to a line less recent than `L`, or absent,
+//! moves `L` one rank down; an access to a line more recent than `L` does
+//! not, and that line is still resident while `L` is, since LRU evicts the
+//! less recent first. So `L` hits iff `r + k − m < W`, where `m` counts the
+//! earlier head lines of its set that were resident and ranked below `r`.
+//!
+//! *Some head line hits iff a resident head line has `r + k < W`.* Such a
+//! line hits, since `m ≥ 0`. Conversely, when every resident head line has
+//! `r + k ≥ W`, each misses, by induction in stream order: an earlier line
+//! ranked below `L` that misses was evicted before it was reached, and `L`,
+//! less recent, was evicted before it; with no such line, `m = 0`. One pass
+//! over the slots decides this, and a stream whose head has no hit is
+//! charged as above. A stream of `n ≥ 2·C` lines whose head hits walks its
+//! head line by line. The head leaves only its own lines behind, so none of
+//! the rest's head is resident, and the rest is charged. Shorter streams
+//! whose head hits walk.
 //!
 //! # BRRIP: the event rule
 //!
@@ -63,20 +81,39 @@
 //! a possible hit and a long insertion. A set that is not in a run before
 //! its next line ages at once, as that line's fill would, unless the line
 //! is resident and so an event; nothing else touches the set in between.
-//! The stream takes its events in line order, each as one per-line step
-//! with the insertion it drew. Between two events of a set, that set's
-//! lines are short fills into its run way. A run of `r` of them writes back
-//! the way's occupant if it was dirty, plus `r − 1` lines when the stream
-//! writes, and leaves the run's last line in the way, dirty exactly when
-//! the stream writes. Each set's pending run is charged just before its
-//! next event, so a possible hit hits exactly when the run has not evicted
-//! it, and at the end of the stream.
+//! The stream takes its events in line order. Between two events of a set,
+//! that set's lines are short fills into its run way: its *pending run*. A
+//! run of `r` of them writes back the way's occupant if it was dirty, plus
+//! `r − 1` lines when the stream writes, and leaves the run's last line in
+//! the way, dirty exactly when the stream writes. Each set's pending run is
+//! charged when it ends, and at the end of the stream.
+//!
+//! A long insertion is one per-line step. A possible hit is charged from
+//! the slot the scan found it in, with no step. Its line misses if that
+//! slot no longer holds it (an earlier event of the set evicted it), or if
+//! the slot is the set's run way and the pending run has a fill before the
+//! line, which evicts it. Such a line is then a fill like any other: unless
+//! it draws a long insertion, it is a short fill of the pending run, and
+//! nothing is done. Otherwise the line hits: the pending run, which fills
+//! another way, ends at it, the slot's RRPV drops to 0 and its dirty bit
+//! takes the write. A hit leaves the run way where it was, since a way other
+//! than the run way is below RRPV 3 or at 3 with a higher index. The run way
+//! itself hits only at the start of a run, when nothing is pending; after
+//! it, as after any event, the set is made ready for its next line.
 //!
 //! The xorshift is linear over GF(2), so the draws are taken 32 at a time:
 //! per byte of the state, a table gives the low bits of the next 32 draws
 //! and the state after them. The generator ends where the per-line walk
 //! leaves it. A stream of fewer lines than sets walks, and so does a cache
 //! with an empty way, a round at a time until it is full.
+//!
+//! # Exact division
+//!
+//! The resident scan and the LRU test divide by `S` only numbers that `S`
+//! divides: line `l` of set `s` lies `(l − s) / S` rounds past line `s`.
+//! With `S = 2^j · o`, `o` odd, that quotient is `(x >> j) · o⁻¹` modulo
+//! 2^64: a shift and a multiplication, with no division and no narrowing
+//! of the 64-bit line numbers.
 
 use crate::stats::AccessStats;
 
@@ -188,18 +225,51 @@ pub struct LruPolicy {
 impl LruPolicy {
     /// Ranks way 0 of every set least recent and way `ways − 1` most
     /// recent, so empty ways fill in index order before any line is
-    /// evicted: first-empty-then-LRU with no empty check.
+    /// evicted: first-empty-then-LRU with no empty check. The first set is
+    /// ranked and then copied, doubling.
     fn rank_by_way(&mut self, ways: usize) {
-        for set in self.rank.chunks_exact_mut(ways) {
-            for (x, r) in set.iter_mut().zip((0..ways).rev()) {
-                *x = r as u8;
-            }
+        let rank = &mut self.rank;
+        for (x, r) in rank[..ways].iter_mut().zip((0..ways).rev()) {
+            *x = r as u8;
+        }
+        let mut ranked = ways;
+        while ranked < rank.len() {
+            let n = ranked.min(rank.len() - ranked);
+            rank.copy_within(..n, ranked);
+            ranked += n;
         }
     }
 
-    /// The clean-head rule: charges a stream of at least capacity lines,
-    /// none of its first capacity lines resident, and leaves its last
-    /// capacity lines in way order under fresh ranks.
+    /// Whether some line among the first `C` of a stream from `first` hits:
+    /// whether a line resident before it, of rank `r`, lies at a position
+    /// `k < W − r` of its set in the head (the stack-distance test in the
+    /// module docs). A head with no resident line takes one scan; otherwise
+    /// the sets are taken in stream order, so `k` is an exact quotient.
+    fn head_hits(cache: &SetAssocCache<Self>, first: u64) -> bool {
+        let (sets, ways) = (cache.sets, cache.ways);
+        let capacity = cache.tags.len() as u64;
+        let in_head = |tag: u64| tag.wrapping_sub(first) < capacity;
+        if !cache.tags.iter().any(|&tag| in_head(tag)) {
+            return false;
+        }
+        let first_set = (first % sets as u64) as usize;
+        (first_set..sets)
+            .chain(0..first_set)
+            .zip(0u64..)
+            .any(|(set, position)| {
+                let slots = set * ways..(set + 1) * ways;
+                let ranks = &cache.policy.rank[slots.clone()];
+                cache.tags[slots].iter().zip(ranks).any(|(&tag, &rank)| {
+                    in_head(tag)
+                        && u64::from(rank) + cache.by_sets.quotient(tag - first - position)
+                            < ways as u64
+                })
+            })
+    }
+
+    /// Charges a stream of at least capacity lines none of whose first
+    /// capacity lines hits, and leaves its last capacity lines in way order
+    /// under fresh ranks.
     fn evict_all(
         cache: &mut SetAssocCache<Self>,
         first: u64,
@@ -209,20 +279,23 @@ impl LruPolicy {
         let (sets, ways) = (cache.sets, cache.ways);
         let capacity = cache.tags.len() as u64;
         let dirty = cache.dirty.iter().filter(|&&d| d).count() as u64;
-        let from = first + lines - capacity;
-        // Offset from `from` of the first of its lines that maps to set 0.
-        let mut offset = (sets - (from % sets as u64) as usize) % sets;
-        for slots in cache.tags.chunks_exact_mut(ways) {
-            for (way, tag) in slots.iter_mut().enumerate() {
-                *tag = from + (offset + way * sets) as u64;
-            }
-            offset += 1;
-            if offset == sets {
-                offset = 0;
-            }
-        }
         cache.dirty.fill(is_write);
         cache.policy.rank_by_way(ways);
+        // The lines left are `from..from + C`, set `s` holding those of
+        // them `≡ s (mod sets)`, oldest in way 0. The sets from `from`'s
+        // set on start at `from`, the sets before it a round later.
+        let from = first + lines - capacity;
+        let from_set = (from % sets as u64) as usize;
+        let (before, after) = cache.tags.split_at_mut(from_set * ways);
+        let fill = |oldest: u64, slots: &mut [u64]| {
+            for (oldest, set) in (oldest..).zip(slots.chunks_exact_mut(ways)) {
+                for (way, tag) in set.iter_mut().enumerate() {
+                    *tag = oldest + (way * sets) as u64;
+                }
+            }
+        };
+        fill(from, after);
+        fill(from + (sets - from_set) as u64, before);
         (lines, dirty + if is_write { lines - capacity } else { 0 })
     }
 }
@@ -271,8 +344,7 @@ impl ReplacementPolicy for LruPolicy {
         is_write: bool,
     ) -> (u64, u64) {
         let capacity = cache.tags.len() as u64;
-        let head = first..first + capacity;
-        if lines >= capacity && !cache.tags.iter().any(|line| head.contains(line)) {
+        if lines >= capacity && !Self::head_hits(cache, first) {
             return Self::evict_all(cache, first, lines, is_write);
         }
         if lines < 2 * capacity {
@@ -316,12 +388,12 @@ pub struct BrripPolicy {
 /// Working memory of the event rule: `O(sets · ways)`.
 #[derive(Clone, Debug)]
 struct Events {
-    /// Every slot, those holding the stream's lines first (one spare entry
-    /// past the slots).
-    found: Vec<u32>,
+    /// Every slot with its set, those holding the stream's lines first (one
+    /// spare entry past the slots).
+    found: Vec<(u32, u32)>,
     /// The lines resident before the stream that it reaches, with their
-    /// sets, in line order.
-    resident: Vec<(u64, usize)>,
+    /// slots and sets, in line order.
+    resident: Vec<(u64, u32, u32)>,
     /// Start of each round's bucket in `resident`.
     starts: Vec<usize>,
     /// Each set's first stream line not yet charged.
@@ -414,39 +486,60 @@ impl BrripPolicy {
         Some(dirty)
     }
 
+    /// Whether `line`, resident in `slot` of `set` before the stream, is
+    /// still there when the stream reaches it: no earlier event of the set
+    /// has evicted it, and the set's pending run, if any, fills another way.
+    fn still_hits(cache: &SetAssocCache<Self>, line: u64, slot: usize, set: usize) -> bool {
+        let p = &cache.policy;
+        let (hi, lo) = p.planes[set];
+        let run_way = set * cache.ways + (hi & lo).trailing_zeros() as usize;
+        cache.tags[slot] == line && (p.scratch.next[set] == line || slot != run_way)
+    }
+
     /// Lists the lines resident before a stream of `rounds` rounds from
     /// `first` that it reaches, in line order. The sets are scanned in
     /// stream order, so the lines come out in order within each round, and
-    /// a counting sort by round orders them all.
+    /// a counting sort by round orders them all. A line's round is an exact
+    /// quotient, so no step divides.
     fn find_resident(cache: &mut SetAssocCache<Self>, first: u64, rounds: usize, end: u64) {
         let (sets, ways) = (cache.sets, cache.ways);
-        let split = (first % sets as u64) as usize * ways;
+        let first_set = (first % sets as u64) as usize;
+        // Line `l` of set `s` is `(l − s) / sets` rounds past line `s`; the
+        // stream's round 0 starts at `first`, in set `first_set`.
+        let by_sets = cache.by_sets;
+        let first_quotient = by_sets.quotient(first - first_set as u64);
+        let round = |line: u64, set: u32| {
+            (by_sets.quotient(line - u64::from(set))
+                - first_quotient
+                - u64::from((set as usize) < first_set)) as usize
+        };
         let ev = &mut cache.policy.scratch;
         ev.starts.clear();
         ev.starts.resize(rounds + 1, 0);
         // Branch-free: every slot is written at `found`, which only moves
         // past the slots of the stream's lines.
         let mut found = 0;
-        let (lines, round) = (end - first, |line: u64| {
-            ((line - first) / sets as u64) as usize
-        });
+        let lines = end - first;
         let tags = &cache.tags;
-        (split..tags.len()).chain(0..split).for_each(|slot| {
-            ev.found[found] = slot as u32;
-            found += usize::from(tags[slot].wrapping_sub(first) < lines);
-        });
-        for &slot in &ev.found[..found] {
-            ev.starts[round(tags[slot as usize]) + 1] += 1;
+        for set in (first_set..sets).chain(0..first_set) {
+            let base = set * ways;
+            for (slot, &tag) in (base..).zip(&tags[base..base + ways]) {
+                ev.found[found] = (slot as u32, set as u32);
+                found += usize::from(tag.wrapping_sub(first) < lines);
+            }
+        }
+        for &(slot, set) in &ev.found[..found] {
+            ev.starts[round(tags[slot as usize], set) + 1] += 1;
         }
         for r in 1..=rounds {
             ev.starts[r] += ev.starts[r - 1];
         }
         ev.resident.clear();
-        ev.resident.resize(found, (0, 0));
-        for &slot in &ev.found[..found] {
-            let slot = slot as usize;
-            let at = &mut ev.starts[round(tags[slot])];
-            ev.resident[*at] = (tags[slot], slot / ways);
+        ev.resident.resize(found, (0, 0, 0));
+        for &(slot, set) in &ev.found[..found] {
+            let line = tags[slot as usize];
+            let at = &mut ev.starts[round(line, set)];
+            ev.resident[*at] = (line, slot, set);
             *at += 1;
         }
     }
@@ -472,33 +565,45 @@ impl BrripPolicy {
         }
         let mut draws = Draws::new(cache.policy.lfsr);
         let mut long = draws.next_long();
-        let (mut events, mut hits, mut runs, mut writebacks, mut resident) = (0, 0, 0, 0, 0);
+        let (mut longs, mut hits, mut runs, mut writebacks, mut resident) = (0, 0, 0, 0, 0);
         loop {
-            let long_line = first + hits + long;
-            let (line, set) = match cache.policy.scratch.resident.get(resident) {
-                Some(&(line, set)) if line <= long_line => {
-                    resident += 1;
-                    (line, set)
+            // The possible hits up to the next long insertion. One that
+            // misses is a fill: a short fill of its set's pending run, or
+            // that long insertion.
+            while let Some(&(line, slot, set)) = cache.policy.scratch.resident.get(resident) {
+                if line > first + hits + long {
+                    break;
                 }
-                _ if long_line < end => (long_line, (long_line % sets) as usize),
-                _ => break,
-            };
+                resident += 1;
+                let (slot, set) = (slot as usize, set as usize);
+                if Self::still_hits(cache, line, slot, set) {
+                    if let Some(dirty) = Self::end_run(cache, set, line, is_write) {
+                        runs += 1;
+                        writebacks += u64::from(dirty);
+                    }
+                    cache.dirty[slot] |= is_write;
+                    cache.policy.on_hit(set, set * cache.ways, cache.ways, slot);
+                    hits += 1;
+                    Self::ready(cache, set, line + sets, end);
+                }
+            }
+            let line = first + hits + long;
+            if line >= end {
+                break;
+            }
+            let set = (line % sets) as usize;
             if let Some(dirty) = Self::end_run(cache, set, line, is_write) {
                 runs += 1;
                 writebacks += u64::from(dirty);
             }
-            let is_long = line - first - hits == long;
             let (hit, dirty_eviction) =
                 cache.touch_by(set, line, is_write, |p, set, base, ways| {
-                    p.insert(set, base, ways, is_long)
+                    p.insert(set, base, ways, true)
                 });
-            events += 1;
+            debug_assert!(!hit, "line {line} of a long insertion hit");
+            longs += 1;
             writebacks += u64::from(dirty_eviction);
-            if hit {
-                hits += 1;
-            } else if is_long {
-                long = draws.next_long();
-            }
+            long = draws.next_long();
             Self::ready(cache, set, line + sets, end);
         }
         // The last stream line of each set ends its last run.
@@ -515,7 +620,7 @@ impl BrripPolicy {
         }
         // Every other line of a run evicts the run's previous line.
         if is_write {
-            writebacks += lines - events - runs;
+            writebacks += lines - hits - longs - runs;
         }
         cache.policy.lfsr = draws.after(lines - hits);
         (lines - hits, writebacks)
@@ -539,7 +644,7 @@ impl ReplacementPolicy for BrripPolicy {
             empty: sets * ways,
             lfsr: 0x2A2A_2A2A,
             scratch: Events {
-                found: vec![0; sets * ways + 1],
+                found: vec![(0, 0); sets * ways + 1],
                 resident: Vec::with_capacity(sets * ways),
                 starts: Vec::with_capacity(sets + 1),
                 next: vec![0; sets],
@@ -596,8 +701,9 @@ impl ReplacementPolicy for BrripPolicy {
 
 /// The xorshift draws of one stream's fills, 32 at a time.
 struct Draws {
-    /// Generator state after `base` draws.
+    /// Generator state after `base` draws, and its block.
     x: u32,
+    block: Block,
     base: u64,
     /// Bit `j` set when draw `base + j` is a long insertion not yet handed
     /// out.
@@ -609,10 +715,12 @@ struct Draws {
 
 impl Draws {
     fn new(x: u32) -> Self {
+        let block = Block::of(x);
         Self {
             x,
+            block,
             base: 0,
-            longs: Block::of(x).longs(),
+            longs: block.longs(),
             mark: (x, 0),
         }
     }
@@ -621,9 +729,10 @@ impl Draws {
     fn next_long(&mut self) -> u64 {
         self.mark = (self.x, self.base);
         while self.longs == 0 {
-            self.x = Block::of(self.x).jump;
+            self.x = self.block.jump;
+            self.block = Block::of(self.x);
             self.base += 32;
-            self.longs = Block::of(self.x).longs();
+            self.longs = self.block.longs();
         }
         let j = self.longs.trailing_zeros();
         self.longs &= self.longs - 1;
@@ -735,6 +844,33 @@ impl Block {
     }
 }
 
+/// Division by a fixed `d = 2^shift · odd` of numbers it divides exactly:
+/// `x / d` is `(x >> shift) · odd⁻¹` modulo 2^64, with no divide instruction.
+#[derive(Clone, Copy, Debug)]
+struct ExactDiv {
+    shift: u32,
+    inverse: u64,
+}
+
+impl ExactDiv {
+    fn new(d: u64) -> Self {
+        let shift = d.trailing_zeros();
+        let odd = d >> shift;
+        // An odd number is its own inverse modulo 8, and each Newton step
+        // doubles the bits that are right: 3, 6, 12, 24, 48, 96.
+        let mut inverse = odd;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
+        Self { shift, inverse }
+    }
+
+    /// `x / d`, for `x` a multiple of `d`.
+    fn quotient(self, x: u64) -> u64 {
+        (x >> self.shift).wrapping_mul(self.inverse)
+    }
+}
+
 /// Tag of a slot that holds no line (only the last byte of the address
 /// space, under 1-byte lines, has this line number).
 const EMPTY: u64 = u64::MAX;
@@ -749,6 +885,8 @@ pub struct SetAssocCache<P: ReplacementPolicy> {
     policy: P,
     sets: usize,
     ways: usize,
+    /// Exact division by `sets`.
+    by_sets: ExactDiv,
     /// `log2(line_bytes)`.
     line_shift: u32,
     stats: AccessStats,
@@ -770,6 +908,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
             policy: P::new(sets, ways),
             sets,
             ways,
+            by_sets: ExactDiv::new(sets as u64),
             line_shift: config.line_bytes.trailing_zeros(),
             stats: AccessStats::default(),
         }
@@ -862,7 +1001,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// (the granularity tensors move at). Returns the number of misses.
     ///
     /// The policy's [`ReplacementPolicy::run_stream`] charges it, by the
-    /// module's clean-head rule (LRU) or event rule (BRRIP) where they
+    /// module's stack-distance test (LRU) or event rule (BRRIP) where they
     /// apply.
     pub fn stream(&mut self, start: u64, bytes: u64, is_write: bool) -> u64 {
         let first = start >> self.line_shift;
@@ -1065,6 +1204,44 @@ mod tests {
         }
         assert!(matches!(cache.access(0, false), AccessOutcome::Miss { .. }));
         assert_eq!(cache.stats().misses, 10);
+    }
+
+    #[test]
+    fn exact_division_by_any_set_count() {
+        for d in [1u64, 2, 3, 6, 7, 24, 24_576, 1 << 20, 3 << 40, u64::MAX] {
+            let div = ExactDiv::new(d);
+            let quotients = [0u64, 1, 5, 1_000_003, u64::MAX / d];
+            for q in quotients.into_iter().filter(|&q| q <= u64::MAX / d) {
+                assert_eq!(div.quotient(q * d), q, "{q} · {d}");
+            }
+        }
+    }
+
+    /// Re-streams of a region of `n` lines in one fully associative set of
+    /// 4 ways: the first stream leaves lines `n − 4 … n − 1` ranked 3 … 0.
+    #[test]
+    fn lru_head_hits_exactly_when_a_rank_plus_position_is_below_the_ways() {
+        let cfg = CacheConfig {
+            capacity_bytes: 64,
+            line_bytes: 16,
+            associativity: 4,
+        };
+        let head_hits = |n: u64, touch: Option<u64>| {
+            let mut c = SetAssocCache::<LruPolicy>::new(cfg);
+            c.stream(0, n * 16, false);
+            if let Some(line) = touch {
+                c.access(line * 16, false);
+            }
+            LruPolicy::head_hits(&c, 0)
+        };
+        // n = 4: line 0 has rank 3 at position 0, and 3 + 0 < 4.
+        assert!(head_hits(4, None));
+        // n = 5: line k + 1 has rank 3 − k at position k + 1: every sum is 4.
+        assert!(!head_hits(5, None));
+        // Touching line 3 ranks it 0 at position 3.
+        assert!(head_hits(5, Some(3)));
+        // n = 8 leaves no head line resident.
+        assert!(!head_hits(8, None));
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   the `Flex+LRU` / `Flex+BRRIP` baselines. A tensor moves as one stream,
 //!   charged once per stream with the results of one access per line. Each
 //!   policy charges long streams by an exact rule argued in the module
-//!   docs: LRU's clean-head rule charges a stream that evicts everything in
-//!   closed form, and BRRIP's event rule steps only possible hits and long
-//!   insertions. Any set count works: lines map to sets by `line % sets`;
+//!   docs: LRU's stack-distance test finds from recency ranks whether any
+//!   line of a stream's head hits, and a stream none of whose head lines
+//!   hits is charged in closed form; BRRIP's event rule steps only long
+//!   insertions and charges possible hits from their slots. Any set count
+//!   works: lines map to sets by `line % sets`;
 //! - [`model`]: CACTI-lite area & per-access energy of every buffer kind
 //!   (scratchpad, cache, buffet, CHORD), calibrated to the paper's published
 //!   4 MB figures (Table III, Fig 15).

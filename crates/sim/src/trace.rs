@@ -37,19 +37,17 @@ impl AddressMap {
     }
 
     /// Registers `tensor` (aliased by base name) with `bytes` footprint.
+    /// A version larger than its buffer's region moves the region past
+    /// every other one: growing it in place would run into the next.
     pub fn insert(&mut self, tensor: &str, bytes: u64) {
-        let base = base_name(tensor).to_string();
-        let entry = self.ranges.entry(base).or_insert_with(|| {
-            let start = self.next;
-            self.next += bytes.max(1);
-            // Line-align region starts so tensors never share a cache line.
-            self.next = self.next.div_ceil(64) * 64;
-            (start, bytes)
-        });
-        // Versions of the same buffer must agree on footprint; grow if needed.
-        if bytes > entry.1 {
-            entry.1 = bytes;
+        let base = base_name(tensor);
+        if self.ranges.get(base).is_some_and(|range| range.1 >= bytes) {
+            return;
         }
+        let start = self.next;
+        // Line-align region starts so tensors never share a cache line.
+        self.next = (start + bytes.max(1)).div_ceil(64) * 64;
+        self.ranges.insert(base.to_string(), (start, bytes));
     }
 
     /// Byte range of a tensor (panics on unknown tensors — the engine always
@@ -91,6 +89,29 @@ mod tests {
         let (c0, _) = m.range("C");
         assert!(a0 + ab <= b0);
         assert!(b0 + bb <= c0);
+    }
+
+    #[test]
+    fn growing_a_region_does_not_overlap_the_next() {
+        let mut m = AddressMap::default();
+        m.insert("R@1", 100);
+        m.insert("X", 100);
+        m.insert("R@2", 1000);
+        m.insert("Y", 100);
+        assert_eq!(m.range("R@1"), m.range("R@2"));
+        assert_eq!(m.range("R@1").1, 1000);
+        let regions = ["R", "X", "Y"].map(|t| m.range(t));
+        for (i, &(a, a_bytes)) in regions.iter().enumerate() {
+            for &(b, b_bytes) in &regions[i + 1..] {
+                assert!(
+                    a + a_bytes <= b || b + b_bytes <= a,
+                    "{a}+{a_bytes} overlaps {b}+{b_bytes}"
+                );
+            }
+        }
+        // A smaller later version keeps the region.
+        m.insert("R@3", 10);
+        assert_eq!(m.range("R@3"), regions[0]);
     }
 
     #[test]

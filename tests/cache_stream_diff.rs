@@ -4,10 +4,16 @@
 //! the power-of-two set counts that model accepted).
 //!
 //! Random traces mix single `access`es and unaligned `stream`s of up to five
-//! times the capacity, so the LRU clean-head rule and the BRRIP event rule
-//! fire; tensor-shaped traces stream a few fixed regions whole, as the
-//! cache backend does. Every call's result and the running `AccessStats`
-//! must match, and so must the stats after `flush_dirty`. The engine-level
+//! times the capacity, so the LRU stack-distance test and the BRRIP event
+//! rule fire; tensor-shaped traces stream a few fixed regions whole, as the
+//! cache backend does. Targeted traces, at set counts that are and are not
+//! powers of two, cover the newer paths: LRU re-streams of a region of
+//! `C..2C` lines whose tail is resident, all missing without a walk or,
+//! with one head line touched first, hitting and walking; and BRRIP
+//! re-reads of a written region, whose possible hits fall in ways other
+//! than a set's run way, in the run way behind a pending fill, and at the
+//! start of a run. Every call's result and the running `AccessStats` must
+//! match, and so must the stats after `flush_dirty`. The engine-level
 //! tests pin the Flex+LRU and Flex+BRRIP statistics of the benchmark's
 //! figure runs, and run both cache configurations at a 3 MB SRAM, whose
 //! 24 576 sets are not a power of two.
@@ -285,15 +291,18 @@ where
     assert_eq!(cache.stats(), model.stats(), "{cfg:?}: after flush");
 }
 
+fn geometry(sets: u64, ways: usize, line_bytes: u64) -> CacheConfig {
+    CacheConfig {
+        capacity_bytes: sets * ways as u64 * line_bytes,
+        line_bytes,
+        associativity: ways,
+    }
+}
+
 fn random_config(rng: &mut Rng, ways: &[usize]) -> CacheConfig {
     let line_bytes = rng.pick(&[4u64, 16, 64]);
-    let associativity = rng.pick(ways);
-    let sets = 1 + rng.below(32);
-    CacheConfig {
-        capacity_bytes: sets * associativity as u64 * line_bytes,
-        line_bytes,
-        associativity,
-    }
+    let ways = rng.pick(ways);
+    geometry(1 + rng.below(32), ways, line_bytes)
 }
 
 #[test]
@@ -343,6 +352,16 @@ impl<P: ReplacementPolicy, R: reference::ReplacementPolicy> Pair<P, R> {
             model: reference::SetAssocCache::new(cfg),
             cfg,
         }
+    }
+
+    /// One `access` through both models.
+    fn access(&mut self, addr: u64, write: bool, call: usize) {
+        let cfg = self.cfg;
+        assert_eq!(
+            self.cache.access(addr, write),
+            self.model.access(addr, write),
+            "{cfg:?}: call {call} access({addr}, {write})"
+        );
     }
 
     /// Streams `(start, bytes)` through both models; returns the misses.
@@ -409,12 +428,7 @@ where
 /// 4, 16 or 64 B, which `AddressMap`'s 64 B alignment keeps line-aligned.
 fn tensor_config(rng: &mut Rng, ways: usize) -> CacheConfig {
     let line_bytes = rng.pick(&[4u64, 16, 64]);
-    let sets = 1 + rng.below(16);
-    CacheConfig {
-        capacity_bytes: sets * ways as u64 * line_bytes,
-        line_bytes,
-        associativity: ways,
-    }
+    geometry(1 + rng.below(16), ways, line_bytes)
 }
 
 #[test]
@@ -469,6 +483,77 @@ fn write_then_read_back_twice() {
         assert_eq!(lru.stream(region, false, call), 3 * c);
     }
     lru.flush();
+}
+
+/// Set counts for the targeted traces: non-powers of two and powers of two.
+const SET_COUNTS: [u64; 8] = [1, 3, 4, 6, 7, 12, 16, 24];
+
+/// LRU re-streams of one region of `C..2C` lines, `C` the capacity: each
+/// stream leaves the region's last `C` lines resident, so every re-stream's
+/// head holds resident lines. From `C + sets` lines on, every set has
+/// overflowed and all of them miss (the cyclic case, decided by rank). Just
+/// before some re-streams one head line is touched, which makes it hit and
+/// keeps the walk.
+#[test]
+fn lru_cyclic_restreams_match_per_line_model() {
+    let mut rng = Rng(0x5EED_0006);
+    for sets in SET_COUNTS {
+        for _ in 0..6 {
+            let ways = rng.pick(&[1, 2, 3, 4, 8, 16]);
+            let cfg = geometry(sets, ways, rng.pick(&[4, 16, 64]));
+            let capacity = sets * ways as u64;
+            let lines = capacity + rng.below(capacity);
+            let start = rng.below(8) * cfg.line_bytes;
+            let region = (start, lines * cfg.line_bytes);
+            let mut pair = Pair::<LruPolicy, reference::LruPolicy>::new(cfg);
+            pair.stream(region, true, 0);
+            for call in 1..12 {
+                let write = rng.below(2) == 0;
+                if call % 3 == 0 {
+                    let head_line = rng.below(capacity);
+                    pair.access(start + head_line * cfg.line_bytes, write, call);
+                    let misses = pair.stream(region, write, call);
+                    assert!(misses < lines, "{cfg:?}: call {call} hit nothing");
+                } else {
+                    let misses = pair.stream(region, write, call);
+                    if lines >= capacity + sets {
+                        assert_eq!(misses, lines, "{cfg:?}: call {call}");
+                    }
+                }
+            }
+            pair.flush();
+        }
+    }
+}
+
+/// BRRIP writes of one region of one line per set up to four capacities,
+/// each read back and rewritten, with a second region streamed in between
+/// now and then. A re-read finds lines resident before it in ways other
+/// than the set's run way, in the run way behind a pending fill (which
+/// evicts them) and in the run way at the start of a run.
+#[test]
+fn brrip_rereads_match_per_line_model() {
+    let mut rng = Rng(0x5EED_0007);
+    for sets in SET_COUNTS {
+        for _ in 0..6 {
+            let ways = rng.pick(&[1, 2, 3, 4, 8, 16]);
+            let cfg = geometry(sets, ways, rng.pick(&[4, 16, 64]));
+            let capacity = sets * ways as u64;
+            let mut map = AddressMap::default();
+            map.insert("region", (sets + rng.below(4 * capacity)) * cfg.line_bytes);
+            map.insert("other", (sets + rng.below(2 * capacity)) * cfg.line_bytes);
+            let mut pair = Pair::<BrripPolicy, reference::BrripPolicy>::new(cfg);
+            for call in 0..24 {
+                let (name, write) = match call % 4 {
+                    0 => ("region", true),
+                    3 if rng.below(2) == 0 => ("other", rng.below(2) == 0),
+                    _ => ("region", false),
+                };
+                pair.stream(map.range(name), write, call);
+            }
+            pair.flush();
+        }
+    }
 }
 
 /// The benchmark's figure inputs: cg/fv1 (16 columns, 2 iterations) and
