@@ -643,7 +643,8 @@ fn run_quick(args: &Args) {
         "cello_dse --quick: three-tier trajectory (CI bench)",
         &DSE_HEADER,
         &rows,
-    );
+    )
+    .unwrap_or_else(|e| eprintln!("[warn] {e}"));
     let doc = Json::Obj(vec![
         ("schema".into(), Json::int(1)),
         (
@@ -767,7 +768,8 @@ fn main() {
         "cello_dse: tuned vs. paper-heuristic schedules",
         &DSE_HEADER,
         &rows,
-    );
+    )
+    .unwrap_or_else(|e| eprintln!("[warn] {e}"));
     println!("workloads improved by {} tuning: {wins}", primary.label());
 
     // Multi-node vs single-node total traffic on CG — the §V-B payoff. The

@@ -26,7 +26,7 @@ use cello_serve::protocol::caps::MAX_SRAM_MB;
 use cello_sim::baselines::{run_config, ConfigKind};
 use cello_workloads::bicgstab::{build_bicgstab_dag, BicgParams};
 use cello_workloads::cg::{build_cg_dag, CgParams};
-use cello_workloads::datasets::{registry, Dataset};
+use cello_workloads::datasets::{registry, Dataset, DatasetKind};
 use cello_workloads::gcn::{build_gcn_dag, GcnParams};
 use cello_workloads::power_iter::{build_power_iter_dag, PowerIterParams};
 use cello_workloads::resnet::{build_resnet_stage_dag, ResNetBlockParams};
@@ -60,7 +60,9 @@ fn parse_args() -> BTreeMap<String, String> {
             println!("{USAGE}");
             exit(0);
         }
-        let Some(key) = a.strip_prefix("--") else {
+        // A key is valid when the usage names it as `[--key <value>`.
+        let named = |key: &&str| USAGE.contains(&format!("[--{key} "));
+        let Some(key) = a.strip_prefix("--").filter(named) else {
             eprintln!("unexpected argument {a:?}\n{USAGE}");
             exit(2);
         };
@@ -152,7 +154,16 @@ fn main() {
             n,
             iterations,
         )),
-        "gcn" => build_gcn_dag(&GcnParams::from_dataset(&find_dataset(&dataset_name), 1)),
+        "gcn" => {
+            let d = find_dataset(&dataset_name);
+            if !matches!(d.kind, DatasetKind::Graph { .. }) {
+                eprintln!(
+                    "gcn needs a graph dataset (cora, protein), got {dataset_name:?}\n{USAGE}"
+                );
+                exit(2);
+            }
+            build_gcn_dag(&GcnParams::from_dataset(&d, 1))
+        }
         "resnet" => {
             accel = accel.with_word_bytes(2); // Table VII
             build_resnet_stage_dag(&ResNetBlockParams::conv3x(), blocks)

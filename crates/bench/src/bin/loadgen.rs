@@ -390,7 +390,8 @@ fn main() {
             "p95_us",
         ],
         &rows,
-    );
+    )
+    .unwrap_or_else(|e| eprintln!("[warn] {e}"));
     println!(
         "hit rate {} | p50 {p50} µs | p95 {p95} µs | p99 {p99} µs | {} req/s | cold {} µs vs hit {} µs ({}x)",
         f3(hit_rate),

@@ -1,17 +1,17 @@
-//! Shared harness helpers for the figure/table binaries.
+//! Shared harness helpers for the `cello-bench` binaries.
 //!
-//! `src/bin/paper_results.rs` regenerates the main-results figures and the
-//! headline from one grid; every other `src/bin/figXX_*.rs` / `tabXX_*.rs`
-//! binary regenerates one paper artifact. Each prints the same rows/series
-//! the paper reports and writes a TSV per table under `results/`. This
-//! module centralizes the common legwork: running a grid of (workload ×
-//! configuration) simulations in parallel, labeling, and emission.
+//! `src/bin/paper_results.rs` regenerates every paper figure and table from
+//! one simulation grid; it, `cello_dse` and `loadgen` print their tables and
+//! save one TSV per table under `results/`. This module centralizes the
+//! common legwork: running a grid of (workload × configuration) simulations
+//! in parallel, number formatting, and emission.
 
 use cello_core::accel::CelloConfig;
+use cello_core::score::multinode::Partition;
 use cello_graph::dag::TensorDag;
-use cello_sim::baselines::{run_config, ConfigKind};
+use cello_sim::baselines::{run_partitioned, ConfigKind};
 use cello_sim::report::{tsv, write_results, RunReport};
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod explain;
 /// Re-export of the codec for `cellobench/src/serve.rs`, which imports
@@ -19,7 +19,8 @@ pub mod explain;
 /// `cello_obs::json` directly.
 pub use cello_obs::json;
 
-/// One cell of a sweep: a labeled workload DAG under a labeled accelerator.
+/// One cell of a sweep: a labeled workload DAG under a labeled accelerator,
+/// the partition its schedules are built under, and the configurations to run.
 pub struct GridCell {
     /// Workload label (dataset, N, bandwidth…).
     pub label: String,
@@ -27,31 +28,57 @@ pub struct GridCell {
     pub dag: TensorDag,
     /// The accelerator configuration.
     pub accel: CelloConfig,
+    /// The multi-node partition (§V-B); `Partition::single()` for one node.
+    pub partition: Partition,
+    /// The configurations this cell runs, in report order.
+    pub configs: Vec<ConfigKind>,
 }
 
-/// Runs `configs` over every grid cell in parallel; results are ordered
-/// cell-major then config-major.
-pub fn run_grid(cells: &[GridCell], configs: &[ConfigKind]) -> Vec<RunReport> {
-    let jobs: Vec<(usize, &GridCell, ConfigKind)> = cells
+/// Runs every cell under each of its configurations in parallel: one report
+/// list per cell, in the order of its `configs`. Job costs differ by orders
+/// of magnitude (a line-level cache on a 16 MB CG against CELLO on a 2-node
+/// slice), so each worker takes the next job as it finishes one instead of
+/// a fixed share of the list.
+pub fn run_grid(cells: &[GridCell]) -> Vec<Vec<RunReport>> {
+    let jobs: Vec<(&GridCell, ConfigKind)> = cells
         .iter()
-        .enumerate()
-        .flat_map(|(i, c)| {
-            configs
-                .iter()
-                .enumerate()
-                .map(move |(j, &k)| (i * configs.len() + j, c, k))
-        })
+        .flat_map(|c| c.configs.iter().map(move |&k| (c, k)))
         .collect();
-    let mut reports: Vec<(usize, RunReport)> = jobs
-        .par_iter()
-        .map(|&(idx, cell, kind)| (idx, run_config(&cell.dag, kind, &cell.accel, &cell.label)))
-        .collect();
-    reports.sort_by_key(|(i, _)| *i);
-    reports.into_iter().map(|(_, r)| r).collect()
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The counter publishes nothing: reports come back through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(c, k)) = jobs.get(i) else {
+                return done;
+            };
+            done.push((
+                i,
+                run_partitioned(&c.dag, k, &c.accel, c.partition, &c.label),
+            ));
+        }
+    };
+    let mut done: Vec<(usize, RunReport)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..rayon::current_num_threads())
+            .map(|_| s.spawn(work))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("grid worker panicked"))
+            .collect()
+    });
+    done.sort_by_key(|&(i, _)| i);
+    let mut reports = done.into_iter().map(|(_, r)| r);
+    cells
+        .iter()
+        .map(|c| reports.by_ref().take(c.configs.len()).collect())
+        .collect()
 }
 
-/// Prints a titled table to stdout and saves it under `results/<name>.tsv`.
-pub fn emit(name: &str, title: &str, header: &[&str], rows: &[Vec<String>]) {
+/// Prints a titled table to stdout and saves it under `results/<name>.tsv`;
+/// the error names the file it could not save.
+pub fn emit(name: &str, title: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
     println!("== {title} ==");
     let widths: Vec<usize> = header
         .iter()
@@ -79,11 +106,11 @@ pub fn emit(name: &str, title: &str, header: &[&str], rows: &[Vec<String>]) {
     for r in rows {
         println!("{}", fmt_row(r));
     }
-    match write_results(name, &tsv(header, rows)) {
-        Ok(path) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn] could not save results/{name}.tsv: {e}"),
-    }
-    println!();
+    let path = write_results(name, &tsv(header, rows)).map_err(|e| {
+        std::io::Error::new(e.kind(), format!("could not save results/{name}.tsv: {e}"))
+    })?;
+    println!("[saved {}]\n", path.display());
+    Ok(())
 }
 
 /// Formats a float with context-appropriate precision.
@@ -96,30 +123,5 @@ pub fn f3(x: f64) -> String {
         format!("{x:.2}")
     } else {
         format!("{x:.4}")
-    }
-}
-
-/// Yes/no cell for capability tables.
-pub fn yn(b: bool) -> String {
-    if b {
-        "yes".into()
-    } else {
-        "no".into()
-    }
-}
-
-/// One labeled CG cell (the Fig 16(b) SRAM sweep builds its grid from these).
-pub fn cg_cell(
-    dataset: &cello_workloads::datasets::Dataset,
-    n: u64,
-    iterations: u32,
-    accel: CelloConfig,
-    extra: &str,
-) -> GridCell {
-    let prm = cello_workloads::cg::CgParams::from_dataset(dataset, n, iterations);
-    GridCell {
-        label: format!("{} N={n}{extra}", dataset.name),
-        dag: cello_workloads::cg::build_cg_dag(&prm),
-        accel,
     }
 }

@@ -11,7 +11,8 @@
 //!   `N × N' × (Hops_broadcast + Hops_reduce)` words.
 //!
 //! Since `M ≫ N × hops` in CG, the scalable strategy wins by orders of
-//! magnitude; the `ablation_noc` harness regenerates the comparison.
+//! magnitude; `paper_results`' `ablation_noc` table regenerates the
+//! comparison.
 //!
 //! Both strategies are expressible as **schedule decisions**: a
 //! [`Partition`] (node count + [`PartitionAxis`]) rides on a

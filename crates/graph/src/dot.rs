@@ -2,8 +2,8 @@
 //!
 //! Fig 7 of the paper presents Algorithm 2's output as a colored graph
 //! (pipelineable = blue, delayed writeback = brick red, delayed hold = cyan,
-//! parallel multicast = green). The `fig07_classify` harness uses this module
-//! to emit the same artifact; edge colors are supplied by the caller so the
+//! parallel multicast = green). `paper_results` uses this module to emit
+//! the same artifact (`results/fig07_*.dot`); edge colors are supplied by the caller so the
 //! graph crate stays independent of the scheduler. [`to_dot_annotated`]
 //! additionally groups nodes into per-phase clusters with caller-supplied
 //! labels (phase index, SRAM split) so a *scheduled* DAG — e.g. one served

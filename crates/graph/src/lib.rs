@@ -12,7 +12,7 @@
 //!   the rank names the consumer sees (needed for the "unshared" test);
 //! - [`dag`]: the graph itself — topological order, **transitive edge**
 //!   detection and **longest paths** (both load-bearing in Algorithm 2);
-//! - [`dot`]: Graphviz rendering used by the Fig 7 harness.
+//! - [`dot`]: Graphviz rendering (`paper_results` draws Fig 7 with it).
 //!
 //! The reuse metadata SCORE hands CHORD's RIFF policy (Fig 10's `Freq` and
 //! `Dist` columns) is derived per access by `cello_sim::phases`, where the

@@ -18,7 +18,8 @@ use crate::engine::run_schedule;
 use crate::report::RunReport;
 use crate::trace::AddressMap;
 use cello_core::accel::CelloConfig;
-use cello_core::score::binding::{build_schedule, ScheduleOptions};
+use cello_core::score::binding::{build_schedule_with, ScheduleConstraints, ScheduleOptions};
+use cello_core::score::multinode::Partition;
 use cello_graph::dag::TensorDag;
 use cello_mem::cache::{BrripPolicy, LruPolicy};
 
@@ -93,7 +94,7 @@ impl ConfigKind {
     }
 }
 
-/// Table II capability row (used by the `tab02_score` harness).
+/// Table II capability row (`paper_results` prints it as `tab02_score`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Capabilities {
     /// Intra-operation reuse.
@@ -150,7 +151,24 @@ pub fn run_config(
     accel: &CelloConfig,
     workload: &str,
 ) -> RunReport {
-    let schedule = build_schedule(dag, kind.schedule_options());
+    run_partitioned(dag, kind, accel, Partition::single(), workload)
+}
+
+/// Runs one configuration with its schedule built under a multi-node
+/// `partition` (§V-B). A 1-node partition is the single-node schedule, so
+/// this is [`run_config`] there.
+pub fn run_partitioned(
+    dag: &TensorDag,
+    kind: ConfigKind,
+    accel: &CelloConfig,
+    partition: Partition,
+    workload: &str,
+) -> RunReport {
+    let schedule = build_schedule_with(
+        dag,
+        kind.schedule_options(),
+        &ScheduleConstraints::partitioned(partition),
+    );
     debug_assert!(schedule.validate(dag).is_ok());
     let mut backend = backend_for(dag, kind, accel);
     run_schedule(
@@ -164,8 +182,8 @@ pub fn run_config(
 }
 
 /// The buffer hierarchy (Table IV column) a configuration runs against.
-/// Exposed so multi-node harnesses (`crate::scaling`) can pair a
-/// partitioned schedule with the same backend `run_config` would pick.
+/// Exposed so a caller that builds its own schedule runs it against the
+/// same backend [`run_partitioned`] would pick.
 pub fn backend_for(
     dag: &TensorDag,
     kind: ConfigKind,

@@ -20,8 +20,10 @@
 //!   (operand-granular, PRELUDE+RIFF or PRELUDE-only);
 //! - [`trace`]: the address map used by cache backends (versioned tensors
 //!   alias the same physical buffer, as in-place solvers do);
-//! - [`baselines`]: the Table IV configuration registry and Table II
-//!   capability matrix;
+//! - [`baselines`]: the Table IV configuration registry, the Table II
+//!   capability matrix, and the runners that pair a configuration's schedule
+//!   (single-node, or under a §V-B [`cello_core::Partition`]) with its
+//!   backend;
 //! - [`energy`]: off-chip + on-chip energy accounting (Fig 14/15);
 //! - [`evaluate`]: the cheap cost path (traffic + roofline cycles + NoC
 //!   hop-bytes + energy, no trace) that the `cello-search` DSE engine
@@ -29,8 +31,6 @@
 //! - [`overlap`]: the transfer-timing ledger — prefetch/double-buffer
 //!   overlap ([`cello_core::TransferTuning`]) converted into exposed
 //!   transfer cycles, the one place the engine times DRAM transfers;
-//! - [`scaling`]: the §V-B strong-scaling harness — naive-vs-scalable as
-//!   two partitioned schedules scored by the same engine;
 //! - [`report`]: run reports, geomeans, TSV emission;
 //! - [`obs`]: the cycles-model span tree — a [`RunReport`] rendered as a
 //!   `cello_obs` span forest (model time, not wall clock) for the
@@ -45,7 +45,6 @@ pub mod obs;
 pub mod overlap;
 pub mod phases;
 pub mod report;
-pub mod scaling;
 pub mod trace;
 
 pub use baselines::{run_config, ConfigKind};

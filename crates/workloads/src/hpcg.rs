@@ -2,8 +2,8 @@
 //!
 //! The paper motivates CELLO with the HPCG-vs-HPL gap on the top
 //! supercomputers (CG reaches only 1–3% of peak). The survey rows are
-//! embedded so the `tab01_hpcg` harness can re-emit the table and tests can
-//! verify the derived percentages. [`build_hpcg_dag`] additionally provides
+//! embedded so `paper_results` can re-emit the table (`tab01_hpcg`) and
+//! tests can verify the derived percentages. [`build_hpcg_dag`] additionally provides
 //! a schedulable workload: HPCG's core is CG over a 27-point 3-D stencil,
 //! so the DAG is the CG cascade at occupancy 27 — dense enough that the
 //! sparse operand dwarfs the 5-point problems and stresses CHORD capacity

@@ -5,14 +5,19 @@
 //!
 //! Both properties go through the *scheduled* path — `build_schedule_with`
 //! with a `Partition` constraint, scored by `sim::evaluate` — so they pin
-//! the engine's NoC/tiling model, not a standalone formula.
+//! the engine's NoC/tiling model, not a standalone formula. The strong-scaling
+//! checks at the end run CELLO the way `paper_results` runs its grid:
+//! `run_partitioned` (the partitioned schedule on `backend_for`'s CHORD).
 
 use cello::core::accel::CelloConfig;
 use cello::core::score::binding::{build_schedule_with, ScheduleConstraints, ScheduleOptions};
 use cello::core::score::multinode::{dominant_partition_rank, Partition};
 use cello::graph::dag::TensorDag;
+use cello::sim::baselines::{run_partitioned, ConfigKind};
 use cello::sim::evaluate::{evaluate_report, evaluate_schedule};
+use cello::sim::RunReport;
 use cello::workloads::cg::{build_cg_dag, CgParams};
+use cello::workloads::datasets::SHALLOW_WATER1;
 use proptest::prelude::*;
 
 fn cg(m: u64, n: u64, iterations: u32) -> TensorDag {
@@ -27,11 +32,7 @@ fn cg(m: u64, n: u64, iterations: u32) -> TensorDag {
     })
 }
 
-fn partitioned(
-    dag: &TensorDag,
-    accel: &CelloConfig,
-    partition: Partition,
-) -> cello::sim::RunReport {
+fn partitioned(dag: &TensorDag, accel: &CelloConfig, partition: Partition) -> RunReport {
     let schedule = build_schedule_with(
         dag,
         ScheduleOptions::cello(),
@@ -141,5 +142,54 @@ fn four_node_slice_beats_single_node_total_traffic() {
         "4-node {} !< 1-node {}",
         four.total_traffic_bytes(),
         single.total_traffic_bytes()
+    );
+}
+
+/// CELLO on shallow_water1 N=16 (4 iterations) on `nodes` nodes, under the
+/// scalable (dominant-rank) or the naive (stage-split) placement.
+fn strong_scaling(nodes: u64, scalable: bool) -> RunReport {
+    let dag = build_cg_dag(&CgParams::from_dataset(&SHALLOW_WATER1, 16, 4));
+    let partition = if scalable {
+        Partition::by_rank(nodes, dominant_partition_rank(&dag).expect("CG slices m"))
+    } else {
+        Partition::by_stage(nodes)
+    };
+    let accel = CelloConfig::paper();
+    run_partitioned(&dag, ConfigKind::Cello, &accel, partition, "scaling")
+}
+
+/// One node exchanges nothing over the NoC under either placement.
+#[test]
+fn one_node_has_no_noc_traffic() {
+    for scalable in [true, false] {
+        let r = strong_scaling(1, scalable);
+        assert_eq!((r.noc_hop_bytes, r.nodes), (0, 1));
+    }
+}
+
+/// The scalable placement strong-scales: CELLO's time falls strictly from 1
+/// to 4 to 16 nodes, 16 nodes run more than 4x faster than one, and the
+/// naive placement is slower at 16 nodes.
+#[test]
+fn scalable_placement_scales() {
+    let seconds = [1u64, 4, 16].map(|nodes| strong_scaling(nodes, true).seconds);
+    assert!(
+        seconds[0] > seconds[1] && seconds[1] > seconds[2],
+        "{seconds:?}"
+    );
+    assert!(seconds[0] / seconds[2] > 4.0, "{seconds:?}");
+    assert!(strong_scaling(16, false).seconds > seconds[2]);
+}
+
+/// At N=16 shallow_water1 exceeds a 4 MB CHORD on one node; slicing M over
+/// 4 nodes shrinks each node's working set, so aggregate DRAM traffic drops.
+#[test]
+fn four_node_slice_cuts_aggregate_dram() {
+    let (single, four) = (strong_scaling(1, true), strong_scaling(4, true));
+    assert!(
+        four.dram_bytes < single.dram_bytes,
+        "4-node {} !< 1-node {}",
+        four.dram_bytes,
+        single.dram_bytes
     );
 }
