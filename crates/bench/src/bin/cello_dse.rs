@@ -94,6 +94,8 @@ const TIER0_KEEP: usize = 96;
 const CONTAIN_TOL: f64 = 1.02;
 /// Seed for the random-sampling baseline strategy.
 const RANDOM_SEED: u64 = 0xCE110;
+/// Printed with every refused argument.
+const USAGE: &str = "usage: cello_dse [--nodes 1,4,16,64] [--prefilter] [--tier0] [--per-phase-sram] [--quick] [--audit]";
 
 struct Workload {
     name: &'static str,
@@ -135,16 +137,20 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--nodes" => {
                 let list = it.next().unwrap_or_else(|| {
-                    eprintln!("--nodes needs a comma-separated list, e.g. --nodes 1,4,16");
+                    eprintln!("--nodes needs a comma-separated list, e.g. --nodes 1,4,16\n{USAGE}");
                     std::process::exit(2);
                 });
+                // Serve's bound, so a count the daemon would refuse is not
+                // tuned here either.
+                let max = cello_serve::protocol::caps::MAX_NODES;
                 args.nodes = list
                     .split(',')
-                    .map(|s| {
-                        s.trim().parse::<u64>().unwrap_or_else(|_| {
-                            eprintln!("bad node count {s:?} in --nodes");
+                    .map(|s| match s.trim().parse::<u64>() {
+                        Ok(n) if (1..=max).contains(&n) => n,
+                        _ => {
+                            eprintln!("bad node count {s:?} in --nodes (1..={max})\n{USAGE}");
                             std::process::exit(2);
-                        })
+                        }
                     })
                     .collect();
                 if !args.nodes.contains(&1) {
@@ -158,9 +164,7 @@ fn parse_args() -> Args {
             "--per-phase-sram" => args.per_phase_sram = true,
             "--audit" => args.audit = true,
             other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: cello_dse [--nodes 1,4,16,64] [--prefilter] [--tier0] [--per-phase-sram] [--quick] [--audit]"
-                );
+                eprintln!("unknown argument {other:?}; {USAGE}");
                 std::process::exit(2);
             }
         }

@@ -60,7 +60,7 @@ pub fn run_grid(cells: &[GridCell]) -> Vec<Vec<RunReport>> {
         }
     };
     let mut done: Vec<(usize, RunReport)> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..rayon::current_num_threads())
+        let workers: Vec<_> = (0..std::thread::available_parallelism().map_or(1, |n| n.get()))
             .map(|_| s.spawn(work))
             .collect();
         workers

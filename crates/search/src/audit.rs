@@ -35,9 +35,10 @@
 //! outcome is fixed.
 
 use crate::cost::{cost_order, rank};
-use crate::strategy::{SplitMix64, Strategy};
+use crate::strategy::Strategy;
 use crate::tier0::Tier0Prune;
 use crate::tuner::{Funnel, SearchOutcome, Tuner, TIER0_SWEEP_SEED};
+use cello_tensor::gen::SplitMix64;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 

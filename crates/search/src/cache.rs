@@ -19,7 +19,7 @@
 //! prefilter already paid for.
 //!
 //! Each tier's table is **lock-striped** into `SHARDS` shards selected by
-//! the key's low bits: `batch_with`'s rayon workers used to serialize on a
+//! the key's low bits: `batch_with`'s workers used to serialize on a
 //! single global `Mutex<HashMap>` for every lookup/insert, which capped the
 //! parallel speedup exactly where the tier-0 funnel pushes the most
 //! traffic. The keys are FNV hashes, so their low bits are already
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Lock stripes per tier. A small power of two: enough that a dozen rayon
+/// Lock stripes per tier. A small power of two: enough that a dozen
 /// workers rarely collide, cheap enough that an empty cache is still tiny.
 const SHARDS: usize = 16;
 

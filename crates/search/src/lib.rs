@@ -40,7 +40,7 @@
 //!   pruned by symbolic Pareto dominance so only non-dominated sketches
 //!   reach the concrete tiers;
 //! - [`tuner`]: drives everything — candidates are scored in parallel
-//!   (rayon) through `cello_sim::evaluate`'s cheap traffic+roofline path,
+//!   (std threads) through `cello_sim::evaluate`'s cheap traffic+roofline path,
 //!   the one cost model every concrete tier uses. Under
 //!   `Strategy::Prefiltered` the traversal is scored into a tier-1 memo
 //!   table and only its top-ranked fraction is promoted to the exact table

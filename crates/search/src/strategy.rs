@@ -5,8 +5,7 @@
 //! (parallel evaluation, memoization, Pareto bookkeeping) lives in
 //! [`crate::Tuner`]. All of them are deterministic — beam ties break on the
 //! canonical schedule key, and `Random` draws from an explicit seed through
-//! a SplitMix64 kept local to this crate so results never drift under
-//! dependency swaps.
+//! the workspace's one generator, `cello_tensor::gen::SplitMix64`.
 
 /// How to traverse the space.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,34 +139,6 @@ impl Strategy {
     }
 }
 
-/// Deterministic SplitMix64 used by [`Strategy::Random`].
-#[derive(Clone, Debug)]
-pub(crate) struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        Self {
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, bound)`.
-    pub(crate) fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,16 +233,5 @@ mod tests {
             Strategy::parse("tier0b0k0"),
             Some(Strategy::Tier0 { budget: 1, keep: 1 })
         );
-    }
-
-    #[test]
-    fn splitmix_deterministic_and_in_bounds() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            let (x, y) = (a.below(17), b.below(17));
-            assert_eq!(x, y);
-            assert!(x < 17);
-        }
     }
 }

@@ -926,7 +926,7 @@ fn partition_choice(dag: &TensorDag, partition: Partition) -> PartitionChoice {
 mod tests {
     use super::*;
     use crate::space::SpaceConfig;
-    use crate::strategy::SplitMix64;
+    use cello_tensor::gen::SplitMix64;
     use cello_workloads::cg::{build_cg_dag, CgParams};
 
     fn cg(iters: u32) -> TensorDag {

@@ -27,9 +27,9 @@ use crate::tier0::{Tier0Model, Tier0Prune};
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
 use cello_sim::evaluate::{evaluate_schedule, CostEstimate};
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::num::NonZeroUsize;
 
 /// Seed for tier-0's sampled sweep when the space exceeds the budget.
 /// Fixed (not configurable) for the same reason `Strategy::Exhaustive` has
@@ -115,21 +115,19 @@ impl<'a> Tuner<'a> {
         // Build every schedule (cheap, parallel) and intern its canonical
         // key — a 128-bit FNV streamed straight off the canonical text, so
         // no per-candidate `String` is ever allocated on this path.
-        let built: Vec<(Candidate, cello_core::score::binding::Schedule, ScheduleKey)> = candidates
-            .into_par_iter()
-            .map(|c| {
+        let built: Vec<(cello_core::score::binding::Schedule, ScheduleKey)> =
+            par_map(&candidates, |c| {
                 let schedule = c.build(self.dag);
                 let key = Candidate::interned_key(&schedule);
-                (c, schedule, key)
-            })
-            .collect();
+                (schedule, key)
+            });
         // One cache lookup per distinct key in the batch (so the hit counter
         // reflects genuine reuse, not bookkeeping); unique misses get one
         // evaluation each.
         let mut resolved: HashMap<ScheduleKey, CostEstimate> = HashMap::new();
         let mut pending: HashSet<ScheduleKey> = HashSet::new();
         let mut fresh: Vec<(ScheduleKey, &cello_core::score::binding::Schedule)> = Vec::new();
-        for (_, schedule, key) in &built {
+        for (schedule, key) in &built {
             if resolved.contains_key(key) || pending.contains(key) {
                 continue;
             }
@@ -147,10 +145,9 @@ impl<'a> Tuner<'a> {
                 }
             }
         }
-        let costs: Vec<CostEstimate> = fresh
-            .par_iter()
-            .map(|(_, schedule)| evaluate_schedule(self.dag, schedule, self.accel))
-            .collect();
+        let costs = par_map(&fresh, |(_, schedule)| {
+            evaluate_schedule(self.dag, schedule, self.accel)
+        });
         for ((key, _), cost) in fresh.into_iter().zip(costs) {
             match tier {
                 Tier::Exact => self.cache.insert(key, cost),
@@ -158,10 +155,11 @@ impl<'a> Tuner<'a> {
             }
             resolved.insert(key, cost);
         }
-        built
-            .iter()
-            .map(|(candidate, _, key)| Evaluated {
-                candidate: candidate.clone(),
+        candidates
+            .into_iter()
+            .zip(&built)
+            .map(|(candidate, (_, key))| Evaluated {
+                candidate,
                 key: *key,
                 cost: resolved[key],
             })
@@ -514,6 +512,35 @@ pub(crate) enum Tier {
     Surrogate,
 }
 
+/// Ordered parallel map: one contiguous chunk of `items` per available
+/// core, each worker returning its own chunk's results; a batch of at most
+/// one item runs inline. Not `run_grid`'s job-taking loop: batch items cost
+/// about the same, and the fixed split keeps peak memory lowest.
+fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
+            .collect();
+        let mut out = Vec::new();
+        for worker in workers {
+            out.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,6 +574,15 @@ mod tests {
             transfer_menu: Vec::new(),
             overbook_menu: Vec::new(),
         }
+    }
+
+    #[test]
+    fn par_map_preserves_order() {
+        let v: Vec<u64> = (0..10_000).collect();
+        let doubled = par_map(&v, |&x| x * 2);
+        assert_eq!(doubled, (0..10_000).map(|x| x * 2).collect::<Vec<u64>>());
+        assert_eq!(par_map(&v[..1], |&x| x + 1), [1]);
+        assert!(par_map(&v[..0], |&x| x).is_empty());
     }
 
     #[test]

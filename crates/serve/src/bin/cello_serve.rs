@@ -27,7 +27,9 @@ fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:7070".into(),
         cache_dir: "serve-cache".into(),
-        workers: rayon::current_num_threads().min(8),
+        workers: std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(8),
         flight_depth: cello_serve::DEFAULT_FLIGHT_DEPTH,
     };
     let mut it = std::env::args().skip(1);

@@ -18,8 +18,8 @@
 //!   requests trigger exactly one tuner run;
 //! - [`service`]: the pipeline: fingerprint → store hit | coalesced
 //!   (warm- or cold-)compile → persist → respond, panic-fenced end to end;
-//! - [`server`]: the `std::net` TCP accept loop over the vendored rayon
-//!   stand-in's worker pool.
+//! - [`server`]: the `std::net` TCP accept loop over a fixed pool of
+//!   connection-handler threads.
 //!
 //! Binaries: `cello_serve` (daemon) and `cello_client` (one-shot CLI
 //! client). The `loadgen` load driver lives in `cello-bench`, which

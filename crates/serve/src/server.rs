@@ -1,9 +1,9 @@
 //! The TCP front end: newline-delimited JSON over `std::net`, one
 //! connection per worker-pool job.
 //!
-//! The accept loop is deliberately boring: take a connection, hand it to
-//! the worker pool (the vendored rayon stand-in's `ThreadPool`), repeat.
-//! Each connection handler reads lines, feeds them through
+//! The accept loop is deliberately boring: take a connection, queue it for
+//! the worker pool (a fixed set of `std` threads on one `mpsc` queue),
+//! repeat. Each connection handler reads lines, feeds them through
 //! [`Service::handle_line`] (which never panics), and writes one response
 //! line per request. A `shutdown` frame acks, then trips a flag the accept
 //! loop checks; a wake-up connection from the handler unblocks `accept` so
@@ -13,19 +13,19 @@ use crate::protocol::{caps, error_line};
 use crate::service::Service;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// Runs the service behind `listener` with `workers` connection handlers.
 /// Blocks until a client sends a `shutdown` frame, then drains: open
 /// connections are served to EOF before the worker pool is released, so a
 /// shutdown never cuts off an in-flight response (clients that want a fast
-/// daemon exit should close their connections first).
+/// daemon exit should close their connections first). A worker thread the
+/// system refuses to start is an error, not a panic.
 pub fn serve(listener: TcpListener, service: Arc<Service>, workers: usize) -> std::io::Result<u64> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.max(1))
-        .build()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    let pool = Pool::new(workers.max(1))?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let mut connections = 0u64;
@@ -48,6 +48,61 @@ pub fn serve(listener: TcpListener, service: Arc<Service>, workers: usize) -> st
         pool.spawn(move || handle_connection(stream, &service, &stop, local));
     }
     Ok(connections)
+}
+
+type Job = Box<dyn FnOnce() + Send>;
+
+/// Fixed worker threads taking jobs from one queue. Dropping the pool
+/// closes the queue and joins the workers, which finish every queued job
+/// first.
+struct Pool {
+    queue: Option<mpsc::Sender<Job>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    fn new(workers: usize) -> std::io::Result<Self> {
+        let (queue, jobs) = mpsc::channel::<Job>();
+        let jobs = Arc::new(Mutex::new(jobs));
+        // Built before the workers, so a refused spawn drops (and joins)
+        // the ones already running.
+        let mut pool = Pool {
+            queue: Some(queue),
+            workers: Vec::with_capacity(workers),
+        };
+        for _ in 0..workers {
+            let jobs = Arc::clone(&jobs);
+            let worker = std::thread::Builder::new().spawn(move || loop {
+                let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                let Ok(job) = job else {
+                    return; // the queue is closed: the pool was dropped
+                };
+                // A panicking connection must not take its worker down: a
+                // long-running daemon would slowly lose its whole pool.
+                let _ = catch_unwind(AssertUnwindSafe(job));
+            })?;
+            pool.workers.push(worker);
+        }
+        Ok(pool)
+    }
+
+    /// Queues a job for the next free worker.
+    fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        if let Some(queue) = &self.queue {
+            // Every worker exits only after the queue closes, in `drop`,
+            // so a send cannot fail while `&self` is alive.
+            let _ = queue.send(Box::new(job));
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.queue.take();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
 }
 
 /// One connection: a sequence of newline-delimited frames.
@@ -167,6 +222,7 @@ mod tests {
     use super::*;
     use crate::protocol::{Request, Response};
     use cello_obs::json::Json;
+    use std::sync::atomic::AtomicUsize;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cello-server-{tag}-{}", std::process::id()));
@@ -183,6 +239,38 @@ mod tests {
         let mut out = String::new();
         reader.read_line(&mut out).unwrap();
         out
+    }
+
+    #[test]
+    fn pool_runs_every_queued_job_before_drop_returns() {
+        let pool = Pool::new(4).unwrap();
+        let done = Arc::new(AtomicUsize::new(0));
+        for _ in 0..64 {
+            let done = Arc::clone(&done);
+            pool.spawn(move || {
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool);
+        assert_eq!(done.load(Ordering::SeqCst), 64);
+    }
+
+    /// One worker: if a panicking job cost it, no later job would run.
+    #[test]
+    fn panicking_job_does_not_cost_a_worker() {
+        let pool = Pool::new(1).unwrap();
+        let done = Arc::new(AtomicUsize::new(0));
+        for i in 0..16 {
+            let done = Arc::clone(&done);
+            pool.spawn(move || {
+                if i % 2 == 0 {
+                    panic!("job {i} goes down");
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool);
+        assert_eq!(done.load(Ordering::SeqCst), 8);
     }
 
     /// Full daemon loop over a real socket: compile (miss), compile (hit),

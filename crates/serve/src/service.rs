@@ -114,22 +114,14 @@ impl Service {
     /// Opens the service over a persistent cache directory, with its own
     /// private metrics registry (so parallel tests never share counters).
     pub fn open(cache_dir: &Path) -> Result<Self, ServeError> {
-        Self::open_with_registry(cache_dir, Arc::new(Registry::new()))
+        Self::open_with_options(cache_dir, Arc::new(Registry::new()), DEFAULT_FLIGHT_DEPTH)
     }
 
-    /// Opens the service recording into `registry`. The daemon passes
-    /// `cello_obs::metrics::global()` so one `metrics` snapshot carries both
-    /// the service counters and the tuner's `search_*` counters (which
-    /// `cello-search` records globally).
-    pub fn open_with_registry(
-        cache_dir: &Path,
-        registry: Arc<Registry>,
-    ) -> Result<Self, ServeError> {
-        Self::open_with_options(cache_dir, registry, DEFAULT_FLIGHT_DEPTH)
-    }
-
-    /// [`open_with_registry`](Self::open_with_registry) with an explicit
-    /// flight-recorder ring depth (`cello_serve --flight-depth`). The
+    /// Opens the service recording into `registry`, with a flight-recorder
+    /// ring of `flight_depth` requests (`cello_serve --flight-depth`). The
+    /// daemon passes `cello_obs::metrics::global()` so one `metrics`
+    /// snapshot carries both the service counters and the tuner's
+    /// `search_*` counters (which `cello-search` records globally). The
     /// configured depth is published as the `flight_depth` gauge so a
     /// metrics scrape can tell how much trace history a daemon keeps.
     pub fn open_with_options(

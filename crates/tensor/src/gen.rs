@@ -6,10 +6,66 @@
 //! match the published `M` and `nnz`** (Table VI). The traffic/roofline study
 //! only depends on shapes and footprints; [`random_spd`] additionally keeps
 //! the solver matrices symmetric positive-definite, as CG's input must be.
+//!
+//! [`SplitMix64`] is the workspace's one random generator: these datasets
+//! and the schedule search (`cello_search`'s random and tier-0 sample
+//! streams) both draw from it, so every stream is pinned by this code
+//! alone.
 
 use crate::sparse::{CooMatrix, CsrMatrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// Deterministic SplitMix64 generator.
+#[derive(Clone, Debug)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// The search's seeding: the state is `seed ^ 0x9E37_79B9_7F4A_7C15`.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
+    /// The dataset generators' seeding: one scramble of `seed` becomes the
+    /// state, then one warm-up draw, so nearby seeds diverge at once.
+    fn scrambled(seed: u64) -> Self {
+        let mut scramble = Self {
+            state: seed ^ 0xD6E8_FEB8_6659_FD93,
+        };
+        let mut rng = Self {
+            state: scramble.next_u64(),
+        };
+        rng.next_u64();
+        rng
+    }
+
+    /// Next 64 uniformly distributed bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, bound)` (Lemire's multiply-shift, no rejection).
+    pub fn below(&mut self, bound: u64) -> u64 {
+        debug_assert!(bound > 0);
+        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+    }
+
+    /// Uniform in `[0, 1)` from the draw's 53 high bits.
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + self.unit_f64() * (hi - lo)
+    }
+}
 
 /// Symmetric positive-definite matrix with a *target* size and nnz:
 /// a random symmetric pattern of `≈ nnz` off-diagonal entries plus a
@@ -17,7 +73,7 @@ use rand::{Rng, SeedableRng};
 /// published statistics exactly.
 pub fn random_spd(m: usize, target_nnz: usize, seed: u64) -> CsrMatrix {
     assert!(target_nnz >= m, "need at least the diagonal ({m} entries)");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::scrambled(seed);
     let mut coo = CooMatrix::new(m, m);
     // Off-diagonal pairs: each contributes 2 nnz. Draw within a band to mimic
     // the locality of PDE matrices (bandwidth ~ sqrt(m) keeps patterns realistic).
@@ -29,10 +85,10 @@ pub fn random_spd(m: usize, target_nnz: usize, seed: u64) -> CsrMatrix {
     let mut count = 0usize;
     while count < off_pairs && attempts < off_pairs * 20 {
         attempts += 1;
-        let r = rng.gen_range(0..m);
+        let r = rng.below(m as u64) as usize;
         let span = band.min(m - 1).max(1);
-        let offset = rng.gen_range(1..=span);
-        let c = if rng.gen_bool(0.5) && r >= offset {
+        let offset = 1 + rng.below(span as u64) as usize;
+        let c = if rng.unit_f64() < 0.5 && r >= offset {
             r - offset
         } else if r + offset < m {
             r + offset
@@ -43,7 +99,7 @@ pub fn random_spd(m: usize, target_nnz: usize, seed: u64) -> CsrMatrix {
         if lo == hi || !placed.insert((lo, hi)) {
             continue;
         }
-        let v = -rng.gen_range(0.1..1.0);
+        let v = -rng.uniform(0.1, 1.0);
         coo.push(lo, hi, v);
         coo.push(hi, lo, v);
         row_weight[lo] += v.abs();
@@ -62,7 +118,7 @@ pub fn random_spd(m: usize, target_nnz: usize, seed: u64) -> CsrMatrix {
         } else {
             0.0
         };
-        coo.push(i, i, w + 1.0 + boost + rng.gen_range(0.0..0.5));
+        coo.push(i, i, w + 1.0 + boost + rng.uniform(0.0, 0.5));
     }
     coo.to_csr()
 }
@@ -74,7 +130,7 @@ pub fn random_graph_adjacency(vertices: usize, target_nnz: usize, seed: u64) -> 
         target_nnz >= vertices,
         "adjacency needs at least the self-loops"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::scrambled(seed);
     let mut coo = CooMatrix::new(vertices, vertices);
     for i in 0..vertices {
         coo.push(i, i, 1.0);
@@ -85,8 +141,8 @@ pub fn random_graph_adjacency(vertices: usize, target_nnz: usize, seed: u64) -> 
     let mut attempts = 0usize;
     while count < off_pairs && attempts < off_pairs * 40 {
         attempts += 1;
-        let a = rng.gen_range(0..vertices);
-        let b = rng.gen_range(0..vertices);
+        let a = rng.below(vertices as u64) as usize;
+        let b = rng.below(vertices as u64) as usize;
         if a == b {
             continue;
         }
@@ -104,6 +160,36 @@ pub fn random_graph_adjacency(vertices: usize, target_nnz: usize, seed: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix_deterministic_and_in_bounds() {
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
+        for bound in 1..=1_000 {
+            let (x, y) = (a.below(bound), b.below(bound));
+            assert_eq!(x, y);
+            assert!(x < bound);
+        }
+    }
+
+    #[test]
+    fn unit_f64_stays_in_unit_interval() {
+        let mut rng = SplitMix64::scrambled(9);
+        let draws: Vec<f64> = (0..10_000).map(|_| rng.unit_f64()).collect();
+        assert!(draws.iter().all(|u| (0.0..1.0).contains(u)));
+        let heads = draws.iter().filter(|&&u| u < 0.5).count();
+        assert!((4_000..6_000).contains(&heads), "heads {heads}");
+    }
+
+    #[test]
+    fn distinct_seeds_diverge() {
+        let mut a = SplitMix64::scrambled(1);
+        let mut b = SplitMix64::scrambled(2);
+        let same = (0..64)
+            .filter(|_| a.below(1 << 32) == b.below(1 << 32))
+            .count();
+        assert!(same < 4);
+    }
 
     #[test]
     fn random_spd_hits_target_stats() {
