@@ -234,4 +234,30 @@ mod tests {
             Some(Strategy::Tier0 { budget: 1, keep: 1 })
         );
     }
+
+    /// `Random`'s draws: the same seed gives the same assignments, and every
+    /// pick indexes into its decision's menu.
+    #[test]
+    fn splitmix_deterministic_and_in_bounds() {
+        use crate::{SearchSpace, SpaceConfig};
+        use cello_workloads::cg::{build_cg_dag, CgParams};
+        let dag = build_cg_dag(&CgParams {
+            m: 20_000,
+            occupancy: 4.0,
+            a_payload_words: 2 * 80_000 + 20_001,
+            n: 16,
+            nprime: 16,
+            iterations: 2,
+            a_occupancy: None,
+        });
+        let space = SearchSpace::from_dag(&dag, &SpaceConfig::default());
+        let draws = space.sample_assignments(100, 42);
+        assert_eq!(draws, space.sample_assignments(100, 42));
+        for picks in &draws {
+            assert_eq!(picks.len(), space.decisions.len());
+            for (&p, d) in picks.iter().zip(&space.decisions) {
+                assert!(p < d.choices.len());
+            }
+        }
+    }
 }

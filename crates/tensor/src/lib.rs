@@ -29,3 +29,21 @@ pub use intensity::{ai_best_gemm, ai_skewed_limit, ArithmeticIntensity};
 pub use layout::Layout;
 pub use shape::{RankExtent, RankId, Shape2D, SkewClass};
 pub use sparse::{CooMatrix, CsrMatrix};
+
+#[cfg(test)]
+mod tests {
+    use crate::gen::SplitMix64;
+
+    #[test]
+    fn deterministic_per_seed() {
+        for seed in [0, 1, 42, u64::MAX] {
+            let mut a = SplitMix64::new(seed);
+            let mut b = SplitMix64::new(seed);
+            for _ in 0..100 {
+                assert_eq!(a.next_u64(), b.next_u64());
+                assert_eq!(a.below(1_000_000), b.below(1_000_000));
+                assert_eq!(a.unit_f64().to_bits(), b.unit_f64().to_bits());
+            }
+        }
+    }
+}
