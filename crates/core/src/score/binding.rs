@@ -327,12 +327,12 @@ fn shares_multicast_input(
     v: NodeId,
     cluster: &[NodeId],
 ) -> bool {
-    for eid in dag.in_edges(v) {
+    for &eid in dag.in_edges(v) {
         let src = NodeId(dag.edge(eid).src);
         if !cls.is_multicast(src) || cls.transitive[eid.0] {
             continue;
         }
-        for sib in dag.out_edges(src) {
+        for &sib in dag.out_edges(src) {
             let sib_edge = dag.edge(sib);
             if !cls.transitive[sib.0] && cluster.contains(&NodeId(sib_edge.dst)) {
                 return true;
@@ -537,7 +537,8 @@ pub fn build_schedule_from(
             };
             let in_phase: Vec<EdgeId> = dag
                 .in_edges(v)
-                .into_iter()
+                .iter()
+                .copied()
                 .filter(|&e| current.ops.contains(&NodeId(dag.edge(e).src)))
                 .collect();
             if !in_phase.is_empty() {

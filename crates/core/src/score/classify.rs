@@ -18,7 +18,7 @@
 //! is not among the tensor's ranks at that consumer; `pathnext` is the next
 //! node along the longest path between the edge's endpoints.
 
-use cello_graph::dag::{EdgeId, NodeId, TensorDag};
+use cello_graph::dag::{path_successor, EdgeId, NodeId, TensorDag};
 use cello_graph::node::{Dominance, OpKind};
 use std::fmt;
 
@@ -88,14 +88,15 @@ impl Classification {
 
 /// Is `consumer` *shared* with the tensor flowing along `src → consumer`?
 /// True when the consumer's dominant rank is one of the tensor's ranks at
-/// that consumer. When no direct edge exists (defensive), assume shared.
+/// that consumer (the first such edge decides). When no direct edge exists
+/// (defensive), assume shared.
 fn consumer_shares(dag: &TensorDag, src: NodeId, consumer: NodeId) -> bool {
     let dominant = dag.node(consumer).spec.dominant().rank;
-    dag.edges()
-        .filter(|(_, e)| e.src == src.0 && e.dst == consumer.0)
-        .map(|(_, e)| e.shares_rank(dominant))
-        .next()
-        .unwrap_or(true)
+    dag.out_edges(src)
+        .iter()
+        .map(|&e| dag.edge(e))
+        .find(|e| e.dst == consumer.0)
+        .is_none_or(|e| e.shares_rank(dominant))
 }
 
 /// Algorithm 2 (verbatim rule order; see module docs for interpretations).
@@ -120,10 +121,20 @@ pub fn classify(dag: &TensorDag) -> Classification {
     let mut numcast = vec![0u32; nn];
     let mut parallel_multicast = vec![false; nn];
 
+    // One longest-path pass per source node serves every out-edge of it:
+    // transitivity, `pathnext` and the Rule 4 path are all read from the
+    // pass's `dist`/`pred`. O(V+E) per pass, O(V·(V+E)) in all.
+    let mut dist = vec![0usize; nn];
+    let mut pred = vec![0usize; nn];
     for (nid, node) in dag.nodes() {
-        for eid in dag.out_edges(nid) {
+        let outs = dag.out_edges(nid);
+        let Some(reach) = outs.iter().map(|&e| dag.edge(e).dst).max() else {
+            continue;
+        };
+        dag.longest_paths_from(nid, NodeId(reach), &mut dist, &mut pred);
+        for &eid in outs {
             let edge = dag.edge(eid);
-            let is_trans = dag.edge_is_transitive(eid);
+            let is_trans = dist[edge.dst] >= 2;
             transitive[eid.0] = is_trans;
             if !is_trans {
                 numcast[nid.0] += 1;
@@ -133,7 +144,7 @@ pub fn classify(dag: &TensorDag) -> Classification {
             }
 
             let src_contracted = node.dominance == Dominance::Contracted;
-            let pathnext = dag.pathnext(eid);
+            let pathnext = NodeId(path_successor(&pred, nid.0, edge.dst));
             let pathnext_shared = consumer_shares(dag, nid, pathnext);
 
             // Rule 1: direct edge from a non-contracted producer to a shared
@@ -161,19 +172,19 @@ pub fn classify(dag: &TensorDag) -> Classification {
             // the longest path; any contraction-dominant interior node or
             // rank break forces a writeback, otherwise the tiles can be held.
             if !src_contracted && is_trans && pathnext_shared {
-                let path = dag
-                    .longest_path(nid, NodeId(edge.dst))
-                    .expect("transitive edge implies a path");
+                // Interior nodes, walked back from the destination.
+                let mut next_on_path = edge.dst;
+                let mut pathnode = pred[edge.dst];
                 let mut writeback = false;
-                // Interior nodes: path[1..len-1].
-                for w in 1..path.len() - 1 {
-                    let pathnode = path[w];
-                    let next_on_path = path[w + 1];
-                    let next_shared = consumer_shares(dag, pathnode, next_on_path);
-                    if dag.node(pathnode).dominance == Dominance::Contracted || !next_shared {
+                while pathnode != nid.0 {
+                    let next_shared = consumer_shares(dag, NodeId(pathnode), NodeId(next_on_path));
+                    if dag.node(NodeId(pathnode)).dominance == Dominance::Contracted || !next_shared
+                    {
                         writeback = true;
                         break;
                     }
+                    next_on_path = pathnode;
+                    pathnode = pred[pathnode];
                 }
                 dep = if writeback {
                     Dependency::DelayedWriteback

@@ -35,8 +35,8 @@ pub fn minimize_swizzles(dag: &TensorDag) -> SwizzleReport {
     for (nid, node) in dag.nodes() {
         let wanted: Vec<Layout> = dag
             .out_edges(nid)
-            .into_iter()
-            .map(|e| dag.edge(e).dst_layout)
+            .iter()
+            .map(|&e| dag.edge(e).dst_layout)
             .collect();
         let natural = node.output.layout;
         let chosen = best_layout(natural, &wanted);

@@ -10,11 +10,17 @@
 //!   interior node on it is contraction-dominant (or breaks rank sharing),
 //!   the delayed consumer cannot be served by holding tiles in the pipeline
 //!   buffer, and the edge becomes `Delayed_writeback` (Algorithm 2).
+//!
+//! Both come from one DP, [`TensorDag::longest_paths_from`]: a pass over the
+//! per-node edge lists in index order, O(V+E). Algorithm 2 runs one pass per
+//! source node and reads all of that node's out-edges from it, O(V·(V+E))
+//! per classification; the per-edge queries here each run one pass.
 
 use crate::edge::{Edge, ExternalInput, TensorMeta};
 use crate::node::{OpKind, OpNode};
 use cello_tensor::einsum::EinsumSpec;
 use cello_tensor::shape::RankId;
+use std::sync::OnceLock;
 
 /// Index of a node within its DAG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,9 +36,24 @@ pub struct TensorDag {
     nodes: Vec<OpNode>,
     edges: Vec<Edge>,
     externals: Vec<ExternalInput>,
+    /// Per-node out- and in-edge lists, built on first query and dropped
+    /// by every edit.
+    index: OnceLock<EdgeIndex>,
     /// Skew threshold used for node dominance (SCORE default 4.0).
     pub skew_threshold: f64,
 }
+
+/// Edge lists by source and by destination, each in insertion order.
+#[derive(Clone, Debug)]
+struct EdgeIndex {
+    out_start: Vec<usize>,
+    out: Vec<EdgeId>,
+    in_start: Vec<usize>,
+    inc: Vec<EdgeId>,
+}
+
+/// `dist` value of a node [`TensorDag::longest_paths_from`] did not reach.
+pub const UNREACHED: usize = usize::MAX;
 
 impl TensorDag {
     /// Empty DAG with the default skew threshold.
@@ -41,6 +62,7 @@ impl TensorDag {
             nodes: Vec::new(),
             edges: Vec::new(),
             externals: Vec::new(),
+            index: OnceLock::new(),
             skew_threshold: 4.0,
         }
     }
@@ -56,6 +78,7 @@ impl TensorDag {
         let id = NodeId(self.nodes.len());
         self.nodes
             .push(OpNode::new(name, spec, kind, output, self.skew_threshold));
+        self.index = OnceLock::new();
         id
     }
 
@@ -69,16 +92,19 @@ impl TensorDag {
             src.0,
             dst.0
         );
-        let id = EdgeId(self.edges.len());
-        self.edges.push(Edge::new(src.0, dst.0, dst_ranks));
-        id
+        self.push_edge(Edge::new(src.0, dst.0, dst_ranks))
     }
 
     /// Adds a pre-built edge (for layout-annotated edges).
     pub fn add_edge_full(&mut self, edge: Edge) -> EdgeId {
         assert!(edge.src < edge.dst, "edges must go forward");
         assert!(edge.dst < self.nodes.len());
+        self.push_edge(edge)
+    }
+
+    fn push_edge(&mut self, edge: Edge) -> EdgeId {
         let id = EdgeId(self.edges.len());
+        self.index = OnceLock::new();
         self.edges.push(edge);
         id
     }
@@ -129,20 +155,49 @@ impl TensorDag {
         self.edges.len()
     }
 
-    /// Outgoing edges of a node.
-    pub fn out_edges(&self, n: NodeId) -> Vec<EdgeId> {
-        self.edges()
-            .filter(|(_, e)| e.src == n.0)
-            .map(|(id, _)| id)
-            .collect()
+    /// Outgoing edges of a node, in insertion order.
+    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
+        let ix = self.index();
+        &ix.out[ix.out_start[n.0]..ix.out_start[n.0 + 1]]
     }
 
-    /// Incoming edges of a node.
-    pub fn in_edges(&self, n: NodeId) -> Vec<EdgeId> {
-        self.edges()
-            .filter(|(_, e)| e.dst == n.0)
-            .map(|(id, _)| id)
-            .collect()
+    /// Incoming edges of a node, in insertion order.
+    pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
+        let ix = self.index();
+        &ix.inc[ix.in_start[n.0]..ix.in_start[n.0 + 1]]
+    }
+
+    /// The edge index, built on first use by a stable counting sort of the
+    /// edges by source and by destination: O(V+E), four allocations, and
+    /// each list keeps insertion order. DAG building never pays for it.
+    fn index(&self) -> &EdgeIndex {
+        self.index.get_or_init(|| {
+            let n = self.nodes.len();
+            let bucket = |key: fn(&Edge) -> usize| {
+                let mut start = vec![0usize; n + 1];
+                for e in &self.edges {
+                    start[key(e) + 1] += 1;
+                }
+                for i in 0..n {
+                    start[i + 1] += start[i];
+                }
+                let mut next = start.clone();
+                let mut ids = vec![EdgeId(0); self.edges.len()];
+                for (i, e) in self.edges.iter().enumerate() {
+                    ids[next[key(e)]] = EdgeId(i);
+                    next[key(e)] += 1;
+                }
+                (start, ids)
+            };
+            let (out_start, out) = bucket(|e| e.src);
+            let (in_start, inc) = bucket(|e| e.dst);
+            EdgeIndex {
+                out_start,
+                out,
+                in_start,
+                inc,
+            }
+        })
     }
 
     /// Topological order. Nodes are inserted topologically (enforced by
@@ -152,64 +207,89 @@ impl TensorDag {
         (0..self.nodes.len()).map(NodeId).collect()
     }
 
+    /// One longest-path pass from `from`, the DP every path query here
+    /// reads: O(V+E) over the nodes `from..=to` in index order (a
+    /// topological order), relaxing each node's out-edges in insertion
+    /// order. On return, for every node `v` in `from..=to`, `dist[v]` is the
+    /// longest distance in edges from `from` ([`UNREACHED`] if there is no
+    /// path) and, for a reached `v != from`, `pred[v]` is its predecessor on
+    /// that path. A strict `>` keeps the first predecessor reaching the
+    /// maximum, so ties go to the lowest-index node. Both buffers hold one
+    /// entry per node and can be reused across passes; entries outside
+    /// `from..=to` mean nothing.
+    pub fn longest_paths_from(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        dist: &mut [usize],
+        pred: &mut [usize],
+    ) {
+        dist[from.0..].fill(UNREACHED);
+        dist[from.0] = 0;
+        for u in from.0..=to.0 {
+            if dist[u] == UNREACHED {
+                continue;
+            }
+            for &e in self.out_edges(NodeId(u)) {
+                let v = self.edges[e.0].dst;
+                if dist[v] == UNREACHED || dist[u] + 1 > dist[v] {
+                    dist[v] = dist[u] + 1;
+                    pred[v] = u;
+                }
+            }
+        }
+    }
+
+    /// One pass from `from` up to `to`, into fresh buffers.
+    fn pass(&self, from: NodeId, to: NodeId) -> (Vec<usize>, Vec<usize>) {
+        let mut dist = vec![UNREACHED; self.nodes.len()];
+        let mut pred = vec![0; self.nodes.len()];
+        self.longest_paths_from(from, to, &mut dist, &mut pred);
+        (dist, pred)
+    }
+
     /// Longest path length (in edges) from `from` to `to`, or `None` if
-    /// unreachable. O(V+E) DP over the topological order.
+    /// unreachable. One O(V+E) pass.
     pub fn longest_path_len(&self, from: NodeId, to: NodeId) -> Option<usize> {
         self.longest_path(from, to).map(|p| p.len() - 1)
     }
 
     /// The longest path from `from` to `to` as a node list (inclusive of both
-    /// endpoints), or `None` if unreachable.
+    /// endpoints), or `None` if unreachable. One O(V+E) pass.
     pub fn longest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        const UNSET: i64 = i64::MIN;
-        let n = self.nodes.len();
-        let mut dist = vec![UNSET; n];
-        let mut pred = vec![usize::MAX; n];
-        dist[from.0] = 0;
-        // Nodes are topologically ordered by index.
-        for u in from.0..n {
-            if dist[u] == UNSET {
-                continue;
-            }
-            for e in &self.edges {
-                if e.src == u && (dist[e.dst] == UNSET || dist[u] + 1 > dist[e.dst]) {
-                    dist[e.dst] = dist[u] + 1;
-                    pred[e.dst] = u;
-                }
-            }
-        }
-        if dist[to.0] == UNSET || from == to {
+        if from.0 >= to.0 {
             return None;
         }
-        let mut path = vec![to.0];
+        let (dist, pred) = self.pass(from, to);
+        if dist[to.0] == UNREACHED {
+            return None;
+        }
+        let mut path = vec![to];
         let mut cur = to.0;
         while cur != from.0 {
             cur = pred[cur];
-            path.push(cur);
+            path.push(NodeId(cur));
         }
         path.reverse();
-        Some(path.into_iter().map(NodeId).collect())
+        Some(path)
     }
 
     /// Whether an edge is *transitive*: a longer path between its endpoints
     /// exists (footnote 5: "a transitive edge is the edge not on the longest
-    /// path between the source and the destination").
+    /// path between the source and the destination"). One O(V+E) pass.
     pub fn edge_is_transitive(&self, e: EdgeId) -> bool {
         let edge = &self.edges[e.0];
-        self.longest_path_len(NodeId(edge.src), NodeId(edge.dst))
-            .map(|len| len >= 2)
-            .unwrap_or(false)
+        self.pass(NodeId(edge.src), NodeId(edge.dst)).0[edge.dst] >= 2
     }
 
     /// `pathnext(node, edge)`: the immediate successor of `node` along the
     /// longest path to the edge's destination (the destination itself for a
     /// non-transitive edge). Algorithm 2 consults this node's dominance.
+    /// One O(V+E) pass.
     pub fn pathnext(&self, e: EdgeId) -> NodeId {
         let edge = &self.edges[e.0];
-        match self.longest_path(NodeId(edge.src), NodeId(edge.dst)) {
-            Some(path) if path.len() >= 2 => path[1],
-            _ => NodeId(edge.dst),
-        }
+        let (_, pred) = self.pass(NodeId(edge.src), NodeId(edge.dst));
+        NodeId(path_successor(&pred, edge.src, edge.dst))
     }
 
     /// Brute-force transitivity oracle for testing: DFS over all paths.
@@ -233,6 +313,17 @@ impl TensorDag {
             .filter(|other| other.src == edge.src && other.dst != edge.dst)
             .any(|other| dfs(self, other.dst, edge.dst, 1))
     }
+}
+
+/// The node after `from` on the path [`TensorDag::longest_paths_from`]
+/// recorded in `pred` for the reached node `to` (`to` itself when the path
+/// is one edge).
+pub fn path_successor(pred: &[usize], from: usize, to: usize) -> usize {
+    let mut cur = to;
+    while pred[cur] != from {
+        cur = pred[cur];
+    }
+    cur
 }
 
 #[cfg(test)]
@@ -352,10 +443,20 @@ mod tests {
 
     #[test]
     fn out_and_in_edges() {
-        let dag = dag_with(3, &[(0, 1), (0, 2), (1, 2)]);
-        assert_eq!(dag.out_edges(NodeId(0)).len(), 2);
-        assert_eq!(dag.in_edges(NodeId(2)).len(), 2);
-        assert_eq!(dag.in_edges(NodeId(0)).len(), 0);
+        let mut dag = dag_with(3, &[(0, 2), (0, 1), (1, 2)]);
+        assert_eq!(dag.out_edges(NodeId(0)), [EdgeId(0), EdgeId(1)]);
+        assert_eq!(dag.in_edges(NodeId(2)), [EdgeId(0), EdgeId(2)]);
+        assert!(dag.in_edges(NodeId(0)).is_empty());
+        // An edit after a query is seen by the next query.
+        dag.add_op(
+            "op3",
+            dummy_spec(),
+            OpKind::TensorMac,
+            TensorMeta::dense("T3", &["m", "n"], 800),
+        );
+        let e = dag.add_edge(NodeId(0), NodeId(3), &["m", "n"]);
+        assert_eq!(dag.out_edges(NodeId(0)), [EdgeId(0), EdgeId(1), e]);
+        assert_eq!(dag.in_edges(NodeId(3)), [e]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub fn metrics(dag: &TensorDag) -> DagMetrics {
     // Level = longest distance from any source.
     let mut level = vec![0usize; n];
     for u in 0..n {
-        for e in dag.out_edges(NodeId(u)) {
+        for &e in dag.out_edges(NodeId(u)) {
             let dst = dag.edge(e).dst;
             level[dst] = level[dst].max(level[u] + 1);
         }

@@ -171,8 +171,8 @@ impl<'a> Tuner<'a> {
         self.batch_with(candidates, Tier::Exact)
     }
 
-    /// Runs a base strategy's traversal, scoring through `tier` and
-    /// appending everything scored to `all`. `strategy` must not be
+    /// Runs a base strategy's traversal, scoring through `tier` and handing
+    /// every scored batch to `record`, in order. `strategy` must not be
     /// `Prefiltered` (callers flatten it first). `seeds` are full
     /// assignments (see [`SearchSpace::project`]) that guide beam search:
     /// their prefixes always compete in (and survive into) the beam, so a
@@ -186,7 +186,7 @@ impl<'a> Tuner<'a> {
         tier: Tier,
         seeds: &[Vec<usize>],
         seen: &mut u64,
-        all: &mut Vec<Evaluated>,
+        record: &mut impl FnMut(Vec<Evaluated>),
     ) -> Option<(Tier0Model, Tier0Prune)> {
         match *strategy {
             Strategy::Exhaustive => {
@@ -198,7 +198,7 @@ impl<'a> Tuner<'a> {
                     batch.push(self.space.assemble(picks));
                     if batch.len() == BATCH || order + 1 == total {
                         *seen += batch.len() as u64;
-                        all.extend(self.batch_with(std::mem::take(&mut batch), tier));
+                        record(self.batch_with(std::mem::take(&mut batch), tier));
                     }
                 });
                 None
@@ -213,9 +213,13 @@ impl<'a> Tuner<'a> {
                 let mut beam: Vec<(Vec<usize>, Candidate)> =
                     vec![(Vec::new(), self.space.assemble(&[]))];
                 for (di, d) in self.space.decisions.iter().enumerate() {
-                    let mut pool: Vec<(Vec<usize>, Candidate)> =
-                        Vec::with_capacity(beam.len() * d.choices.len() + seeds.len());
-                    let mut members: HashSet<Vec<usize>> = HashSet::with_capacity(pool.capacity());
+                    // The level's pool: each prefix and its candidate, at the
+                    // same index. The candidates move into the batch; only
+                    // the survivors' are cloned back out of the scores.
+                    let capacity = beam.len() * d.choices.len() + seeds.len();
+                    let mut prefixes: Vec<Vec<usize>> = Vec::with_capacity(capacity);
+                    let mut batch: Vec<Candidate> = Vec::with_capacity(capacity);
+                    let mut members: HashSet<Vec<usize>> = HashSet::with_capacity(capacity);
                     for (prefix, cand) in &beam {
                         for choice in 0..d.choices.len() {
                             let mut picks = prefix.clone();
@@ -223,7 +227,8 @@ impl<'a> Tuner<'a> {
                             if members.insert(picks.clone()) {
                                 let mut c = cand.clone();
                                 self.space.apply_pick(&mut c, di, choice);
-                                pool.push((picks, c));
+                                prefixes.push(picks);
+                                batch.push(c);
                             }
                         }
                     }
@@ -232,23 +237,25 @@ impl<'a> Tuner<'a> {
                     for s in seeds {
                         if let Some(prefix) = s.get(..=di) {
                             if members.insert(prefix.to_vec()) {
-                                pool.push((prefix.to_vec(), self.space.assemble(prefix)));
+                                prefixes.push(prefix.to_vec());
+                                batch.push(self.space.assemble(prefix));
                             }
                         }
                     }
-                    let _level_span = cello_obs::span!("beam_level", level = di, pool = pool.len());
-                    let batch: Vec<Candidate> = pool.iter().map(|(_, c)| c.clone()).collect();
+                    let _level_span =
+                        cello_obs::span!("beam_level", level = di, pool = batch.len());
                     *seen += batch.len() as u64;
                     let scored = self.batch_with(batch, tier);
-                    all.extend(scored.iter().cloned());
                     let mut ranked: Vec<(usize, &Evaluated)> = scored.iter().enumerate().collect();
                     ranked.sort_by(|a, b| rank(a.1, b.1).then(a.0.cmp(&b.0)));
-                    let survivors: Vec<usize> =
-                        ranked.into_iter().take(width).map(|(i, _)| i).collect();
+                    let mut next: Vec<(Vec<usize>, Candidate)> = ranked
+                        .into_iter()
+                        .take(width)
+                        .map(|(i, e)| (std::mem::take(&mut prefixes[i]), e.candidate.clone()))
+                        .collect();
+                    record(scored);
                     let mut kept: HashSet<Vec<usize>> =
-                        survivors.iter().map(|&i| pool[i].0.clone()).collect();
-                    let mut next: Vec<(Vec<usize>, Candidate)> =
-                        survivors.into_iter().map(|i| pool[i].clone()).collect();
+                        next.iter().map(|(p, _)| p.clone()).collect();
                     // Seed prefixes survive every level regardless of local
                     // rank: a seed that looks mediocre half-assigned can
                     // still be the best full schedule (its strength may live
@@ -274,7 +281,7 @@ impl<'a> Tuner<'a> {
                     .map(|picks| self.space.assemble(picks))
                     .collect();
                 *seen += batch.len() as u64;
-                all.extend(self.batch_with(batch, tier));
+                record(self.batch_with(batch, tier));
                 None
             }
             Strategy::Tier0 { budget, keep } => {
@@ -295,7 +302,7 @@ impl<'a> Tuner<'a> {
                     .add(pruned.swept - pruned.kept.len() as u64);
                 let batch: Vec<Candidate> =
                     pruned.kept.iter().map(|p| self.space.assemble(p)).collect();
-                all.extend(self.batch_with(batch, tier));
+                record(self.batch_with(batch, tier));
                 Some((model, pruned))
             }
             Strategy::Prefiltered { .. } => unreachable!("prefilter flattened before traversal"),
@@ -364,9 +371,20 @@ impl<'a> Tuner<'a> {
         let surr_before = self.cache.surrogate_evaluations();
         let mut seen: u64 = 0;
 
+        // Each scored batch is deduplicated by canonical schedule key as it
+        // arrives (first occurrence wins), so no duplicate is ever held;
+        // `scored_len` still counts them for the ledger.
+        let mut scored_len = 0u64;
+        let mut keys = HashSet::new();
+        let mut uniq: Vec<Evaluated> = Vec::new();
+        let mut record = |batch: Vec<Evaluated>| {
+            scored_len += batch.len() as u64;
+            uniq.extend(batch.into_iter().filter(|e| keys.insert(e.key)));
+        };
+
         // Baseline first: the paper heuristic is always part of the run.
         let default_candidate = || vec![self.space.assemble(&self.space.default_picks())];
-        let mut scored = self.batch_with(default_candidate(), tier);
+        record(self.batch_with(default_candidate(), tier));
         seen += 1;
         // Direct runs score the full seed assignments next: the cached
         // winners re-scored under this space's configuration, in the
@@ -374,14 +392,9 @@ impl<'a> Tuner<'a> {
         if tier == Tier::Exact && !seed_picks.is_empty() {
             let batch: Vec<Candidate> = seed_picks.iter().map(|p| self.space.assemble(p)).collect();
             seen += batch.len() as u64;
-            scored.extend(self.eval_batch(batch));
+            record(self.eval_batch(batch));
         }
-        let tier0 = self.traverse(base, tier, &seed_picks, &mut seen, &mut scored);
-
-        // Dedup by canonical schedule key (first occurrence wins).
-        let scored_len = scored.len() as u64;
-        let mut keys = HashSet::new();
-        let mut uniq: Vec<Evaluated> = scored.into_iter().filter(|e| keys.insert(e.key)).collect();
+        let tier0 = self.traverse(base, tier, &seed_picks, &mut seen, &mut record);
         let distinct = uniq.len() as u64;
 
         let (baseline, all, ranked, dropped, promoted) = match keep_frac {
@@ -513,9 +526,12 @@ pub(crate) enum Tier {
 }
 
 /// Ordered parallel map: one contiguous chunk of `items` per available
-/// core, each worker returning its own chunk's results; a batch of at most
-/// one item runs inline. Not `run_grid`'s job-taking loop: batch items cost
-/// about the same, and the fixed split keeps peak memory lowest.
+/// core. The calling thread maps the first chunk itself while
+/// `threads - 1` spawned workers map the rest, each returning its own
+/// chunk's results; a batch of at most one item runs inline. Not
+/// `run_grid`'s job-taking loop: batch items cost about the same, and the
+/// fixed split keeps peak memory lowest. A panic in any chunk propagates
+/// with its own payload.
 fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let threads = std::thread::available_parallelism()
         .map_or(1, NonZeroUsize::get)
@@ -524,12 +540,14 @@ fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> 
         return items.iter().map(f).collect();
     }
     let f = &f;
+    let mut chunks = items.chunks(items.len().div_ceil(threads));
+    let first = chunks.next().expect("at least two items");
     std::thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .chunks(items.len().div_ceil(threads))
+        let workers: Vec<_> = chunks
             .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
             .collect();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(items.len());
+        out.extend(first.iter().map(f));
         for worker in workers {
             out.extend(
                 worker
@@ -578,11 +596,40 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let odd_above_cores = (cores + 1) | 1;
         let v: Vec<u64> = (0..10_000).collect();
-        let doubled = par_map(&v, |&x| x * 2);
-        assert_eq!(doubled, (0..10_000).map(|x| x * 2).collect::<Vec<u64>>());
-        assert_eq!(par_map(&v[..1], |&x| x + 1), [1]);
-        assert!(par_map(&v[..0], |&x| x).is_empty());
+        for len in [0, 1, 2, 3, odd_above_cores, 10_000] {
+            let doubled = par_map(&v[..len], |&x| x * 2);
+            assert_eq!(
+                doubled,
+                (0..len as u64).map(|x| x * 2).collect::<Vec<u64>>(),
+                "{len}"
+            );
+        }
+    }
+
+    /// The calling thread maps the first chunk and spawned workers the
+    /// rest; a panic in either kind of chunk reaches the caller with its
+    /// own payload.
+    #[test]
+    fn par_map_propagates_each_chunks_panic() {
+        let v: Vec<u64> = (0..64).collect();
+        for bad in [0, 63] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map(&v, |&x| {
+                    if x == bad {
+                        panic!("item {x} failed");
+                    }
+                    x
+                })
+            })
+            .expect_err("the panic propagates");
+            let payload = caught
+                .downcast_ref::<String>()
+                .expect("a formatted payload");
+            assert_eq!(payload, &format!("item {bad} failed"));
+        }
     }
 
     #[test]

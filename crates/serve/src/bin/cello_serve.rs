@@ -23,6 +23,24 @@ struct Args {
     flight_depth: usize,
 }
 
+const USAGE: &str =
+    "usage: cello_serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] [--flight-depth N]";
+
+/// Logs `problem` and the usage, then exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    cello_obs::error!("serve", "{problem}; {USAGE}");
+    std::process::exit(2);
+}
+
+/// A positive integer, or the usage and exit 2.
+fn positive(flag: &str, value: &str) -> usize {
+    value
+        .parse()
+        .ok()
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a positive integer")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         addr: "127.0.0.1:7070".into(),
@@ -35,37 +53,17 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                cello_obs::error!("serve", "{flag} needs a value");
-                std::process::exit(2);
-            })
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
         };
         match a.as_str() {
             "--addr" => args.addr = value("--addr"),
             "--cache-dir" => args.cache_dir = value("--cache-dir").into(),
-            "--workers" => {
-                args.workers = value("--workers").parse().unwrap_or_else(|_| {
-                    cello_obs::error!("serve", "--workers needs a positive integer");
-                    std::process::exit(2);
-                })
-            }
+            "--workers" => args.workers = positive("--workers", &value("--workers")),
             "--flight-depth" => {
-                args.flight_depth = value("--flight-depth")
-                    .parse()
-                    .ok()
-                    .filter(|&d: &usize| d >= 1)
-                    .unwrap_or_else(|| {
-                        cello_obs::error!("serve", "--flight-depth needs a positive integer");
-                        std::process::exit(2);
-                    })
+                args.flight_depth = positive("--flight-depth", &value("--flight-depth"))
             }
-            other => {
-                cello_obs::error!(
-                    "serve",
-                    "unknown argument {other:?}; usage: cello_serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] [--flight-depth N]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     args

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// Runs the service behind `listener` with `workers` connection handlers.
-/// Blocks until a client sends a `shutdown` frame, then drains: open
+/// Runs the service behind `listener` with `workers` connection handlers
+/// (at least one). Blocks until a client sends a `shutdown` frame, then drains: open
 /// connections are served to EOF before the worker pool is released, so a
 /// shutdown never cuts off an in-flight response (clients that want a fast
 /// daemon exit should close their connections first). A worker thread the

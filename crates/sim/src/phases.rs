@@ -277,7 +277,7 @@ pub fn plan_phases(dag: &TensorDag, schedule: &Schedule) -> PhasePlan {
             let op_pos = pos[op.0];
 
             // Producer inputs via unrealized edges.
-            for eid in dag.in_edges(op) {
+            for &eid in dag.in_edges(op) {
                 if schedule.realized[eid.0] {
                     continue;
                 }

@@ -269,8 +269,8 @@ fn reuse_matches_fig10() {
     for (nid, node) in dag.nodes() {
         let consumers: BTreeSet<usize> = dag
             .out_edges(nid)
-            .into_iter()
-            .map(|e| dag.edge(e).dst)
+            .iter()
+            .map(|&e| dag.edge(e).dst)
             .collect();
         let (freq, _) = write(&op_by_op, &node.output.name);
         assert_eq!(freq, consumers.len() as u32, "{}", node.output.name);
