@@ -346,8 +346,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use proptest::TestRng;
+    use cello_tensor::gen::{for_cases, SplitMix64};
 
     #[test]
     fn round_trips_bench_shape() {
@@ -465,65 +464,56 @@ mod tests {
         }
     }
 
-    /// Random trees up to four containers deep with adversarial keys,
+    /// Random trees up to `depth` containers deep with adversarial keys,
     /// strings and numbers (NaN, ±inf, any bit pattern).
-    struct ArbJson;
-
-    impl Strategy for ArbJson {
-        type Value = Json;
-        fn generate(&self, rng: &mut TestRng) -> Json {
-            arb_json(rng, 4)
-        }
-    }
-
-    fn arb_json(rng: &mut TestRng, depth: u32) -> Json {
-        match rng.next_u64() % if depth == 0 { 4 } else { 6 } {
+    fn arb_json(rng: &mut SplitMix64, depth: u32) -> Json {
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
             0 => Json::Null,
             1 => Json::Bool(rng.next_u64() & 1 == 1),
-            2 => Json::Num(match rng.next_u64() % 4 {
-                0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(rng.next_u64() % 3) as usize],
+            2 => Json::Num(match rng.below(4) {
+                0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3) as usize],
                 1 => (rng.next_u64() >> 10) as f64 - (1u64 << 53) as f64,
-                2 => (rng.next_u64() % 1_000_000) as f64 / 1024.0,
+                2 => rng.below(1_000_000) as f64 / 1024.0,
                 _ => f64::from_bits(rng.next_u64()),
             }),
             3 => Json::Str(arb_string(rng)),
             4 => Json::Arr(
-                (0..rng.next_u64() % 5)
+                (0..rng.below(5))
                     .map(|_| arb_json(rng, depth - 1))
                     .collect(),
             ),
             _ => Json::Obj(
-                (0..rng.next_u64() % 5)
+                (0..rng.below(5))
                     .map(|_| (arb_string(rng), arb_json(rng, depth - 1)))
                     .collect(),
             ),
         }
     }
 
-    fn arb_string(rng: &mut TestRng) -> String {
+    fn arb_string(rng: &mut SplitMix64) -> String {
         let nasty: Vec<char> =
             "\"\\\n\r\t\u{0}\u{8}\u{1f}\u{7f}\u{85}\u{2028}\u{3000}\u{1F600}\u{10FFFF}"
                 .chars()
                 .collect();
-        (0..rng.next_u64() % 12)
-            .map(|_| match rng.next_u64() % 3 {
-                0 => nasty[(rng.next_u64() % nasty.len() as u64) as usize],
-                1 => (b' ' + (rng.next_u64() % 95) as u8) as char,
-                _ => char::from_u32((rng.next_u64() % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        (0..rng.below(12))
+            .map(|_| match rng.below(3) {
+                0 => nasty[rng.below(nasty.len() as u64) as usize],
+                1 => (b' ' + rng.below(95) as u8) as char,
+                _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
             })
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        #[test]
-        fn compact_matches_the_reference_and_both_renderers_round_trip(v in ArbJson) {
+    #[test]
+    fn compact_matches_the_reference_and_both_renderers_round_trip() {
+        let name = "compact_matches_the_reference_and_both_renderers_round_trip";
+        for_cases(name, 512, |rng| {
+            let v = arb_json(rng, 4);
             let line = v.compact();
-            prop_assert_eq!(&line, &reference_compact(&v));
+            assert_eq!(&line, &reference_compact(&v));
             let expected = finite(&v);
-            prop_assert_eq!(Json::parse(&line).map_err(TestCaseError::fail)?, expected.clone());
-            prop_assert_eq!(Json::parse(&v.render()).map_err(TestCaseError::fail)?, expected);
-        }
+            assert_eq!(Json::parse(&line).unwrap(), expected);
+            assert_eq!(Json::parse(&v.render()).unwrap(), expected);
+        });
     }
 }

@@ -1,9 +1,8 @@
 //! # cello-obs — the observability substrate
 //!
-//! Vendored, zero-dependency (in the `crates/compat` spirit: the build
-//! container has no registry route, so anything `tracing`/`metrics`-shaped
-//! must live here). Three pieces, shared by `cello-sim`, `cello-search`,
-//! and `cello-serve`:
+//! Zero-dependency (the build has no registry route, so anything
+//! `tracing`/`metrics`-shaped must live here). Three pieces, shared by
+//! `cello-sim`, `cello-search`, and `cello-serve`:
 //!
 //! 1. **Structured leveled logging** ([`log`]): `error!`…`trace!` macros
 //!    with a target string, filtered by `CELLO_LOG` (`info` by default,

@@ -926,7 +926,7 @@ fn partition_choice(dag: &TensorDag, partition: Partition) -> PartitionChoice {
 mod tests {
     use super::*;
     use crate::space::SpaceConfig;
-    use cello_tensor::gen::SplitMix64;
+    use cello_tensor::gen::{for_cases, SplitMix64};
     use cello_workloads::cg::{build_cg_dag, CgParams};
 
     fn cg(iters: u32) -> TensorDag {
@@ -1303,26 +1303,23 @@ mod tests {
         })
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
-
-        /// `SearchSpace::sweep` yields exactly the reference stream, and
-        /// `prune` returns exactly the reference's survivors, on both
-        /// branches: the exhaustive odometer (cut, steer, loop-order, bias
-        /// and transfer menus narrowed so the space fits the budget) and
-        /// the seeded sample of the full widened space.
-        #[test]
-        fn prune_matches_the_reference(
-            workload in 0u32..3,
-            size in 0u32..2,
-            mesh in 0usize..3,
-            per_phase in proptest::prelude::any::<bool>(),
-            keep in 1usize..40,
-            seed in 0u64..1_000,
-        ) {
+    /// `SearchSpace::sweep` yields exactly the reference stream, and
+    /// `prune` returns exactly the reference's survivors, on both
+    /// branches: the exhaustive odometer (cut, steer, loop-order, bias
+    /// and transfer menus narrowed so the space fits the budget) and
+    /// the seeded sample of the full widened space.
+    #[test]
+    fn prune_matches_the_reference() {
+        for_cases("prune_matches_the_reference", 12, |rng| {
+            let workload = rng.below(3);
+            let size = rng.below(2) as u32;
+            let mesh = rng.below(3) as usize;
+            let per_phase = rng.next_u64() & 1 == 1;
+            let keep = 1 + rng.below(39) as usize;
+            let seed = rng.below(1_000);
             let dag = match workload {
                 0 => cg(2 + size),
-                1 => hpcg(16 + 16 * size as u64),
+                1 => hpcg(16 + 16 * u64::from(size)),
                 _ => gcn(1 + size),
             };
             let accel = CelloConfig::paper();
@@ -1344,8 +1341,12 @@ mod tests {
                 let model = Tier0Model::new(&dag, &accel, &space);
                 let total = space.exhaustive_size();
                 let budget = if exhaustive { total } else { 2_048 };
-                proptest::prop_assert!(
-                    if exhaustive { total <= 40_000 } else { total > budget },
+                assert!(
+                    if exhaustive {
+                        total <= 40_000
+                    } else {
+                        total > budget
+                    },
                     "{total} assignments do not fit the branch under test"
                 );
                 let mut streamed: Vec<Vec<usize>> = Vec::new();
@@ -1353,17 +1354,14 @@ mod tests {
                     assert_eq!(order, streamed.len() as u64, "stream positions count up");
                     streamed.push(picks.to_vec());
                 });
-                proptest::prop_assert_eq!(swept, streamed.len() as u64);
-                proptest::prop_assert_eq!(streamed, reference_stream(&space, budget, seed));
+                assert_eq!(swept, streamed.len() as u64);
+                assert_eq!(streamed, reference_stream(&space, budget, seed));
                 for k in [keep, 96] {
                     let got = model.prune(&space, budget, k, seed);
-                    proptest::prop_assert_eq!(
-                        got.kept,
-                        reference_prune(&model, &space, budget, k, seed)
-                    );
+                    assert_eq!(got.kept, reference_prune(&model, &space, budget, k, seed));
                 }
             }
-        }
+        });
     }
 
     /// A sampled sweep prunes hard: survivors are a small fraction of the

@@ -63,9 +63,9 @@ fn parse_args() -> Args {
             "--mtx" => args.mtx = Some(value("--mtx").into()),
             "--n" => args.request.n = parse_num(&value("--n"), "--n"),
             "--iterations" => {
-                args.request.iterations = parse_num(&value("--iterations"), "--iterations") as u32
+                args.request.iterations = parse_num(&value("--iterations"), "--iterations")
             }
-            "--layers" => args.request.layers = parse_num(&value("--layers"), "--layers") as u32,
+            "--layers" => args.request.layers = parse_num(&value("--layers"), "--layers"),
             "--nx" => args.request.nx = Some(parse_num(&value("--nx"), "--nx")),
             "--nodes" => {
                 args.request.nodes = value("--nodes")
@@ -98,9 +98,11 @@ fn parse_args() -> Args {
     args
 }
 
-fn parse_num(s: &str, flag: &str) -> u64 {
+/// `s` as a number of the field's type; anything else, an out-of-range
+/// value included, exits 2.
+fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: not a number: {s:?}");
+        eprintln!("{flag}: not a {}: {s:?}", std::any::type_name::<T>());
         std::process::exit(2);
     })
 }

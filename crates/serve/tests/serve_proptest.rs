@@ -16,9 +16,9 @@ use cello_obs::json::Json;
 use cello_search::{SpaceConfig, Strategy, Tuner};
 use cello_serve::protocol::{parse_frame, CacheTag, Frame, Request, Response};
 use cello_serve::Service;
+use cello_tensor::gen::{for_cases, SplitMix64};
 use cello_workloads::cg::{build_cg_dag, CgParams};
 use cello_workloads::datasets::FV1;
-use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -38,78 +38,88 @@ fn tiny_request(id: u64) -> Request {
 }
 
 /// Builds a randomized — always well-formed — request.
-fn random_request(seed: u64) -> Request {
-    let pick = |k: u64, n: u64| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(k * 101)) % n;
-    let workloads = ["cg", "hpcg", "gcn", "bicgstab"];
-    let datasets = ["fv1", "G2_circuit", "cora", "NASA4704", "protein"];
-    let strategies = [
-        "beam2",
-        "beam8",
-        "exhaustive",
-        "random16@3",
-        "prefilter0.5+beam4",
-    ];
-    let mut req = Request::cg(datasets[pick(1, datasets.len() as u64) as usize]);
-    req.id = seed;
-    req.workload = workloads[pick(0, workloads.len() as u64) as usize].into();
+fn random_request(rng: &mut SplitMix64) -> Request {
+    fn pick<'a>(rng: &mut SplitMix64, xs: &[&'a str]) -> &'a str {
+        xs[rng.below(xs.len() as u64) as usize]
+    }
+    let mut req = Request::cg(pick(
+        rng,
+        &["fv1", "G2_circuit", "cora", "NASA4704", "protein"],
+    ));
+    req.id = rng.below(1_000_000);
+    req.workload = pick(rng, &["cg", "hpcg", "gcn", "bicgstab"]).into();
     if req.workload == "hpcg" {
-        req.nx = Some(8 + pick(2, 40));
+        req.nx = Some(8 + rng.below(40));
     }
-    if pick(3, 3) == 0 {
+    if rng.below(3) == 0 {
         req.dataset = None;
-        req.m = Some(1 + pick(4, 100_000));
-        req.nnz = Some(1 + pick(5, 1_000_000));
+        req.m = Some(1 + rng.below(100_000));
+        req.nnz = Some(1 + rng.below(1_000_000));
     }
-    req.n = 1 + pick(6, 64);
-    req.iterations = 1 + pick(7, 4) as u32;
-    req.layers = 1 + pick(8, 4) as u32;
-    req.nodes = match pick(9, 3) {
+    req.n = 1 + rng.below(64);
+    req.iterations = 1 + rng.below(4) as u32;
+    req.layers = 1 + rng.below(4) as u32;
+    req.nodes = match rng.below(3) {
         0 => vec![1],
         1 => vec![1, 4],
         _ => vec![1, 2, 16],
     };
-    req.strategy = strategies[pick(10, strategies.len() as u64) as usize].into();
-    req.per_phase_sram = pick(11, 2) == 1;
-    req.widened = pick(12, 2) == 1;
-    req.sram_mb = 1 << pick(13, 4);
-    req.emit_dot = pick(14, 2) == 1;
+    req.strategy = pick(
+        rng,
+        &[
+            "beam2",
+            "beam8",
+            "exhaustive",
+            "random16@3",
+            "prefilter0.5+beam4",
+        ],
+    )
+    .into();
+    req.per_phase_sram = rng.next_u64() & 1 == 1;
+    req.widened = rng.next_u64() & 1 == 1;
+    req.sram_mb = 1 << rng.below(4);
+    req.emit_dot = rng.next_u64() & 1 == 1;
     req
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Well-formed requests round-trip through the wire text exactly.
-    #[test]
-    fn request_render_parse_round_trip(seed in 0u64..1_000_000) {
-        let req = random_request(seed);
+/// Well-formed requests round-trip through the wire text exactly.
+#[test]
+fn request_render_parse_round_trip() {
+    for_cases("request_render_parse_round_trip", 64, |rng| {
+        let req = random_request(rng);
         let line = req.to_line();
         match parse_frame(&line) {
-            Ok(Frame::Compile(back)) => prop_assert_eq!(back, req),
-            other => prop_assert!(false, "{:?} did not parse: {:?}", line, other),
+            Ok(Frame::Compile(back)) => assert_eq!(back, req),
+            other => panic!("{:?} did not parse: {:?}", line, other),
         }
-    }
+    });
+}
 
-    /// Arbitrary bytes through the full line handler: one valid JSON
-    /// response, ok or typed error, never a panic. (The service handles the
-    /// line end to end, so garbage that happens to parse as a tiny compile
-    /// request really compiles — which is why the byte budget stays small.)
-    #[test]
-    fn arbitrary_bytes_never_panic_the_handler(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+/// Arbitrary bytes through the full line handler: one valid JSON
+/// response, ok or typed error, never a panic. (The service handles the
+/// line end to end, so garbage that happens to parse as a tiny compile
+/// request really compiles — which is why the byte budget stays small.)
+#[test]
+fn arbitrary_bytes_never_panic_the_handler() {
+    for_cases("arbitrary_bytes_never_panic_the_handler", 64, |rng| {
+        let bytes: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
         let dir = tmpdir("fuzz-bytes");
         let service = Service::open(&dir).unwrap();
         let line = String::from_utf8_lossy(&bytes).into_owned();
         let (resp, _) = service.handle_line(&line);
         let doc = Json::parse(&resp).expect("response is valid JSON");
         let status = doc.get("status").and_then(Json::as_str);
-        prop_assert!(status == Some("ok") || status == Some("error"), "{}", resp);
+        assert!(status == Some("ok") || status == Some("error"), "{}", resp);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Structurally-mutated JSON frames (valid JSON, hostile shapes) land in
-    /// typed errors, never panics.
-    #[test]
-    fn mutated_frames_get_typed_errors(seed in 0u64..100_000) {
+/// Structurally-mutated JSON frames (valid JSON, hostile shapes) land in
+/// typed errors, never panics.
+#[test]
+fn mutated_frames_get_typed_errors() {
+    for_cases("mutated_frames_get_typed_errors", 64, |rng| {
+        let seed = rng.below(100_000);
         let mutations = [
             r#"{"workload": 3}"#.to_string(),
             r#"{"workload": "cg", "dataset": 7}"#.to_string(),
@@ -124,9 +134,9 @@ proptest! {
         ];
         let line = &mutations[(seed % mutations.len() as u64) as usize];
         let err = parse_frame(line).expect_err(line);
-        prop_assert!(!err.kind().is_empty());
-        prop_assert!(Json::parse(&cello_serve::protocol::error_line(0, &err)).is_ok());
-    }
+        assert!(!err.kind().is_empty());
+        assert!(Json::parse(&cello_serve::protocol::error_line(0, &err)).is_ok());
+    });
 }
 
 /// The coalescing acceptance criterion at the service level: k identical

@@ -7,10 +7,10 @@
 //! only depends on shapes and footprints; [`random_spd`] additionally keeps
 //! the solver matrices symmetric positive-definite, as CG's input must be.
 //!
-//! [`SplitMix64`] is the workspace's one random generator: these datasets
-//! and the schedule search (`cello_search`'s random and tier-0 sample
-//! streams) both draw from it, so every stream is pinned by this code
-//! alone.
+//! [`SplitMix64`] is the workspace's one random generator: these datasets,
+//! the schedule search (`cello_search`'s random and tier-0 sample streams)
+//! and the property tests ([`for_cases`]) all draw from it, so every
+//! stream is pinned by this code alone.
 
 use crate::sparse::{CooMatrix, CsrMatrix};
 
@@ -64,6 +64,28 @@ impl SplitMix64 {
     /// Uniform in `[lo, hi)`.
     fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.unit_f64() * (hi - lo)
+    }
+}
+
+/// Runs `cases` cases of a property test. The cases draw their inputs in
+/// turn from one [`SplitMix64::new`] stream seeded by the FNV-1a hash of
+/// `name`, so every run draws the same inputs. A failing case panics with
+/// `name`, its index out of `cases`, the seed and the case's own message.
+pub fn for_cases(name: &str, cases: u32, mut case: impl FnMut(&mut SplitMix64)) {
+    let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let mut rng = SplitMix64::new(seed);
+    for i in 0..cases {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng)));
+        if let Err(panic) = run {
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            panic!("{name} failed at case {i}/{cases} (seed {seed:#018x}): {message}");
+        }
     }
 }
 
@@ -189,6 +211,18 @@ mod tests {
             .filter(|_| a.below(1 << 32) == b.below(1 << 32))
             .count();
         assert!(same < 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_cases_reports_the_failing_case failed at case 3/8 \
+                               (seed 0xf0f463f110c8c56a): case 3 drew")]
+    fn for_cases_reports_the_failing_case() {
+        let mut case = 0;
+        for_cases("for_cases_reports_the_failing_case", 8, |rng| {
+            let draw = rng.next_u64();
+            assert!(case < 3, "case {case} drew {draw:#x}");
+            case += 1;
+        });
     }
 
     #[test]

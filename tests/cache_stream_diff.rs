@@ -28,6 +28,7 @@ use cello::sim::backends::{MemoryBackend, TensorRequest};
 use cello::sim::baselines::backend_for;
 use cello::sim::trace::AddressMap;
 use cello::sim::{run_schedule, ConfigKind};
+use cello::tensor::gen::SplitMix64;
 use cello::workloads::bicgstab::{build_bicgstab_dag, BicgParams};
 use cello::workloads::cg::{build_cg_dag, CgParams};
 use cello::workloads::datasets::{FV1, NASA4704};
@@ -229,30 +230,14 @@ mod reference {
     }
 }
 
-/// SplitMix64: a seeded, dependency-free trace generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len() as u64) as usize]
-    }
+/// A uniform draw from `xs`.
+fn pick<T: Copy>(rng: &mut SplitMix64, xs: &[T]) -> T {
+    xs[rng.below(xs.len() as u64) as usize]
 }
 
 /// Replays one random trace through both models; panics on the first
 /// divergence with the case's geometry and call index.
-fn replay<P, R>(cfg: CacheConfig, rng: &mut Rng, calls: usize)
+fn replay<P, R>(cfg: CacheConfig, rng: &mut SplitMix64, calls: usize)
 where
     P: ReplacementPolicy,
     R: reference::ReplacementPolicy,
@@ -299,15 +284,15 @@ fn geometry(sets: u64, ways: usize, line_bytes: u64) -> CacheConfig {
     }
 }
 
-fn random_config(rng: &mut Rng, ways: &[usize]) -> CacheConfig {
-    let line_bytes = rng.pick(&[4u64, 16, 64]);
-    let ways = rng.pick(ways);
+fn random_config(rng: &mut SplitMix64, ways: &[usize]) -> CacheConfig {
+    let line_bytes = pick(rng, &[4u64, 16, 64]);
+    let ways = pick(rng, ways);
     geometry(1 + rng.below(32), ways, line_bytes)
 }
 
 #[test]
 fn lru_streams_match_per_line_model() {
-    let mut rng = Rng(0x5EED_0001);
+    let mut rng = SplitMix64::new(0x5EED_0001);
     for _ in 0..1500 {
         let cfg = random_config(&mut rng, &[1, 2, 4, 8, 16]);
         replay::<LruPolicy, reference::LruPolicy>(cfg, &mut rng, 24);
@@ -316,7 +301,7 @@ fn lru_streams_match_per_line_model() {
 
 #[test]
 fn fully_associative_lru_matches_per_line_model() {
-    let mut rng = Rng(0x5EED_0002);
+    let mut rng = SplitMix64::new(0x5EED_0002);
     for _ in 0..300 {
         let ways = 1 + rng.below(128) as usize;
         let cfg = CacheConfig {
@@ -330,7 +315,7 @@ fn fully_associative_lru_matches_per_line_model() {
 
 #[test]
 fn brrip_streams_match_per_line_model() {
-    let mut rng = Rng(0x5EED_0003);
+    let mut rng = SplitMix64::new(0x5EED_0003);
     for _ in 0..1200 {
         let cfg = random_config(&mut rng, &[1, 2, 4, 8, 16]);
         replay::<BrripPolicy, reference::BrripPolicy>(cfg, &mut rng, 24);
@@ -397,7 +382,7 @@ impl<P: ReplacementPolicy, R: reference::ReplacementPolicy> Pair<P, R> {
 /// tensors (line-aligned, back to back), each streamed whole, read or
 /// written, 72 times in all. Their lengths fall below one line per set,
 /// between that and the capacity `C`, in `[C, 2C)` and in `[2C, 4C)`.
-fn replay_tensors<P, R>(cfg: CacheConfig, rng: &mut Rng)
+fn replay_tensors<P, R>(cfg: CacheConfig, rng: &mut SplitMix64)
 where
     P: ReplacementPolicy,
     R: reference::ReplacementPolicy,
@@ -418,7 +403,7 @@ where
     }
     let mut pair = Pair::<P, R>::new(cfg);
     for call in 0..72 {
-        let region = map.range(rng.pick(&names));
+        let region = map.range(pick(rng, &names));
         pair.stream(region, rng.below(3) == 0, call);
     }
     pair.flush();
@@ -426,16 +411,16 @@ where
 
 /// Geometries with set counts that are mostly not powers of two; lines of
 /// 4, 16 or 64 B, which `AddressMap`'s 64 B alignment keeps line-aligned.
-fn tensor_config(rng: &mut Rng, ways: usize) -> CacheConfig {
-    let line_bytes = rng.pick(&[4u64, 16, 64]);
+fn tensor_config(rng: &mut SplitMix64, ways: usize) -> CacheConfig {
+    let line_bytes = pick(rng, &[4u64, 16, 64]);
     geometry(1 + rng.below(16), ways, line_bytes)
 }
 
 #[test]
 fn lru_tensor_traces_match_per_line_model() {
-    let mut rng = Rng(0x5EED_0004);
+    let mut rng = SplitMix64::new(0x5EED_0004);
     for _ in 0..32 {
-        let ways = rng.pick(&[1, 2, 3, 5, 8, 16, 33, 64]);
+        let ways = pick(&mut rng, &[1, 2, 3, 5, 8, 16, 33, 64]);
         let cfg = tensor_config(&mut rng, ways);
         replay_tensors::<LruPolicy, reference::LruPolicy>(cfg, &mut rng);
     }
@@ -443,9 +428,9 @@ fn lru_tensor_traces_match_per_line_model() {
 
 #[test]
 fn brrip_tensor_traces_match_per_line_model() {
-    let mut rng = Rng(0x5EED_0005);
+    let mut rng = SplitMix64::new(0x5EED_0005);
     for _ in 0..32 {
-        let ways = rng.pick(&[1, 2, 3, 4, 7, 8, 16, 24, 63, 64]);
+        let ways = pick(&mut rng, &[1, 2, 3, 4, 7, 8, 16, 24, 63, 64]);
         let cfg = tensor_config(&mut rng, ways);
         replay_tensors::<BrripPolicy, reference::BrripPolicy>(cfg, &mut rng);
     }
@@ -496,11 +481,11 @@ const SET_COUNTS: [u64; 8] = [1, 3, 4, 6, 7, 12, 16, 24];
 /// keeps the walk.
 #[test]
 fn lru_cyclic_restreams_match_per_line_model() {
-    let mut rng = Rng(0x5EED_0006);
+    let mut rng = SplitMix64::new(0x5EED_0006);
     for sets in SET_COUNTS {
         for _ in 0..6 {
-            let ways = rng.pick(&[1, 2, 3, 4, 8, 16]);
-            let cfg = geometry(sets, ways, rng.pick(&[4, 16, 64]));
+            let ways = pick(&mut rng, &[1, 2, 3, 4, 8, 16]);
+            let cfg = geometry(sets, ways, pick(&mut rng, &[4, 16, 64]));
             let capacity = sets * ways as u64;
             let lines = capacity + rng.below(capacity);
             let start = rng.below(8) * cfg.line_bytes;
@@ -533,11 +518,11 @@ fn lru_cyclic_restreams_match_per_line_model() {
 /// evicts them) and in the run way at the start of a run.
 #[test]
 fn brrip_rereads_match_per_line_model() {
-    let mut rng = Rng(0x5EED_0007);
+    let mut rng = SplitMix64::new(0x5EED_0007);
     for sets in SET_COUNTS {
         for _ in 0..6 {
-            let ways = rng.pick(&[1, 2, 3, 4, 8, 16]);
-            let cfg = geometry(sets, ways, rng.pick(&[4, 16, 64]));
+            let ways = pick(&mut rng, &[1, 2, 3, 4, 8, 16]);
+            let cfg = geometry(sets, ways, pick(&mut rng, &[4, 16, 64]));
             let capacity = sets * ways as u64;
             let mut map = AddressMap::default();
             map.insert("region", (sets + rng.below(4 * capacity)) * cfg.line_bytes);

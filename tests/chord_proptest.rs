@@ -3,7 +3,7 @@
 //! writes back (it never evicts).
 
 use cello::core::chord::{Chord, ChordConfig, ChordPolicyKind, RiffPriority};
-use proptest::prelude::*;
+use cello::tensor::gen::{for_cases, SplitMix64};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -14,26 +14,40 @@ enum Op {
     Update { target: usize, freq: u32, dist: u32 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (1u64..5_000, 0u32..6, 1u32..12).prop_map(|(words, freq, dist)| Op::Produce {
-            words,
-            freq,
-            dist
-        }),
-        (1u64..5_000, 0u32..6, 1u32..12).prop_map(|(words, freq, dist)| Op::Fetch {
-            words,
-            freq,
-            dist
-        }),
-        (0usize..32, any::<bool>()).prop_map(|(target, last)| Op::Consume { target, last }),
-        (0usize..32).prop_map(|target| Op::Retire { target }),
-        (0usize..32, 0u32..6, 1u32..12).prop_map(|(target, freq, dist)| Op::Update {
-            target,
-            freq,
-            dist
-        }),
-    ]
+/// One operation, each of the five kinds equally likely.
+fn random_op(rng: &mut SplitMix64) -> Op {
+    let priority = |rng: &mut SplitMix64| (rng.below(6) as u32, 1 + rng.below(11) as u32);
+    match rng.below(5) {
+        0 => {
+            let words = 1 + rng.below(4_999);
+            let (freq, dist) = priority(rng);
+            Op::Produce { words, freq, dist }
+        }
+        1 => {
+            let words = 1 + rng.below(4_999);
+            let (freq, dist) = priority(rng);
+            Op::Fetch { words, freq, dist }
+        }
+        2 => Op::Consume {
+            target: rng.below(32) as usize,
+            last: rng.next_u64() & 1 == 1,
+        },
+        3 => Op::Retire {
+            target: rng.below(32) as usize,
+        },
+        _ => {
+            let target = rng.below(32) as usize;
+            let (freq, dist) = priority(rng);
+            Op::Update { target, freq, dist }
+        }
+    }
+}
+
+/// 1..`max_len` random operations.
+fn random_ops(rng: &mut SplitMix64, max_len: u64) -> Vec<Op> {
+    (0..1 + rng.below(max_len - 1))
+        .map(|_| random_op(rng))
+        .collect()
 }
 
 fn run_ops(policy: ChordPolicyKind, capacity: u64, ops: &[Op]) -> Chord {
@@ -93,56 +107,58 @@ fn run_ops(policy: ChordPolicyKind, capacity: u64, ops: &[Op]) -> Chord {
     chord
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Conservation + table invariants under arbitrary op sequences (full RIFF).
-    #[test]
-    fn riff_conserves_words(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        capacity in 100u64..20_000,
-    ) {
+/// Conservation + table invariants under arbitrary op sequences (full RIFF).
+#[test]
+fn riff_conserves_words() {
+    for_cases("riff_conserves_words", 64, |rng| {
+        let ops = random_ops(rng, 60);
+        let capacity = 100 + rng.below(19_900);
         let chord = run_ops(ChordPolicyKind::PreludeRiff, capacity, &ops);
-        prop_assert!(chord.used_words() <= capacity);
-    }
+        assert!(chord.used_words() <= capacity);
+    });
+}
 
-    /// PRELUDE-only never evicts, hence never writes back on admission.
-    #[test]
-    fn prelude_only_never_writes_back_on_admission(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        capacity in 100u64..20_000,
-    ) {
+/// PRELUDE-only never evicts, hence never writes back on admission.
+#[test]
+fn prelude_only_never_writes_back_on_admission() {
+    for_cases("prelude_only_never_writes_back_on_admission", 64, |rng| {
+        let ops = random_ops(rng, 60);
+        let capacity = 100 + rng.below(19_900);
         let chord = run_ops(ChordPolicyKind::PreludeOnly, capacity, &ops);
         // All DRAM writes under PRELUDE-only come from produce-time spills,
         // never from evictions: the eviction counters stay zero.
         for e in chord.table().entries() {
-            prop_assert_eq!(chord.audit(&e.name).evicted_dirty, 0);
-            prop_assert_eq!(chord.audit(&e.name).evicted_clean, 0);
+            assert_eq!(chord.audit(&e.name).evicted_dirty, 0);
+            assert_eq!(chord.audit(&e.name).evicted_clean, 0);
         }
-        prop_assert_eq!(chord.stats().writebacks, 0);
-    }
+        assert_eq!(chord.stats().writebacks, 0);
+    });
+}
 
-    /// Occupancy never exceeds capacity and the resident prefix never exceeds
-    /// the tensor size, for every entry, at the end of any sequence.
-    #[test]
-    fn residency_bounds(
-        ops in proptest::collection::vec(op_strategy(), 1..80),
-        capacity in 50u64..5_000,
-    ) {
+/// Occupancy never exceeds capacity and the resident prefix never exceeds
+/// the tensor size, for every entry, at the end of any sequence.
+#[test]
+fn residency_bounds() {
+    for_cases("residency_bounds", 64, |rng| {
+        let ops = random_ops(rng, 80);
+        let capacity = 50 + rng.below(4_950);
         let chord = run_ops(ChordPolicyKind::PreludeRiff, capacity, &ops);
         let mut sum = 0;
         for e in chord.table().entries() {
-            prop_assert!(e.resident_words <= e.total_words);
+            assert!(e.resident_words <= e.total_words);
             sum += e.resident_words;
         }
-        prop_assert_eq!(sum, chord.used_words());
-        prop_assert!(chord.table().len() <= 64);
-    }
+        assert_eq!(sum, chord.used_words());
+        assert!(chord.table().len() <= 64);
+    });
+}
 
-    /// A produce that fits entirely (no contention) never spills, and a
-    /// subsequent consume hits every word.
-    #[test]
-    fn fitting_produce_never_spills(words in 1u64..1_000) {
+/// A produce that fits entirely (no contention) never spills, and a
+/// subsequent consume hits every word.
+#[test]
+fn fitting_produce_never_spills() {
+    for_cases("fitting_produce_never_spills", 64, |rng| {
+        let words = 1 + rng.below(999);
         let mut chord = Chord::new(ChordConfig {
             capacity_words: 1_000,
             word_bytes: 4,
@@ -150,21 +166,22 @@ proptest! {
             max_entries: 64,
         });
         let spill = chord.produce("T", words, RiffPriority::new(1, 1));
-        prop_assert_eq!(spill, 0);
+        assert_eq!(spill, 0);
         let r = chord.consume("T", None);
-        prop_assert_eq!(r.hit_words, words);
-        prop_assert_eq!(r.miss_words, 0);
-        prop_assert_eq!(chord.stats().dram_bytes(), 0);
-    }
+        assert_eq!(r.hit_words, words);
+        assert_eq!(r.miss_words, 0);
+        assert_eq!(chord.stats().dram_bytes(), 0);
+    });
+}
 
-    /// RIFF never evicts a tensor with higher priority than the requester:
-    /// after any sequence, if a weak newcomer spilled, every resident tensor
-    /// outranks it.
-    #[test]
-    fn weak_tensors_cannot_displace_strong(
-        strong_n in 1usize..8,
-        words in 200u64..800,
-    ) {
+/// RIFF never evicts a tensor with higher priority than the requester:
+/// after any sequence, if a weak newcomer spilled, every resident tensor
+/// outranks it.
+#[test]
+fn weak_tensors_cannot_displace_strong() {
+    for_cases("weak_tensors_cannot_displace_strong", 64, |rng| {
+        let strong_n = 1 + rng.below(7) as usize;
+        let words = 200 + rng.below(600);
         let mut chord = Chord::new(ChordConfig {
             capacity_words: 1_000,
             word_bytes: 4,
@@ -172,14 +189,28 @@ proptest! {
             max_entries: 64,
         });
         for i in 0..strong_n {
-            chord.produce(&format!("S{i}"), words / strong_n as u64, RiffPriority::new(5, 1));
+            chord.produce(
+                &format!("S{i}"),
+                words / strong_n as u64,
+                RiffPriority::new(5, 1),
+            );
         }
-        let before: u64 = chord.table().entries().iter()
-            .filter(|e| e.name.starts_with('S')).map(|e| e.resident_words).sum();
+        let before: u64 = chord
+            .table()
+            .entries()
+            .iter()
+            .filter(|e| e.name.starts_with('S'))
+            .map(|e| e.resident_words)
+            .sum();
         chord.produce("weak", 2_000, RiffPriority::new(1, 11));
-        let after: u64 = chord.table().entries().iter()
-            .filter(|e| e.name.starts_with('S')).map(|e| e.resident_words).sum();
-        prop_assert_eq!(before, after, "strong residents must be untouched");
+        let after: u64 = chord
+            .table()
+            .entries()
+            .iter()
+            .filter(|e| e.name.starts_with('S'))
+            .map(|e| e.resident_words)
+            .sum();
+        assert_eq!(before, after, "strong residents must be untouched");
         chord.check_conservation().unwrap();
-    }
+    });
 }

@@ -11,8 +11,8 @@ use cello::graph::edge::TensorMeta;
 use cello::graph::node::OpKind;
 use cello::sim::baselines::{run_config, ConfigKind};
 use cello::tensor::einsum::EinsumSpec;
+use cello::tensor::gen::{for_cases, SplitMix64};
 use cello::tensor::shape::{RankExtent, RankId};
-use proptest::prelude::*;
 
 /// Three node flavors with distinct dominance.
 fn spec(flavor: u8) -> EinsumSpec {
@@ -63,7 +63,7 @@ fn dst_ranks(flavor: u8) -> &'static [&'static str] {
     }
 }
 
-/// Builds a random DAG from (flavors, edge pairs); returns None for empty.
+/// Builds a random DAG from (flavors, edge pairs).
 fn build(flavors: &[u8], raw_edges: &[(usize, usize)]) -> TensorDag {
     let mut dag = TensorDag::new();
     for (i, &f) in flavors.iter().enumerate() {
@@ -94,50 +94,59 @@ fn build(flavors: &[u8], raw_edges: &[(usize, usize)]) -> TensorDag {
     dag
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A random DAG of 2..`max_nodes` nodes (flavors 0..15) and 0..`max_edges`
+/// raw edge draws over `0..max_nodes` (folded onto the nodes by `build`).
+fn random_dag(rng: &mut SplitMix64, max_nodes: u64, max_edges: u64) -> TensorDag {
+    let flavors: Vec<u8> = (0..2 + rng.below(max_nodes - 2))
+        .map(|_| rng.below(15) as u8)
+        .collect();
+    let edges: Vec<(usize, usize)> = (0..rng.below(max_edges))
+        .map(|_| (rng.below(max_nodes) as usize, rng.below(max_nodes) as usize))
+        .collect();
+    build(&flavors, &edges)
+}
 
-    /// Longest-path transitivity detection matches brute-force path search.
-    #[test]
-    fn transitivity_matches_bruteforce(
-        flavors in proptest::collection::vec(0u8..15, 2..12),
-        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..30),
-    ) {
-        let dag = build(&flavors, &edges);
+/// Longest-path transitivity detection matches brute-force path search.
+#[test]
+fn transitivity_matches_bruteforce() {
+    for_cases("transitivity_matches_bruteforce", 48, |rng| {
+        let dag = random_dag(rng, 12, 30);
         for (eid, _) in dag.edges() {
-            prop_assert_eq!(
+            assert_eq!(
                 dag.edge_is_transitive(eid),
                 dag.edge_is_transitive_bruteforce(eid),
-                "edge {:?}", eid
+                "edge {:?}",
+                eid
             );
         }
-    }
+    });
+}
 
-    /// Algorithm 2 assigns every edge exactly one dependency; numcast counts
-    /// non-transitive out-edges; multicast ⇔ numcast > 1.
-    #[test]
-    fn classification_totals(
-        flavors in proptest::collection::vec(0u8..15, 2..12),
-        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..30),
-    ) {
-        let dag = build(&flavors, &edges);
+/// Algorithm 2 assigns every edge exactly one dependency; numcast counts
+/// non-transitive out-edges; multicast ⇔ numcast > 1.
+#[test]
+fn classification_totals() {
+    for_cases("classification_totals", 48, |rng| {
+        let dag = random_dag(rng, 12, 30);
         let cls = classify(&dag);
-        prop_assert_eq!(cls.histogram().iter().sum::<usize>(), dag.edge_count());
+        assert_eq!(cls.histogram().iter().sum::<usize>(), dag.edge_count());
         for (nid, _) in dag.nodes() {
-            let non_trans = dag.out_edges(nid).iter()
-                .filter(|&&e| !cls.transitive[e.0]).count() as u32;
-            prop_assert_eq!(cls.numcast[nid.0], non_trans);
-            prop_assert_eq!(cls.parallel_multicast[nid.0], non_trans > 1);
+            let non_trans = dag
+                .out_edges(nid)
+                .iter()
+                .filter(|&&e| !cls.transitive[e.0])
+                .count() as u32;
+            assert_eq!(cls.numcast[nid.0], non_trans);
+            assert_eq!(cls.parallel_multicast[nid.0], non_trans > 1);
         }
-    }
+    });
+}
 
-    /// Every scheduler preset yields a validating schedule on random DAGs.
-    #[test]
-    fn schedules_always_validate(
-        flavors in proptest::collection::vec(0u8..15, 2..12),
-        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..30),
-    ) {
-        let dag = build(&flavors, &edges);
+/// Every scheduler preset yields a validating schedule on random DAGs.
+#[test]
+fn schedules_always_validate() {
+    for_cases("schedules_always_validate", 48, |rng| {
+        let dag = random_dag(rng, 12, 30);
         for opts in [
             ScheduleOptions::best_intra(),
             ScheduleOptions::flat(),
@@ -146,37 +155,35 @@ proptest! {
             ScheduleOptions::cello(),
         ] {
             let s = build_schedule(&dag, opts);
-            prop_assert!(s.validate(&dag).is_ok(), "{:?}", opts);
+            assert!(s.validate(&dag).is_ok(), "{:?}", opts);
             // Every node scheduled exactly once.
             let total: usize = s.phases.iter().map(|p| p.ops.len()).sum();
-            prop_assert_eq!(total, dag.node_count());
+            assert_eq!(total, dag.node_count());
         }
-    }
+    });
+}
 
-    /// On arbitrary DAGs, CELLO's DRAM traffic never exceeds the op-by-op
-    /// oracle's, and FLAT's never exceeds it either.
-    #[test]
-    fn traffic_ordering_on_random_dags(
-        flavors in proptest::collection::vec(0u8..15, 2..10),
-        edges in proptest::collection::vec((0usize..10, 0usize..10), 0..24),
-    ) {
-        let dag = build(&flavors, &edges);
+/// On arbitrary DAGs, CELLO's DRAM traffic never exceeds the op-by-op
+/// oracle's, and FLAT's never exceeds it either.
+#[test]
+fn traffic_ordering_on_random_dags() {
+    for_cases("traffic_ordering_on_random_dags", 48, |rng| {
+        let dag = random_dag(rng, 10, 24);
         let accel = CelloConfig::paper();
         let oracle = run_config(&dag, ConfigKind::Flexagon, &accel, "prop");
         let flat = run_config(&dag, ConfigKind::Flat, &accel, "prop");
         let cello = run_config(&dag, ConfigKind::Cello, &accel, "prop");
-        prop_assert!(flat.dram_bytes <= oracle.dram_bytes);
-        prop_assert!(cello.dram_bytes <= oracle.dram_bytes);
-    }
+        assert!(flat.dram_bytes <= oracle.dram_bytes);
+        assert!(cello.dram_bytes <= oracle.dram_bytes);
+    });
+}
 
-    /// Terminal outputs always reach DRAM: traffic is at least the terminal
-    /// footprint under every configuration.
-    #[test]
-    fn terminals_always_written(
-        flavors in proptest::collection::vec(0u8..15, 2..10),
-        edges in proptest::collection::vec((0usize..10, 0usize..10), 0..24),
-    ) {
-        let dag = build(&flavors, &edges);
+/// Terminal outputs always reach DRAM: traffic is at least the terminal
+/// footprint under every configuration.
+#[test]
+fn terminals_always_written() {
+    for_cases("terminals_always_written", 48, |rng| {
+        let dag = random_dag(rng, 10, 24);
         let accel = CelloConfig::paper();
         let wb = accel.word_bytes as u64;
         let term_bytes: u64 = dag
@@ -186,11 +193,13 @@ proptest! {
             .sum();
         for kind in [ConfigKind::Flexagon, ConfigKind::Cello] {
             let r = run_config(&dag, kind, &accel, "prop");
-            prop_assert!(
+            assert!(
                 r.stats.dram_write_bytes >= term_bytes,
                 "{}: wrote {} < terminals {}",
-                kind.label(), r.stats.dram_write_bytes, term_bytes
+                kind.label(),
+                r.stats.dram_write_bytes,
+                term_bytes
             );
         }
-    }
+    });
 }

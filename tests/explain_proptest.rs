@@ -15,9 +15,9 @@ use cello::core::TransferTuning;
 use cello::graph::dag::TensorDag;
 use cello::sim::evaluate::evaluate_report;
 use cello::sim::report::RunReport;
+use cello::tensor::gen::for_cases;
 use cello::workloads::cg::{build_cg_dag, CgParams};
 use cello_bench::explain::{self, AxisDelta};
-use proptest::prelude::*;
 
 fn cg(m: u64, iterations: u32) -> TensorDag {
     build_cg_dag(&CgParams {
@@ -49,75 +49,76 @@ fn build_report(dag: &TensorDag, accel: &CelloConfig, family: u8, depth: u8) -> 
     evaluate_report(dag, &build_schedule_with(dag, opts, &constraints), accel)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Within one report the cycle axes are an exact decomposition: every
-    /// axis is non-negative (the ledger never charges a phase less than
-    /// `max(compute, exposed_mem)`), and the rows sum to `report.cycles`
-    /// exactly. Likewise the DRAM axes sum to each phase's ledgered bytes.
-    #[test]
-    fn axes_decompose_each_report_exactly(
-        m in 20_000u64..80_000,
-        iterations in 1u32..4,
-        family in 0u8..3,
-        depth in 0u8..5,
-    ) {
+/// Within one report the cycle axes are an exact decomposition: every
+/// axis is non-negative (the ledger never charges a phase less than
+/// `max(compute, exposed_mem)`), and the rows sum to `report.cycles`
+/// exactly. Likewise the DRAM axes sum to each phase's ledgered bytes.
+#[test]
+fn axes_decompose_each_report_exactly() {
+    for_cases("axes_decompose_each_report_exactly", 24, |rng| {
+        let m = 20_000 + rng.below(60_000);
+        let iterations = 1 + rng.below(3) as u32;
+        let family = rng.below(3) as u8;
+        let depth = rng.below(5) as u8;
         let dag = cg(m, iterations);
         let r = build_report(&dag, &CelloConfig::paper(), family, depth);
 
         let cycle_rows = explain::cycle_axes(&r);
-        prop_assert_eq!(cycle_rows.len(), r.phase_cycles.len());
+        assert_eq!(cycle_rows.len(), r.phase_cycles.len());
         for (p, row) in cycle_rows.iter().enumerate() {
             for (a, &v) in row.iter().enumerate() {
-                prop_assert!(v >= 0, "phase {p} axis {a} went negative: {v}");
+                assert!(v >= 0, "phase {p} axis {a} went negative: {v}");
             }
         }
         let total: i64 = cycle_rows.iter().flatten().sum();
-        prop_assert_eq!(total, r.cycles as i64, "cycle axes must sum to the total");
+        assert_eq!(total, r.cycles as i64, "cycle axes must sum to the total");
 
         let dram_rows = explain::dram_axes(&r);
-        prop_assert_eq!(dram_rows.len(), r.phase_dram_bytes.len());
+        assert_eq!(dram_rows.len(), r.phase_dram_bytes.len());
         for (p, row) in dram_rows.iter().enumerate() {
             let sum: i64 = row.iter().sum();
-            prop_assert_eq!(
+            assert_eq!(
                 sum, r.phase_dram_bytes[p] as i64,
-                "phase {} DRAM axes must sum to the ledgered bytes", p
+                "phase {} DRAM axes must sum to the ledgered bytes",
+                p
             );
         }
-    }
+    });
+}
 
-    /// Between any two reports — different schedule families, phase
-    /// counts, and tunings — the per-(phase, axis) deltas telescope to the
-    /// total cycle delta exactly, in both diff directions, with the
-    /// shorter phase list zero-padded rather than truncated.
-    #[test]
-    fn axis_deltas_telescope_to_the_total_delta(
-        m in 20_000u64..80_000,
-        iterations in 1u32..4,
-        family_a in 0u8..3,
-        family_b in 0u8..3,
-        depth_a in 0u8..5,
-        depth_b in 0u8..5,
-    ) {
+/// Between any two reports — different schedule families, phase
+/// counts, and tunings — the per-(phase, axis) deltas telescope to the
+/// total cycle delta exactly, in both diff directions, with the
+/// shorter phase list zero-padded rather than truncated.
+#[test]
+fn axis_deltas_telescope_to_the_total_delta() {
+    for_cases("axis_deltas_telescope_to_the_total_delta", 24, |rng| {
+        let m = 20_000 + rng.below(60_000);
+        let iterations = 1 + rng.below(3) as u32;
+        let family_a = rng.below(3) as u8;
+        let family_b = rng.below(3) as u8;
+        let depth_a = rng.below(5) as u8;
+        let depth_b = rng.below(5) as u8;
         let dag = cg(m, iterations);
         let accel = CelloConfig::paper();
         let a = build_report(&dag, &accel, family_a, depth_a);
         let b = build_report(&dag, &accel, family_b, depth_b);
 
         let e = explain::diff_reports(&a, &b);
-        prop_assert_eq!(e.cycle_delta(), b.cycles as i64 - a.cycles as i64);
+        assert_eq!(e.cycle_delta(), b.cycles as i64 - a.cycles as i64);
         let row_sum: i64 = e.cycle_rows.iter().map(AxisDelta::delta).sum();
-        prop_assert_eq!(
-            row_sum, e.cycle_delta(),
+        assert_eq!(
+            row_sum,
+            e.cycle_delta(),
             "cycle rows must telescope ({} phases vs {})",
-            a.phase_cycles.len(), b.phase_cycles.len()
+            a.phase_cycles.len(),
+            b.phase_cycles.len()
         );
         let axis_sum: i64 = e.cycle_axis_totals().iter().map(|&(_, d)| d).sum();
-        prop_assert_eq!(axis_sum, e.cycle_delta(), "axis totals must telescope too");
+        assert_eq!(axis_sum, e.cycle_delta(), "axis totals must telescope too");
 
         let dram_sum: i64 = e.dram_rows.iter().map(AxisDelta::delta).sum();
-        prop_assert_eq!(
+        assert_eq!(
             dram_sum,
             b.phase_dram_bytes.iter().sum::<u64>() as i64
                 - a.phase_dram_bytes.iter().sum::<u64>() as i64,
@@ -126,9 +127,15 @@ proptest! {
 
         // The reverse diff is the exact negation, row by row.
         let rev = explain::diff_reports(&b, &a);
-        prop_assert_eq!(rev.cycle_delta(), -e.cycle_delta());
+        assert_eq!(rev.cycle_delta(), -e.cycle_delta());
         for (fwd, bwd) in e.cycle_rows.iter().zip(&rev.cycle_rows) {
-            prop_assert_eq!(fwd.delta(), -bwd.delta(), "phase {} {}", fwd.phase, fwd.axis);
+            assert_eq!(
+                fwd.delta(),
+                -bwd.delta(),
+                "phase {} {}",
+                fwd.phase,
+                fwd.axis
+            );
         }
-    }
+    });
 }

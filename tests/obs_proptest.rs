@@ -7,15 +7,19 @@
 use cello::obs::json::Json;
 use cello::obs::metrics::HistogramSnapshot;
 use cello::obs::{ArgValue, SpanNode};
-use proptest::prelude::*;
+use cello::tensor::gen::{for_cases, SplitMix64};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `0..max_len` uniform 64-bit values.
+fn random_values(rng: &mut SplitMix64, max_len: u64) -> Vec<u64> {
+    (0..rng.below(max_len)).map(|_| rng.next_u64()).collect()
+}
 
-    /// Percentiles come back ordered and clamped to the observed range:
-    /// `min ≤ p50 ≤ p95 ≤ p99 ≤ max` for any non-empty sample.
-    #[test]
-    fn percentiles_are_bounded_and_monotone(values in proptest::collection::vec(any::<u64>(), 1..200)) {
+/// Percentiles come back ordered and clamped to the observed range:
+/// `min ≤ p50 ≤ p95 ≤ p99 ≤ max` for any non-empty sample.
+#[test]
+fn percentiles_are_bounded_and_monotone() {
+    for_cases("percentiles_are_bounded_and_monotone", 64, |rng| {
+        let values: Vec<u64> = (0..1 + rng.below(199)).map(|_| rng.next_u64()).collect();
         let mut h = HistogramSnapshot::empty();
         for &v in &values {
             h.record(v);
@@ -25,20 +29,21 @@ proptest! {
         let p50 = h.percentile(50.0);
         let p95 = h.percentile(95.0);
         let p99 = h.percentile(99.0);
-        prop_assert!(lo <= p50, "min {lo} > p50 {p50}");
-        prop_assert!(p50 <= p95, "p50 {p50} > p95 {p95}");
-        prop_assert!(p95 <= p99, "p95 {p95} > p99 {p99}");
-        prop_assert!(p99 <= hi, "p99 {p99} > max {hi}");
-    }
+        assert!(lo <= p50, "min {lo} > p50 {p50}");
+        assert!(p50 <= p95, "p50 {p50} > p95 {p95}");
+        assert!(p95 <= p99, "p95 {p95} > p99 {p99}");
+        assert!(p99 <= hi, "p99 {p99} > max {hi}");
+    });
+}
 
-    /// Merge is associative and commutative (shard-and-merge aggregation is
-    /// order-independent), and matches recording the union directly.
-    #[test]
-    fn merge_is_associative_and_order_free(
-        a in proptest::collection::vec(any::<u64>(), 0..64),
-        b in proptest::collection::vec(any::<u64>(), 0..64),
-        c in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
+/// Merge is associative and commutative (shard-and-merge aggregation is
+/// order-independent), and matches recording the union directly.
+#[test]
+fn merge_is_associative_and_order_free() {
+    for_cases("merge_is_associative_and_order_free", 64, |rng| {
+        let a = random_values(rng, 64);
+        let b = random_values(rng, 64);
+        let c = random_values(rng, 64);
         let snap = |values: &[u64]| {
             let mut h = HistogramSnapshot::empty();
             for &v in values {
@@ -63,13 +68,13 @@ proptest! {
         let union: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
         let flat = snap(&union);
         for h in [&left, &right, &commuted] {
-            prop_assert_eq!(h.count, flat.count);
-            prop_assert_eq!(h.sum, flat.sum);
-            prop_assert_eq!(h.min, flat.min);
-            prop_assert_eq!(h.max, flat.max);
-            prop_assert_eq!(&h.counts[..], &flat.counts[..]);
+            assert_eq!(h.count, flat.count);
+            assert_eq!(h.sum, flat.sum);
+            assert_eq!(h.min, flat.min);
+            assert_eq!(h.max, flat.max);
+            assert_eq!(&h.counts[..], &flat.counts[..]);
         }
-    }
+    });
 }
 
 /// Every event object of a parsed Chrome trace document.

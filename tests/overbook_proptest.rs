@@ -20,9 +20,9 @@ use cello::core::score::binding::{build_schedule_with, ScheduleConstraints, Sche
 use cello::core::{ChordOverbook, MAX_OVERBOOK_LEVEL};
 use cello::graph::dag::TensorDag;
 use cello::sim::evaluate::evaluate_schedule;
+use cello::tensor::gen::for_cases;
 use cello::tensor::sparse::OccupancyStats;
 use cello::workloads::cg::{build_cg_dag, CgParams};
-use proptest::prelude::*;
 
 /// An occupancy distribution with the given relative mean and relative
 /// standard deviation (`max` stays 1, so the fractions coincide).
@@ -46,49 +46,47 @@ fn cg(m: u64, iterations: u32, a_occupancy: Option<OccupancyStats>) -> TensorDag
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// For any occupancy distribution, level and tensor size: the granted
-    /// footprint never exceeds worst-case dense, the spill never exceeds
-    /// the tensor, and level 0 grants everything and spills nothing.
-    #[test]
-    fn grants_never_exceed_the_dense_footprint(
-        words in 1u64..10_000_000,
-        rel_mean in 0.0f64..1.0,
-        rel_std in 0.0f64..1.0,
-        level in 0u8..=MAX_OVERBOOK_LEVEL,
-    ) {
+/// For any occupancy distribution, level and tensor size: the granted
+/// footprint never exceeds worst-case dense, the spill never exceeds
+/// the tensor, and level 0 grants everything and spills nothing.
+#[test]
+fn grants_never_exceed_the_dense_footprint() {
+    for_cases("grants_never_exceed_the_dense_footprint", 32, |rng| {
+        let words = 1 + rng.below(9_999_999);
+        let rel_mean = rng.unit_f64();
+        let rel_std = rng.unit_f64();
+        let level = rng.below(u64::from(MAX_OVERBOOK_LEVEL) + 1) as u8;
         let stats = occ(rel_mean, rel_std);
         let ob = ChordOverbook::at(level);
         let granted = ob.granted_words(words, &stats);
         let spill = ob.spill_words(words, &stats);
-        prop_assert!(granted <= words, "granted {granted} > dense {words}");
-        prop_assert!(spill <= words, "spill {spill} > tensor {words}");
+        assert!(granted <= words, "granted {granted} > dense {words}");
+        assert!(spill <= words, "spill {spill} > tensor {words}");
         if level == 0 {
-            prop_assert_eq!(granted, words, "off must grant the dense footprint");
-            prop_assert_eq!(spill, 0u64, "off must never spill");
+            assert_eq!(granted, words, "off must grant the dense footprint");
+            assert_eq!(spill, 0u64, "off must never spill");
         }
         // Dense stats are the identity at every level.
         let dense = OccupancyStats::dense();
-        prop_assert_eq!(ob.granted_words(words, &dense), words);
-        prop_assert_eq!(ob.spill_words(words, &dense), 0u64);
-    }
+        assert_eq!(ob.granted_words(words, &dense), words);
+        assert_eq!(ob.spill_words(words, &dense), 0u64);
+    });
+}
 
-    /// Dense measured occupancy replays the worst-case model bit-for-bit
-    /// at every overbooking level, and any occupancy replays it with
-    /// overbooking off.
-    /// This is the "no silent drift" guarantee: carrying stats on a
-    /// matrix that turns out dense, or declining the overbook knob,
-    /// costs nothing.
-    #[test]
-    fn dense_occupancy_replays_the_worst_case_model(
-        m in 20_000u64..120_000,
-        iterations in 1u32..4,
-        level in 1u8..=MAX_OVERBOOK_LEVEL,
-        rel_mean in 0.1f64..0.9,
-        rel_std in 0.0f64..0.5,
-    ) {
+/// Dense measured occupancy replays the worst-case model bit-for-bit
+/// at every overbooking level, and any occupancy replays it with
+/// overbooking off.
+/// This is the "no silent drift" guarantee: carrying stats on a
+/// matrix that turns out dense, or declining the overbook knob,
+/// costs nothing.
+#[test]
+fn dense_occupancy_replays_the_worst_case_model() {
+    for_cases("dense_occupancy_replays_the_worst_case_model", 32, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let iterations = 1 + rng.below(3) as u32;
+        let level = 1 + rng.below(u64::from(MAX_OVERBOOK_LEVEL)) as u8;
+        let rel_mean = 0.1 + rng.unit_f64() * 0.8;
+        let rel_std = rng.unit_f64() * 0.5;
         let accel = CelloConfig::paper();
         let opts = ScheduleOptions::cello();
         let baseline_dag = cg(m, iterations, None);
@@ -101,9 +99,11 @@ proptest! {
         let mut overbooked = ScheduleConstraints::none();
         overbooked.chord_overbook = Some(ChordOverbook::at(level));
         let s = build_schedule_with(&dense_dag, opts, &overbooked);
-        prop_assert_eq!(
-            evaluate_schedule(&dense_dag, &s, &accel), base_sim,
-            "dense occupancy diverged in the engine at level {}", level
+        assert_eq!(
+            evaluate_schedule(&dense_dag, &s, &accel),
+            base_sim,
+            "dense occupancy diverged in the engine at level {}",
+            level
         );
 
         // Skewed stats + overbooking off: identical.
@@ -112,26 +112,29 @@ proptest! {
             let mut c = ScheduleConstraints::none();
             c.chord_overbook = off;
             let s = build_schedule_with(&skewed_dag, opts, &c);
-            prop_assert_eq!(
-                evaluate_schedule(&skewed_dag, &s, &accel), base_sim,
-                "overbook-off spelling {:?} diverged in the engine", off
+            assert_eq!(
+                evaluate_schedule(&skewed_dag, &s, &accel),
+                base_sim,
+                "overbook-off spelling {:?} diverged in the engine",
+                off
             );
         }
-    }
+    });
+}
 
-    /// With the mean fixed, more occupancy variance can only mean more
-    /// modeled DRAM traffic under an overbooked schedule: the grant is a
-    /// function of the mean alone, while the refetch tail grows with the
-    /// standard deviation.
-    #[test]
-    fn spill_grows_with_occupancy_variance(
-        m in 20_000u64..120_000,
-        iterations in 1u32..4,
-        level in 1u8..=MAX_OVERBOOK_LEVEL,
-        rel_mean in 0.1f64..0.9,
-        std_lo in 0.0f64..0.5,
-        std_delta in 0.0f64..0.5,
-    ) {
+/// With the mean fixed, more occupancy variance can only mean more
+/// modeled DRAM traffic under an overbooked schedule: the grant is a
+/// function of the mean alone, while the refetch tail grows with the
+/// standard deviation.
+#[test]
+fn spill_grows_with_occupancy_variance() {
+    for_cases("spill_grows_with_occupancy_variance", 32, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let iterations = 1 + rng.below(3) as u32;
+        let level = 1 + rng.below(u64::from(MAX_OVERBOOK_LEVEL)) as u8;
+        let rel_mean = 0.1 + rng.unit_f64() * 0.8;
+        let std_lo = rng.unit_f64() * 0.5;
+        let std_delta = rng.unit_f64() * 0.5;
         let accel = CelloConfig::paper();
         let opts = ScheduleOptions::cello();
         let mut constraints = ScheduleConstraints::none();
@@ -142,11 +145,13 @@ proptest! {
         };
         let lo = run(std_lo);
         let hi = run(std_lo + std_delta);
-        prop_assert!(
+        assert!(
             hi.dram_bytes >= lo.dram_bytes,
             "variance raised but traffic fell: {} < {} (mean {rel_mean}, \
-             std {std_lo} -> {}, level {level})",
-            hi.dram_bytes, lo.dram_bytes, std_lo + std_delta
+         std {std_lo} -> {}, level {level})",
+            hi.dram_bytes,
+            lo.dram_bytes,
+            std_lo + std_delta
         );
-    }
+    });
 }

@@ -30,12 +30,12 @@ use cello::graph::node::OpKind;
 use cello::search::{SearchSpace, SpaceConfig, Strategy, Tuner};
 use cello::sim::evaluate::evaluate_schedule;
 use cello::tensor::einsum::EinsumSpec;
+use cello::tensor::gen::for_cases;
 use cello::tensor::shape::RankExtent;
 use cello::workloads::cg::{build_cg_dag, CgParams};
 use cello::workloads::datasets::CORA;
 use cello::workloads::gcn::{build_gcn_dag, GcnParams};
 use cello::workloads::hpcg::{build_hpcg_dag, HpcgParams};
-use proptest::prelude::*;
 
 /// For every seeded-random candidate of the widened space: rebuilding it
 /// with a *uniform* repartition (every phase = the candidate's own global
@@ -167,17 +167,14 @@ fn mixed_dag(rows: u64, row_words: u64, e_words: u64, reuses: usize) -> TensorDa
     dag
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Differential on random CG schedules (problem size, iteration count,
-    /// sample seed all drawn).
-    #[test]
-    fn uniform_split_bit_exact_on_cg(
-        m in 20_000u64..120_000,
-        iterations in 2u32..5,
-        seed in 0u64..1_000,
-    ) {
+/// Differential on random CG schedules (problem size, iteration count,
+/// sample seed all drawn).
+#[test]
+fn uniform_split_bit_exact_on_cg() {
+    for_cases("uniform_split_bit_exact_on_cg", 4, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let iterations = 2 + rng.below(3) as u32;
+        let seed = rng.below(1_000);
         let dag = build_cg_dag(&CgParams {
             m,
             occupancy: 4.0,
@@ -188,38 +185,45 @@ proptest! {
             a_occupancy: None,
         });
         assert_uniform_differential(&dag, &CelloConfig::paper(), 8, seed);
-    }
+    });
+}
 
-    /// Differential on random HPCG schedules.
-    #[test]
-    fn uniform_split_bit_exact_on_hpcg(
-        nx in 24u64..56,
-        iterations in 2u32..4,
-        seed in 0u64..1_000,
-    ) {
-        let dag = build_hpcg_dag(&HpcgParams { nx, n: 16, iterations });
+/// Differential on random HPCG schedules.
+#[test]
+fn uniform_split_bit_exact_on_hpcg() {
+    for_cases("uniform_split_bit_exact_on_hpcg", 4, |rng| {
+        let nx = 24 + rng.below(32);
+        let iterations = 2 + rng.below(2) as u32;
+        let seed = rng.below(1_000);
+        let dag = build_hpcg_dag(&HpcgParams {
+            nx,
+            n: 16,
+            iterations,
+        });
         assert_uniform_differential(&dag, &CelloConfig::paper(), 8, seed);
-    }
+    });
+}
 
-    /// Differential on random GCN schedules.
-    #[test]
-    fn uniform_split_bit_exact_on_gcn(
-        layers in 1u32..4,
-        seed in 0u64..1_000,
-    ) {
+/// Differential on random GCN schedules.
+#[test]
+fn uniform_split_bit_exact_on_gcn() {
+    for_cases("uniform_split_bit_exact_on_gcn", 4, |rng| {
+        let layers = 1 + rng.below(3) as u32;
+        let seed = rng.below(1_000);
         let dag = build_gcn_dag(&GcnParams::from_dataset(&CORA, layers));
         assert_uniform_differential(&dag, &CelloConfig::paper(), 8, seed);
-    }
+    });
+}
 
-    /// Dominance: the repartitioned space contains every global-split
-    /// schedule ("no repartition" is choice 0), so exhaustive search over it
-    /// can never end up with worse best-traffic than exhaustive search over
-    /// the global-only space with the same menus.
-    #[test]
-    fn repartitioned_space_dominates_global(
-        m in 20_000u64..80_000,
-        iterations in 2u32..4,
-    ) {
+/// Dominance: the repartitioned space contains every global-split
+/// schedule ("no repartition" is choice 0), so exhaustive search over it
+/// can never end up with worse best-traffic than exhaustive search over
+/// the global-only space with the same menus.
+#[test]
+fn repartitioned_space_dominates_global() {
+    for_cases("repartitioned_space_dominates_global", 4, |rng| {
+        let m = 20_000 + rng.below(60_000);
+        let iterations = 2 + rng.below(2) as u32;
         let dag = build_cg_dag(&CgParams {
             m,
             occupancy: 4.0,
@@ -246,27 +250,28 @@ proptest! {
         let global = Tuner::new(&dag, &accel, small.clone()).tune(&Strategy::Exhaustive);
         let widened = small.with_repartition(accel.sram_words());
         let pp = Tuner::new(&dag, &accel, widened).tune(&Strategy::Exhaustive);
-        prop_assert!(
+        assert!(
             pp.best_traffic.cost.total_traffic_bytes()
                 <= global.best_traffic.cost.total_traffic_bytes(),
             "per-phase exhaustive {} worse than global exhaustive {}",
             pp.best_traffic.cost.total_traffic_bytes(),
             global.best_traffic.cost.total_traffic_bytes(),
         );
-    }
+    });
+}
 
-    /// Monotonicity: on a solo-phase chain, growing one phase's CHORD share
-    /// (shrinking only its pipeline reservation; RF held at the global value
-    /// so bindings cannot move) never increases that phase's DRAM traffic,
-    /// nor the schedule's total.
-    #[test]
-    fn growing_phase_chord_share_is_monotone(
-        n_ops in 3usize..6,
-        words in 50_000u64..400_000,
-        phase in 1usize..5,
-        reserve_big in 1u32..9,
-        shrink in 1u32..8,
-    ) {
+/// Monotonicity: on a solo-phase chain, growing one phase's CHORD share
+/// (shrinking only its pipeline reservation; RF held at the global value
+/// so bindings cannot move) never increases that phase's DRAM traffic,
+/// nor the schedule's total.
+#[test]
+fn growing_phase_chord_share_is_monotone() {
+    for_cases("growing_phase_chord_share_is_monotone", 4, |rng| {
+        let n_ops = 3 + rng.below(3) as usize;
+        let words = 50_000 + rng.below(350_000);
+        let phase = 1 + rng.below(4) as usize;
+        let reserve_big = 1 + rng.below(8) as u32;
+        let shrink = 1 + rng.below(7) as u32;
         let n_ops = n_ops.max(phase + 1);
         let dag = chain(n_ops, (words / 16) * 16);
         let accel = CelloConfig::paper();
@@ -281,7 +286,9 @@ proptest! {
         let run = |reserve: u64| {
             let rep = PhaseRepartition::by_index(
                 accel.sram_words(),
-                [(phase, PhaseSplit::new(reserve, rf))].into_iter().collect(),
+                [(phase, PhaseSplit::new(reserve, rf))]
+                    .into_iter()
+                    .collect(),
             )
             .expect("fits");
             let s = build_schedule_with(
@@ -297,19 +304,19 @@ proptest! {
             cello::sim::evaluate::evaluate_report(&dag, &s, &accel)
         };
         let (base, grown) = (run(big), run(small));
-        prop_assert!(
+        assert!(
             grown.phase_dram_bytes[phase] <= base.phase_dram_bytes[phase],
             "phase {phase} dram grew: {} > {}",
             grown.phase_dram_bytes[phase],
             base.phase_dram_bytes[phase],
         );
-        prop_assert!(
+        assert!(
             grown.dram_bytes <= base.dram_bytes,
             "total dram grew: {} > {}",
             grown.dram_bytes,
             base.dram_bytes,
         );
-    }
+    });
 }
 
 /// The pinned acceptance claim: beam over the repartitioned space finds a

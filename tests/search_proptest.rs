@@ -14,9 +14,9 @@ use cello::graph::node::OpKind;
 use cello::search::{SpaceConfig, Strategy, Tuner};
 use cello::sim::evaluate::evaluate_schedule;
 use cello::tensor::einsum::EinsumSpec;
+use cello::tensor::gen::for_cases;
 use cello::tensor::shape::RankExtent;
 use cello::workloads::cg::{build_cg_dag, CgParams};
-use proptest::prelude::*;
 
 fn spec(m: u64) -> EinsumSpec {
     EinsumSpec::parse(
@@ -111,17 +111,14 @@ fn heuristic_cycles(dag: &TensorDag, accel: &CelloConfig) -> u64 {
     evaluate_schedule(dag, &schedule, accel).cycles
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Same seed + same DAG ⇒ bit-identical Pareto front (keys and costs),
-    /// across two completely fresh tuners.
-    #[test]
-    fn random_search_is_deterministic(
-        n_ops in 2usize..6,
-        m in 10_000u64..200_000,
-        seed in 0u64..1_000,
-    ) {
+/// Same seed + same DAG ⇒ bit-identical Pareto front (keys and costs),
+/// across two completely fresh tuners.
+#[test]
+fn random_search_is_deterministic() {
+    for_cases("random_search_is_deterministic", 12, |rng| {
+        let n_ops = 2 + rng.below(4) as usize;
+        let m = 10_000 + rng.below(190_000);
+        let seed = rng.below(1_000);
         let dag = chain(n_ops, m);
         let accel = CelloConfig::paper();
         let run = || {
@@ -132,16 +129,17 @@ proptest! {
                 .map(|e| (e.key, e.cost.cycles, e.cost.dram_bytes))
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
+}
 
-    /// Beam search is deterministic too (no seed at all — ties break on the
-    /// canonical schedule key).
-    #[test]
-    fn beam_search_is_deterministic(
-        fanout in 2usize..5,
-        m in 10_000u64..200_000,
-    ) {
+/// Beam search is deterministic too (no seed at all — ties break on the
+/// canonical schedule key).
+#[test]
+fn beam_search_is_deterministic() {
+    for_cases("beam_search_is_deterministic", 12, |rng| {
+        let fanout = 2 + rng.below(3) as usize;
+        let m = 10_000 + rng.below(190_000);
         let dag = diamond(fanout, m);
         let accel = CelloConfig::paper();
         let run = || {
@@ -153,17 +151,18 @@ proptest! {
                 out.evaluations,
             )
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
+}
 
-    /// On chain DAGs the tuned schedule is never worse than the paper
-    /// heuristic on cycles, under every strategy.
-    #[test]
-    fn tuned_never_worse_than_cello_on_chains(
-        n_ops in 2usize..7,
-        m in 10_000u64..500_000,
-        seed in 0u64..100,
-    ) {
+/// On chain DAGs the tuned schedule is never worse than the paper
+/// heuristic on cycles, under every strategy.
+#[test]
+fn tuned_never_worse_than_cello_on_chains() {
+    for_cases("tuned_never_worse_than_cello_on_chains", 12, |rng| {
+        let n_ops = 2 + rng.below(5) as usize;
+        let m = 10_000 + rng.below(490_000);
+        let seed = rng.below(100);
         let dag = chain(n_ops, m);
         let accel = CelloConfig::paper();
         let base = heuristic_cycles(&dag, &accel);
@@ -174,26 +173,29 @@ proptest! {
             Strategy::Exhaustive,
         ] {
             let out = tuner.tune(&strategy);
-            prop_assert_eq!(out.baseline.cost.cycles, base, "baseline == heuristic");
-            prop_assert!(
+            assert_eq!(out.baseline.cost.cycles, base, "baseline == heuristic");
+            assert!(
                 out.best_cycles.cost.cycles <= base,
                 "{:?}: tuned {} vs heuristic {}",
-                strategy, out.best_cycles.cost.cycles, base
+                strategy,
+                out.best_cycles.cost.cycles,
+                base
             );
         }
-    }
+    });
+}
 
-    /// Tier-0's symbolic dominance prune is *sound* when its budget and
-    /// keep cap cover the whole space: everything it discards is
-    /// sketch-dominated by a survivor, and on these spaces that never
-    /// loses the sim-optimal schedule — the funnel's rank-best cost equals
-    /// exhaustive enumeration's on every objective, for both DAG shapes.
-    #[test]
-    fn tier0_never_discards_the_sim_optimum(
-        n_ops in 2usize..5,
-        fanout in 2usize..4,
-        m in 10_000u64..300_000,
-    ) {
+/// Tier-0's symbolic dominance prune is *sound* when its budget and
+/// keep cap cover the whole space: everything it discards is
+/// sketch-dominated by a survivor, and on these spaces that never
+/// loses the sim-optimal schedule — the funnel's rank-best cost equals
+/// exhaustive enumeration's on every objective, for both DAG shapes.
+#[test]
+fn tier0_never_discards_the_sim_optimum() {
+    for_cases("tier0_never_discards_the_sim_optimum", 12, |rng| {
+        let n_ops = 2 + rng.below(3) as usize;
+        let fanout = 2 + rng.below(2) as usize;
+        let m = 10_000 + rng.below(290_000);
         for dag in [chain(n_ops, m), diamond(fanout, m)] {
             let accel = CelloConfig::paper();
             let ex = Tuner::new(&dag, &accel, small_cfg()).tune(&Strategy::Exhaustive);
@@ -203,34 +205,36 @@ proptest! {
                 budget,
                 keep: usize::MAX >> 1,
             });
-            prop_assert!(
+            assert!(
                 t0.candidates_seen >= ex.candidates_seen,
                 "tier-0 swept the whole space ({} vs {})",
-                t0.candidates_seen, ex.candidates_seen
+                t0.candidates_seen,
+                ex.candidates_seen
             );
-            prop_assert!(
+            assert!(
                 t0.evaluations <= ex.evaluations,
                 "the prune must not add evaluations"
             );
-            prop_assert_eq!(
+            assert_eq!(
                 t0.best_cycles.cost, ex.best_cycles.cost,
                 "rank-best must survive the symbolic prune"
             );
-            prop_assert_eq!(
+            assert_eq!(
                 t0.best_traffic.cost.total_traffic_bytes(),
                 ex.best_traffic.cost.total_traffic_bytes(),
                 "traffic-best must survive the symbolic prune"
             );
         }
-    }
+    });
+}
 
-    /// Same guarantee on diamond DAGs.
-    #[test]
-    fn tuned_never_worse_than_cello_on_diamonds(
-        fanout in 2usize..5,
-        m in 10_000u64..500_000,
-        seed in 0u64..100,
-    ) {
+/// Same guarantee on diamond DAGs.
+#[test]
+fn tuned_never_worse_than_cello_on_diamonds() {
+    for_cases("tuned_never_worse_than_cello_on_diamonds", 12, |rng| {
+        let fanout = 2 + rng.below(3) as usize;
+        let m = 10_000 + rng.below(490_000);
+        let seed = rng.below(100);
         let dag = diamond(fanout, m);
         let accel = CelloConfig::paper();
         let base = heuristic_cycles(&dag, &accel);
@@ -240,31 +244,30 @@ proptest! {
             Strategy::Random { samples: 16, seed },
         ] {
             let out = tuner.tune(&strategy);
-            prop_assert!(
+            assert!(
                 out.best_cycles.cost.cycles <= base,
                 "{:?}: tuned {} vs heuristic {}",
-                strategy, out.best_cycles.cost.cycles, base
+                strategy,
+                out.best_cycles.cost.cycles,
+                base
             );
             // And the Pareto front never contains a point dominated by the
             // baseline (the baseline is in the comparison set).
             for e in &out.pareto {
-                prop_assert!(!out.baseline.cost.dominates(&e.cost), "{}", e.key.hex());
+                assert!(!out.baseline.cost.dominates(&e.cost), "{}", e.key.hex());
             }
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// `Prefiltered(keep_frac = 1.0, inner)` keeps the whole visited set —
-    /// it must return the identical best candidate (and Pareto front) as
-    /// running the inner strategy directly.
-    #[test]
-    fn prefilter_keep_all_matches_inner(
-        m in 20_000u64..120_000,
-        width in 2usize..5,
-    ) {
+/// `Prefiltered(keep_frac = 1.0, inner)` keeps the whole visited set —
+/// it must return the identical best candidate (and Pareto front) as
+/// running the inner strategy directly.
+#[test]
+fn prefilter_keep_all_matches_inner() {
+    for_cases("prefilter_keep_all_matches_inner", 6, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let width = 2 + rng.below(3) as usize;
         let dag = build_cg_dag(&CgParams {
             m,
             occupancy: 4.0,
@@ -278,27 +281,27 @@ proptest! {
         let cfg = SpaceConfig::widened();
         let inner = Strategy::Beam { width };
         let direct = Tuner::new(&dag, &accel, cfg.clone()).tune(&inner);
-        let pre = Tuner::new(&dag, &accel, cfg)
-            .tune(&Strategy::prefiltered(1.0, inner));
-        prop_assert_eq!(&pre.best_cycles.key, &direct.best_cycles.key);
-        prop_assert_eq!(&pre.best_cycles.candidate, &direct.best_cycles.candidate);
-        prop_assert_eq!(&pre.best_traffic.key, &direct.best_traffic.key);
-        prop_assert_eq!(
+        let pre = Tuner::new(&dag, &accel, cfg).tune(&Strategy::prefiltered(1.0, inner));
+        assert_eq!(&pre.best_cycles.key, &direct.best_cycles.key);
+        assert_eq!(&pre.best_cycles.candidate, &direct.best_cycles.candidate);
+        assert_eq!(&pre.best_traffic.key, &direct.best_traffic.key);
+        assert_eq!(
             pre.pareto.iter().map(|e| e.key).collect::<Vec<_>>(),
             direct.pareto.iter().map(|e| e.key).collect::<Vec<_>>()
         );
-    }
+    });
+}
 
-    /// The prefilter honors its budget on every space it meets: sim
-    /// evaluations never exceed the tier-1-ranked keep fraction (plus
-    /// the always-evaluated baseline), and the tuned result still never
-    /// loses to the paper heuristic.
-    #[test]
-    fn prefilter_budget_and_soundness(
-        m in 20_000u64..120_000,
-        keep in 0.05f64..0.5,
-        seed in 0u64..100,
-    ) {
+/// The prefilter honors its budget on every space it meets: sim
+/// evaluations never exceed the tier-1-ranked keep fraction (plus
+/// the always-evaluated baseline), and the tuned result still never
+/// loses to the paper heuristic.
+#[test]
+fn prefilter_budget_and_soundness() {
+    for_cases("prefilter_budget_and_soundness", 6, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let keep = 0.05 + rng.unit_f64() * 0.45;
+        let seed = rng.below(100);
         let dag = build_cg_dag(&CgParams {
             m,
             occupancy: 4.0,
@@ -314,14 +317,15 @@ proptest! {
             keep,
             Strategy::Random { samples: 40, seed },
         ));
-        prop_assert!(out.best_cycles.cost.cycles <= out.baseline.cost.cycles);
+        assert!(out.best_cycles.cost.cycles <= out.baseline.cost.cycles);
         // Budget: survivors = ceil(keep * distinct tier-1-scored) + the
         // baseline evaluation.
         let cap = (keep * out.surrogate_scored as f64).ceil() as u64 + 1;
-        prop_assert!(
+        assert!(
             out.evaluations <= cap,
             "evals {} > cap {cap} (surrogate_scored {})",
-            out.evaluations, out.surrogate_scored
+            out.evaluations,
+            out.surrogate_scored
         );
-    }
+    });
 }

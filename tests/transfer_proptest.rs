@@ -17,8 +17,8 @@ use cello::core::TransferTuning;
 use cello::graph::dag::TensorDag;
 use cello::search::{SearchSpace, SpaceConfig};
 use cello::sim::evaluate::evaluate_schedule;
+use cello::tensor::gen::for_cases;
 use cello::workloads::cg::{build_cg_dag, CgParams};
-use proptest::prelude::*;
 
 fn cg(m: u64, iterations: u32) -> TensorDag {
     build_cg_dag(&CgParams {
@@ -32,20 +32,17 @@ fn cg(m: u64, iterations: u32) -> TensorDag {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// On explicit-backend (no-CHORD) schedules the staging carve cannot
-    /// change traffic, so the only thing a transfer tuning may do is hide
-    /// cycles: `compute floor <= overlapped <= serialized`, at identical
-    /// DRAM bytes, for every depth and both buffering modes.
-    #[test]
-    fn overlap_stays_in_the_roofline_sandwich(
-        m in 20_000u64..120_000,
-        iterations in 1u32..5,
-        depth in 1u8..6,
-        db in any::<bool>(),
-    ) {
+/// On explicit-backend (no-CHORD) schedules the staging carve cannot
+/// change traffic, so the only thing a transfer tuning may do is hide
+/// cycles: `compute floor <= overlapped <= serialized`, at identical
+/// DRAM bytes, for every depth and both buffering modes.
+#[test]
+fn overlap_stays_in_the_roofline_sandwich() {
+    for_cases("overlap_stays_in_the_roofline_sandwich", 32, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let iterations = 1 + rng.below(4) as u32;
+        let depth = 1 + rng.below(5) as u8;
+        let db = rng.next_u64() & 1 == 1;
         let dag = cg(m, iterations);
         let accel = CelloConfig::paper();
         let opts = ScheduleOptions::best_intra();
@@ -55,48 +52,42 @@ proptest! {
             TransferTuning::single_buffered(depth)
         };
         let mut constraints = ScheduleConstraints::none();
-        let off = evaluate_schedule(
-            &dag,
-            &build_schedule_with(&dag, opts, &constraints),
-            &accel,
-        );
+        let off = evaluate_schedule(&dag, &build_schedule_with(&dag, opts, &constraints), &accel);
         constraints.transfer = Some(tuning);
-        let on = evaluate_schedule(
-            &dag,
-            &build_schedule_with(&dag, opts, &constraints),
-            &accel,
-        );
-        prop_assert_eq!(
+        let on = evaluate_schedule(&dag, &build_schedule_with(&dag, opts, &constraints), &accel);
+        assert_eq!(
             on.dram_bytes, off.dram_bytes,
             "no CHORD => the carve must not move traffic"
         );
-        prop_assert!(
+        assert!(
             on.cycles <= off.cycles,
             "overlap lost to serial: {} > {} (depth {depth} db {db})",
-            on.cycles, off.cycles
+            on.cycles,
+            off.cycles
         );
         let compute_floor = dag
             .nodes()
             .map(|(_, n)| n.spec.macs())
             .sum::<u64>()
             .div_ceil(accel.pe_count);
-        prop_assert!(
+        assert!(
             on.cycles >= compute_floor,
             "overlap beat the compute roofline: {} < {compute_floor}",
             on.cycles
         );
-    }
+    });
+}
 
-    /// Every spelling of "transfers off" replays the serialized model
-    /// bit-identically across random widened-space candidates: `None`,
-    /// the canonical `off()`, and the denormalized depth-0 carrying a
-    /// stale double-buffer flag all produce the same cost vector.
-    #[test]
-    fn depth_zero_replays_the_serialized_model(
-        m in 20_000u64..120_000,
-        iterations in 1u32..4,
-        seed in 0u64..1_000,
-    ) {
+/// Every spelling of "transfers off" replays the serialized model
+/// bit-identically across random widened-space candidates: `None`,
+/// the canonical `off()`, and the denormalized depth-0 carrying a
+/// stale double-buffer flag all produce the same cost vector.
+#[test]
+fn depth_zero_replays_the_serialized_model() {
+    for_cases("depth_zero_replays_the_serialized_model", 32, |rng| {
+        let m = 20_000 + rng.below(100_000);
+        let iterations = 1 + rng.below(3) as u32;
+        let seed = rng.below(1_000);
         let dag = cg(m, iterations);
         let accel = CelloConfig::paper();
         let space = SearchSpace::from_dag(&dag, &SpaceConfig::widened());
@@ -113,8 +104,8 @@ proptest! {
             ] {
                 c.constraints.transfer = Some(off);
                 let replay = evaluate_schedule(&dag, &c.build(&dag), &accel);
-                prop_assert_eq!(replay, baseline, "off spelling {:?} diverged", off);
+                assert_eq!(replay, baseline, "off spelling {:?} diverged", off);
             }
         }
-    }
+    });
 }

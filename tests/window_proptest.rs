@@ -10,13 +10,15 @@
 
 use cello::obs::metrics::{HistogramSnapshot, Registry};
 use cello::obs::window::WindowHistogram;
-use proptest::prelude::*;
+use cello::tensor::gen::{for_cases, SplitMix64};
 use std::collections::BTreeMap;
 
 /// `(epoch, value)` observation streams with enough epoch collisions (per
 /// slot and exact) to exercise every branch of `record_at`.
-fn arb_ops() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((0u64..24, 0u64..10_000), 0..48)
+fn random_ops(rng: &mut SplitMix64) -> Vec<(u64, u64)> {
+    (0..rng.below(48))
+        .map(|_| (rng.below(24), rng.below(10_000)))
+        .collect()
 }
 
 /// The reference model of a [`WindowHistogram`]: each slot is won by the
@@ -49,28 +51,28 @@ fn replay(len: usize, ops: &[(u64, u64)]) -> WindowHistogram {
     w
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The window matches the reference model at every `now` — one
-    /// property covering expiry (old epochs leave the snapshot), slot
-    /// reset (a newer epoch evicts the slot's contents), and
-    /// never-resurrect (a late sample from a beaten epoch vanishes
-    /// without a trace, regardless of where it sat in the stream).
-    #[test]
-    fn window_histogram_matches_the_reference_model(
-        len in 1usize..8,
-        ops in arb_ops(),
-    ) {
+/// The window matches the reference model at every `now` — one
+/// property covering expiry (old epochs leave the snapshot), slot
+/// reset (a newer epoch evicts the slot's contents), and
+/// never-resurrect (a late sample from a beaten epoch vanishes
+/// without a trace, regardless of where it sat in the stream).
+#[test]
+fn window_histogram_matches_the_reference_model() {
+    for_cases("window_histogram_matches_the_reference_model", 64, |rng| {
+        let len = 1 + rng.below(7) as usize;
+        let ops = random_ops(rng);
         let w = replay(len, &ops);
         for now in 0..32u64 {
-            prop_assert_eq!(
+            assert_eq!(
                 w.snapshot_at(now),
                 model_snapshot(len as u64, &ops, now),
-                "len {} now {} ops {:?}", len, now, &ops
+                "len {} now {} ops {:?}",
+                len,
+                now,
+                &ops
             );
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -80,18 +82,14 @@ proptest! {
 /// Metric names drawn from a hostile alphabet: exposition-format
 /// metacharacters (newline, quote, backslash, braces, spaces), leading
 /// digits, unicode — everything `prom_name`/`prom_escape` exist to defuse.
-/// The vendored proptest has no string strategies, so names are built by
-/// mapping byte vectors through the alphabet.
-fn arb_name() -> impl Strategy<Value = String> {
+/// Names are 0..12 characters drawn uniformly from the alphabet.
+fn random_name(rng: &mut SplitMix64) -> String {
     const ALPHABET: &[char] = &[
         'a', 'Z', '_', ':', '7', '0', '-', '.', '"', '\\', '\n', ' ', '{', '}', '=', 'µ', '/', '#',
     ];
-    proptest::collection::vec(any::<u8>(), 0..12).prop_map(|bytes| {
-        bytes
-            .iter()
-            .map(|&b| ALPHABET[b as usize % ALPHABET.len()])
-            .collect()
-    })
+    (0..rng.below(12))
+        .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+        .collect()
 }
 
 /// True iff `name` is a valid exposition metric name:
@@ -179,24 +177,25 @@ fn validate_exposition(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A scrape rendered from adversarially-named instruments is still a
-    /// well-formed exposition document: no raw newline or quote ever
-    /// splits a line, every family keeps the metric-name charset, and
-    /// histogram bucket series stay cumulative with `+Inf == _count`.
-    #[test]
-    fn prometheus_text_survives_adversarial_names(
-        names in proptest::collection::vec(arb_name(), 1..8),
-        values in proptest::collection::vec(0u64..1_000_000, 1..32),
-        window_samples in proptest::collection::vec(0u64..1_000_000, 0..16),
-    ) {
+/// A scrape rendered from adversarially-named instruments is still a
+/// well-formed exposition document: no raw newline or quote ever
+/// splits a line, every family keeps the metric-name charset, and
+/// histogram bucket series stay cumulative with `+Inf == _count`.
+#[test]
+fn prometheus_text_survives_adversarial_names() {
+    for_cases("prometheus_text_survives_adversarial_names", 64, |rng| {
+        let names: Vec<String> = (0..1 + rng.below(7)).map(|_| random_name(rng)).collect();
+        let values: Vec<u64> = (0..1 + rng.below(31))
+            .map(|_| rng.below(1_000_000))
+            .collect();
+        let window_samples: Vec<u64> = (0..rng.below(16)).map(|_| rng.below(1_000_000)).collect();
         let registry = Registry::new();
         for (i, name) in names.iter().enumerate() {
             match i % 3 {
                 0 => registry.counter(name).add(values[i % values.len()]),
-                1 => registry.gauge(name).set(values[i % values.len()] as i64 - 500_000),
+                1 => registry
+                    .gauge(name)
+                    .set(values[i % values.len()] as i64 - 500_000),
                 _ => {
                     let h = registry.histogram(name);
                     for &v in &values {
@@ -213,10 +212,12 @@ proptest! {
             }
             windows.insert(format!("{name}_window"), snap);
         }
-        let text = registry.snapshot().to_prometheus_text_with_windows(&windows);
-        prop_assert!(!text.is_empty());
+        let text = registry
+            .snapshot()
+            .to_prometheus_text_with_windows(&windows);
+        assert!(!text.is_empty());
         if let Err(e) = validate_exposition(&text) {
-            prop_assert!(false, "{}\n--- scrape ---\n{}", e, text);
+            panic!("{}\n--- scrape ---\n{}", e, text);
         }
-    }
+    });
 }
