@@ -1,7 +1,7 @@
 //! `bench_check` — the CI perf-regression gate over the bench trajectories.
 //!
 //! Compares freshly-written trajectory files (`BENCH_dse.json` from
-//! `cello_dse --quick`, `BENCH_serve.json` from `loadgen --quick`) against
+//! `cello_dse`, `BENCH_serve.json` from `loadgen --quick`) against
 //! the committed `results/bench_baseline.json` and fails (exit 1) when any
 //! record regresses. Records are field-generic — each `(workload, nodes)`
 //! record is gated only on the fields it actually carries:

@@ -18,7 +18,7 @@ use cello_workloads::datasets::G2_CIRCUIT;
 
 #[test]
 fn overlap_cycle_delta_lands_on_the_exposed_transfer_axis() {
-    // The exact CI funnel: same space, same strategy as `cello_dse --quick`.
+    // The exact CI funnel: same space, same strategy as `cello_dse`.
     let dag = build_cg_dag(&CgParams::from_dataset(&G2_CIRCUIT, 16, 5));
     let accel = CelloConfig::paper();
     let tuner = Tuner::new(&dag, &accel, SpaceConfig::widened_with_nodes(&[1]));

@@ -28,9 +28,9 @@
 //! buffer `cello-serve` keeps recent request spans in. [`json::Json`] is
 //! the workspace's one JSON codec (artifacts, wire, store, traces).
 //!
-//! Every lock in this crate is poison-proof (`PoisonError::into_inner`,
-//! matching the `EvalCache` convention): a panicking thread must never take
-//! the daemon's metrics or flight recorder down with it.
+//! Every lock in this crate is poison-proof (`PoisonError::into_inner`): a
+//! panicking thread must never take the daemon's metrics or flight recorder
+//! down with it.
 
 pub mod chrome;
 pub mod json;
@@ -48,9 +48,8 @@ pub use window::{WindowHistogram, WindowedHistogram};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Poison-proof lock (the `EvalCache` convention): the data under these
-/// locks are monotone counters and append-only buffers, valid even if a
-/// holder panicked mid-update.
+/// Poison-proof lock: the data under these locks are monotone counters and
+/// append-only buffers, valid even if a holder panicked mid-update.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

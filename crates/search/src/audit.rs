@@ -208,23 +208,6 @@ impl<'a> Tuner<'a> {
             survivor_loss,
             sim_optimum_survived,
         };
-        let registry = cello_obs::metrics::global();
-        registry.counter("search_audit_runs").inc();
-        registry
-            .counter("search_audit_tier0_pruned")
-            .add(audit.tier0_pruned);
-        registry
-            .counter("search_audit_dedup_merged")
-            .add(audit.dedup_merged);
-        registry
-            .counter("search_audit_surrogate_dropped")
-            .add(audit.surrogate_dropped);
-        registry
-            .counter("search_audit_promoted")
-            .add(audit.promoted);
-        registry
-            .counter("search_audit_survivor_loss")
-            .add(survivor_loss);
         (outcome, audit)
     }
 

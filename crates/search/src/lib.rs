@@ -27,7 +27,7 @@
 //! - [`cost`]: the Pareto machinery over
 //!   [`CostEstimate`](cello_sim::evaluate::CostEstimate)
 //!   (cycles, DRAM bytes, NoC hop-bytes, energy);
-//! - [`cache`]: a thread-safe memo table keyed by the **canonicalized
+//! - [`cache`]: a memo table keyed by the **canonicalized
 //!   schedule** (not the candidate), so decision combinations that collapse
 //!   to the same schedule are evaluated once;
 //! - [`strategy`]: exhaustive enumeration (small DAGs), beam search with
@@ -44,8 +44,8 @@
 //!   the one cost model every concrete tier uses. Under
 //!   `Strategy::Prefiltered` the traversal is scored into a tier-1 memo
 //!   table and only its top-ranked fraction is promoted to the exact table
-//!   (both tables live in one shared lock-striped cache keyed by interned
-//!   128-bit schedule keys);
+//!   (both tables live in one cache keyed by interned 128-bit schedule
+//!   keys, read and written only on the calling thread);
 //! - [`audit`]: funnel forensics — [`Tuner::tune_audited`] is `tune` plus
 //!   post-hoc checks: it runs the same funnel path, ledgers where every
 //!   candidate died (tier-0 prune, schedule dedup, tier-1 cut) from the
@@ -98,7 +98,6 @@ pub mod tier0;
 pub mod tuner;
 
 pub use audit::{spearman, AuditConfig, FunnelAudit};
-pub use cache::EvalCache;
 pub use candidate::Candidate;
 pub use cost::{pareto_front, Evaluated};
 pub use fingerprint::{fingerprint, Fingerprint, Fnv128Writer, ScheduleKey};

@@ -27,6 +27,7 @@ use crate::tier0::{Tier0Model, Tier0Prune};
 use cello_core::accel::CelloConfig;
 use cello_graph::dag::TensorDag;
 use cello_sim::evaluate::{evaluate_schedule, CostEstimate};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
@@ -85,12 +86,13 @@ impl SearchOutcome {
 }
 
 /// Ties a DAG + accelerator to a derived [`SearchSpace`] and a shared memo
-/// cache, and runs strategies over it.
+/// cache, and runs strategies over it. The cache is only touched on the
+/// thread that called `tune`, so it sits in a `RefCell`.
 pub struct Tuner<'a> {
     pub(crate) dag: &'a TensorDag,
     pub(crate) accel: &'a CelloConfig,
     pub(crate) space: SearchSpace,
-    pub(crate) cache: EvalCache,
+    pub(crate) cache: RefCell<EvalCache>,
 }
 
 impl<'a> Tuner<'a> {
@@ -100,7 +102,7 @@ impl<'a> Tuner<'a> {
             dag,
             accel,
             space: SearchSpace::from_dag(dag, &cfg),
-            cache: EvalCache::new(),
+            cache: RefCell::default(),
         }
     }
 
@@ -115,15 +117,18 @@ impl<'a> Tuner<'a> {
         // Build every schedule (cheap, parallel) and intern its canonical
         // key — a 128-bit FNV streamed straight off the canonical text, so
         // no per-candidate `String` is ever allocated on this path.
+        let (dag, accel) = (self.dag, self.accel);
         let built: Vec<(cello_core::score::binding::Schedule, ScheduleKey)> =
             par_map(&candidates, |c| {
-                let schedule = c.build(self.dag);
+                let schedule = c.build(dag);
                 let key = Candidate::interned_key(&schedule);
                 (schedule, key)
             });
         // One cache lookup per distinct key in the batch (so the hit counter
         // reflects genuine reuse, not bookkeeping); unique misses get one
-        // evaluation each.
+        // evaluation each. The cache is only read and written here, on the
+        // calling thread, between the two parallel maps.
+        let mut cache = self.cache.borrow_mut();
         let mut resolved: HashMap<ScheduleKey, CostEstimate> = HashMap::new();
         let mut pending: HashSet<ScheduleKey> = HashSet::new();
         let mut fresh: Vec<(ScheduleKey, &cello_core::score::binding::Schedule)> = Vec::new();
@@ -132,8 +137,8 @@ impl<'a> Tuner<'a> {
                 continue;
             }
             let cached = match tier {
-                Tier::Exact => self.cache.lookup(*key),
-                Tier::Surrogate => self.cache.lookup_surrogate(*key),
+                Tier::Exact => cache.lookup(*key),
+                Tier::Surrogate => cache.lookup_surrogate(*key),
             };
             match cached {
                 Some(cost) => {
@@ -146,12 +151,12 @@ impl<'a> Tuner<'a> {
             }
         }
         let costs = par_map(&fresh, |(_, schedule)| {
-            evaluate_schedule(self.dag, schedule, self.accel)
+            evaluate_schedule(dag, schedule, accel)
         });
         for ((key, _), cost) in fresh.into_iter().zip(costs) {
             match tier {
-                Tier::Exact => self.cache.insert(key, cost),
-                Tier::Surrogate => self.cache.insert_surrogate(key, cost),
+                Tier::Exact => cache.insert(key, cost),
+                Tier::Surrogate => cache.insert_surrogate(key, cost),
             }
             resolved.insert(key, cost);
         }
@@ -366,9 +371,8 @@ impl<'a> Tuner<'a> {
             Tier::Exact
         };
 
-        let hits_before = self.cache.hits();
-        let evals_before = self.cache.evaluations();
-        let surr_before = self.cache.surrogate_evaluations();
+        let counts = |c: &EvalCache| (c.hits(), c.evaluations(), c.surrogate_evaluations());
+        let (hits_before, evals_before, surr_before) = counts(&self.cache.borrow());
         let mut seen: u64 = 0;
 
         // Each scored batch is deduplicated by canonical schedule key as it
@@ -443,9 +447,10 @@ impl<'a> Tuner<'a> {
                 .total_traffic_bytes()
                 .cmp(&b.cost.total_traffic_bytes())
         });
-        let evaluations = self.cache.evaluations() - evals_before;
-        let cache_hits = self.cache.hits() - hits_before;
-        let surrogate_scored = self.cache.surrogate_evaluations() - surr_before;
+        let (hits_after, evals_after, surr_after) = counts(&self.cache.borrow());
+        let evaluations = evals_after - evals_before;
+        let cache_hits = hits_after - hits_before;
+        let surrogate_scored = surr_after - surr_before;
         // Mirror the per-run aggregates into the global metrics registry so
         // long-lived processes (cello-serve, cello_dse) expose cumulative
         // search counters through one `metrics` snapshot.
@@ -963,8 +968,9 @@ mod tests {
             &out.best_traffic,
         ];
         for e in winners.into_iter().chain(&out.pareto) {
-            let tier1 = tuner.cache.lookup_surrogate(e.key).expect("tier-1 scored");
-            let tier2 = tuner.cache.lookup(e.key).expect("tier-2 scored");
+            let mut cache = tuner.cache.borrow_mut();
+            let tier1 = cache.lookup_surrogate(e.key).expect("tier-1 scored");
+            let tier2 = cache.lookup(e.key).expect("tier-2 scored");
             assert_eq!(tier1, tier2, "{}", e.key.hex());
             assert_eq!(tier1.energy_pj.to_bits(), tier2.energy_pj.to_bits());
         }

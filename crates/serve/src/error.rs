@@ -4,8 +4,7 @@
 //! schedule lands here, and every variant renders as a structured error
 //! *response* ([`ServeError::kind`] + message) — the daemon's contract is
 //! that one malformed request can never kill it, so the request path has no
-//! `unwrap`/`expect` on client-controlled data (the same discipline the
-//! shared eval cache adopted when it dropped its poisoning `expect`s).
+//! `unwrap`/`expect` on client-controlled data.
 
 use std::fmt;
 

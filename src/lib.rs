@@ -3,7 +3,7 @@
 //! Re-exports the whole workspace under one roof so examples, integration
 //! tests and downstream users can `use cello::…` without naming individual
 //! crates. See `README.md` for the architecture overview (including the
-//! `cello-search` auto-tuner, the `cello_dse` CLI and `loadgen` driver in
+//! `cello-search` auto-tuner, the `cello_dse` trajectory and `loadgen` driver in
 //! `cello-bench`, and the `cello-serve` schedule-compilation daemon with
 //! its `cello_client` tool).
 //!
