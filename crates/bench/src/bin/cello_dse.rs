@@ -179,11 +179,13 @@ fn print_obs_summary(audits: &[Ledgered]) {
     let t0_kept = get("search_tier0_kept");
     let t0_pruned = get("search_tier0_pruned");
     println!(
-        "[obs] funnel: tier0 swept {} -> kept {} ({} pruned symbolically); \
+        "[obs] funnel: tier0 swept {} -> kept {} ({} pruned symbolically, \
+         {} of them by the floor unsketched); \
          tier-1 scored {} -> promoted {}; exact evaluated {}",
         t0_kept + t0_pruned,
         t0_kept,
         t0_pruned,
+        get("search_tier0_floored"),
         get("search_surrogate_evals"),
         get("search_prefilter_kept"),
         get("search_exact_evals"),

@@ -637,30 +637,31 @@ impl SearchSpace {
         seed: u64,
         mut visit: impl FnMut(u64, &[usize]),
     ) -> u64 {
-        let total = self.exhaustive_size();
+        let mut sweep = self.sweep_cursor(budget, seed);
+        while let Some(order) = sweep.step() {
+            visit(order, sweep.picks());
+        }
+        sweep.len
+    }
+
+    /// The [`Self::sweep`] stream one position at a time, for a visitor
+    /// that may rule an assignment out from a few of its picks before it
+    /// reads the rest.
+    pub(crate) fn sweep_cursor(&self, budget: u64, seed: u64) -> Sweep {
         let radices: Vec<usize> = self.decisions.iter().map(|d| d.choices.len()).collect();
-        let mut picks = vec![0usize; radices.len()];
-        if total <= budget {
-            for order in 0..total {
-                visit(order, &picks);
-                for (p, &radix) in picks.iter_mut().zip(&radices) {
-                    *p += 1;
-                    if *p < radix {
-                        break;
-                    }
-                    *p = 0;
-                }
-            }
-            total
+        let total = self.exhaustive_size();
+        let (len, rng) = if total <= budget {
+            (total, None)
         } else {
-            let mut rng = SplitMix64::new(seed);
-            for order in 0..budget {
-                for (p, &radix) in picks.iter_mut().zip(&radices) {
-                    *p = rng.below(radix as u64) as usize;
-                }
-                visit(order, &picks);
-            }
-            budget
+            (budget, Some(SplitMix64::new(seed)))
+        };
+        Sweep {
+            picks: vec![0; radices.len()],
+            radices,
+            len,
+            next: 0,
+            rng,
+            drawn: false,
         }
     }
 
@@ -782,6 +783,82 @@ impl SearchSpace {
                 p
             })
             .collect()
+    }
+}
+
+/// A cursor over the [`SearchSpace::sweep`] stream.
+///
+/// The odometer branch keeps its picks incrementally. The sampled branch
+/// draws one [`SplitMix64::below`] per decision, and each takes exactly one
+/// draw, so pick `d` of position `k` is draw `k·D + d` of the seeded
+/// stream (`D` decisions). [`Sweep::pick`] reads it by random access
+/// ([`SplitMix64::advance`]); only [`Sweep::picks`] draws the whole
+/// assignment.
+pub(crate) struct Sweep {
+    radices: Vec<usize>,
+    picks: Vec<usize>,
+    /// Positions in the stream.
+    len: u64,
+    /// Position the next [`Sweep::step`] moves to.
+    next: u64,
+    /// Sampled branch: the stream just before the current position's first
+    /// draw.
+    rng: Option<SplitMix64>,
+    /// Sampled branch: `picks` holds the current position.
+    drawn: bool,
+}
+
+impl Sweep {
+    /// Moves to the next position and returns it, or `None` past the end.
+    pub(crate) fn step(&mut self) -> Option<u64> {
+        if self.next == self.len {
+            return None;
+        }
+        if self.next > 0 {
+            match &mut self.rng {
+                Some(rng) => {
+                    rng.advance(self.radices.len() as u64);
+                    self.drawn = false;
+                }
+                None => {
+                    for (p, &radix) in self.picks.iter_mut().zip(&self.radices) {
+                        *p += 1;
+                        if *p < radix {
+                            break;
+                        }
+                        *p = 0;
+                    }
+                }
+            }
+        }
+        self.next += 1;
+        Some(self.next - 1)
+    }
+
+    /// Decision `d`'s pick at the current position.
+    pub(crate) fn pick(&self, d: usize) -> usize {
+        match &self.rng {
+            Some(rng) if !self.drawn => {
+                let mut rng = rng.clone();
+                rng.advance(d as u64);
+                rng.below(self.radices[d] as u64) as usize
+            }
+            _ => self.picks[d],
+        }
+    }
+
+    /// The whole assignment at the current position.
+    pub(crate) fn picks(&mut self) -> &[usize] {
+        if let Some(rng) = &self.rng {
+            if !self.drawn {
+                let mut rng = rng.clone();
+                for (p, &radix) in self.picks.iter_mut().zip(&self.radices) {
+                    *p = rng.below(radix as u64) as usize;
+                }
+                self.drawn = true;
+            }
+        }
+        &self.picks
     }
 }
 
@@ -1322,6 +1399,35 @@ mod tests {
             c.build(&dag).validate(&dag).unwrap();
             idx += stride;
         }
+    }
+
+    /// Random access into a sampled sweep reads the stream's own picks:
+    /// at every position, each decision's [`Sweep::pick`] equals the
+    /// pick `sweep` visits, before and after [`Sweep::picks`] draws the
+    /// whole assignment.
+    #[test]
+    fn random_access_picks_match_the_sampled_sweep() {
+        let dag = cg(2);
+        let space = SearchSpace::from_dag(&dag, &SpaceConfig::widened_with_nodes(&[1, 4, 16]));
+        let budget = 512;
+        assert!(space.exhaustive_size() > budget, "the sweep must sample");
+        let mut streamed: Vec<Vec<usize>> = Vec::new();
+        space.sweep(budget, 11, |_, picks| streamed.push(picks.to_vec()));
+        assert_eq!(streamed, space.sample_assignments(budget as usize, 11));
+        let mut sweep = space.sweep_cursor(budget, 11);
+        for expected in &streamed {
+            sweep.step().expect("one position per streamed assignment");
+            // Random access first, in reverse decision order, then the
+            // full draw, then random access again.
+            for (d, &pick) in expected.iter().enumerate().rev() {
+                assert_eq!(sweep.pick(d), pick, "decision {d}");
+            }
+            assert_eq!(sweep.picks(), &expected[..]);
+            for (d, &pick) in expected.iter().enumerate() {
+                assert_eq!(sweep.pick(d), pick, "decision {d}");
+            }
+        }
+        assert_eq!(sweep.step(), None);
     }
 
     /// The `Strategy::Random` and tier-0 sample streams, pinned by value:

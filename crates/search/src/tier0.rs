@@ -57,13 +57,47 @@
 //! tell apart; the `keep` cap (scalar-magnitude tiebreak) is the only
 //! lossy step, and the tier-0 soundness proptest pins that with cap slack
 //! the surviving set always contains the sim-optimal candidate.
+//!
+//! **Floor first.** Once the capped front is full it rejects every sketch
+//! whose scalar is at least its largest (`Front::rejects`), which on the
+//! tuner's sampled sweeps is almost every offer. Four decisions — preset,
+//! SRAM split, partition and repartition — fix an assignment's base
+//! schedule, CHORD capacity, node count and NoC term, and from those alone
+//! a *floor* bounds the sketch's scalar from below. Each floor term is at
+//! most its sketch counterpart (DRAM and spill: their sum is), and the
+//! floor sums them saturating, as [`Sketch::scalar`] does:
+//!
+//! - **DRAM**: the base's words, minus the largest cold-fill shrink every
+//!   external occupancy member (resident or cuttable) can take, at the
+//!   menu's deepest overbook level (grants only shrink with depth).
+//!   Steering and CHORD-off cuts only add DRAM.
+//! - **NoC word-hops**: exact.
+//! - **Spill**: the optimal fractional knapsack of the base's CHORD
+//!   members into the full capacity, each at its smallest need (its
+//!   deepest grant): every granted word saves its tensor's `uses`, so
+//!   filling highest uses first spills least. Any other fill order, the
+//!   staging carve, a shallower grant, the variance tail and cut members
+//!   only spill more; a steered member pays `words × uses` on DRAM
+//!   instead, at least the spill it adds here. Zero with CHORD off.
+//! - **Cycles**: NoC cycles plus the larger of the compute cycles at the
+//!   partition's node count and the DRAM cycles of the two floors above,
+//!   spread over the menu's widest prefetch window. Every transfer
+//!   setting exposes at least that share of its DRAM cycles.
+//!
+//! [`Tier0Model::prune`] tabulates the floor once per sweep over those four
+//! decisions' picks and rejects an assignment by its floor before it is
+//! sketched, or on the sampled branch even fully drawn. Rejection is
+//! monotone in the scalar, so a rejected floor means a rejected sketch,
+//! and the survivors are exactly the sketch-first sweep's. The sketch
+//! itself is `finish(decode(picks))`, and the floor reads the same
+//! `decode`.
 
 use crate::candidate::Candidate;
 use crate::space::{Choice, SearchSpace};
 use cello_core::accel::CelloConfig;
 use cello_core::chord::PriorityBias;
 use cello_core::score::binding::{build_schedule_from, Binding};
-use cello_core::score::classify::classify;
+use cello_core::score::classify::{classify, Classification};
 use cello_core::score::multinode::{NocModel, Partition, PartitionAxis};
 use cello_core::{ChordOverbook, TransferTuning};
 use cello_graph::dag::{NodeId, TensorDag};
@@ -210,8 +244,11 @@ enum Effect {
 pub struct Tier0Prune {
     /// Surviving assignments (sketch-Pareto, capped), in admission order.
     pub kept: Vec<Vec<usize>>,
-    /// Assignments sketched.
+    /// Assignments swept.
     pub swept: u64,
+    /// Swept assignments whose floor the front rejected, so they were
+    /// never sketched (see [`Tier0Model::prune`]).
+    pub floored: u64,
 }
 
 /// The per-space precomputation that makes sketches build-free (see
@@ -222,6 +259,16 @@ pub struct Tier0Model {
     n_splits: usize,
     pressure: Vec<PressureTensor>,
     effects: Vec<Effect>,
+    /// Pressure-list bitmask of the intermediates a cut decision can push
+    /// into the CHORD fill.
+    cuttable: u32,
+    /// The overbook menu's deepest level (off without a menu): the
+    /// smallest grant any assignment gives an occupancy-carrying tensor.
+    deepest_overbook: ChordOverbook,
+    /// The transfer menu's deepest prefetch window, `depth + 1` (1 without
+    /// a menu): no assignment exposes less than `1/widest_window` of its
+    /// DRAM cycles.
+    widest_window: u64,
     /// CHORD capacity when no SRAM-split decision exists (derived spaces
     /// always have one, but the model stays total).
     default_capacity: u64,
@@ -243,6 +290,17 @@ impl Tier0Model {
     /// pair over it (the only schedules tier 0 ever binds), the unified
     /// CHORD pressure list, and per-decision effects.
     pub fn new(dag: &TensorDag, accel: &CelloConfig, space: &SearchSpace) -> Self {
+        Self::from_classification(dag, &classify(dag), accel, space)
+    }
+
+    /// [`Self::new`] over a classification of `dag` the caller already
+    /// holds (a [`crate::Tuner`] classifies its DAG once).
+    pub(crate) fn from_classification(
+        dag: &TensorDag,
+        cls: &Classification,
+        accel: &CelloConfig,
+        space: &SearchSpace,
+    ) -> Self {
         // Tensor name -> what the sketch needs of it, over node outputs and
         // externals (an external shadows a node output of the same name).
         let mut out_edges = vec![0u64; dag.node_count()];
@@ -289,7 +347,6 @@ impl Tier0Model {
         // Bind each (preset, split) default schedule once over a single
         // classification; derive its DRAM floor and which tensors it binds
         // to CHORD.
-        let cls = classify(dag);
         let mut bases = Vec::with_capacity((preset_count * n_splits).min(MAX_BASES));
         let mut pressure: Vec<PressureTensor> = Vec::new();
         let mut pressure_idx: HashMap<String, usize> = HashMap::new();
@@ -567,12 +624,34 @@ impl Tier0Model {
             }
         }
 
+        let mut cuttable = 0u32;
+        let mut deepest_overbook = ChordOverbook::off();
+        let mut widest_window = 1u64;
+        for effect in &effects {
+            match effect {
+                Effect::Cut { pressure } => cuttable |= 1 << pressure,
+                Effect::Transfer(menu) => {
+                    for t in menu {
+                        widest_window = widest_window.max(t.prefetch_depth as u64 + 1);
+                    }
+                }
+                Effect::Overbook(menu) => {
+                    for ob in menu {
+                        deepest_overbook.level = deepest_overbook.level.max(ob.level);
+                    }
+                }
+                _ => {}
+            }
+        }
         let compute_macs: u64 = dag.nodes().map(|(_, n)| n.spec.macs()).sum();
         Self {
             bases,
             n_splits,
             pressure,
             effects,
+            cuttable,
+            deepest_overbook,
+            widest_window,
             default_capacity: accel
                 .sram_words()
                 .saturating_sub(accel.pipeline_buffer_words + accel.rf_capacity_words),
@@ -590,34 +669,42 @@ impl Tier0Model {
     /// Sketches one assignment — O(decisions + pressure), no allocation,
     /// no schedule build.
     pub fn sketch(&self, picks: &[usize]) -> Sketch {
+        self.finish(&self.decode(picks))
+    }
+
+    /// Folds each decision's pick into what the sketch terms read.
+    fn decode(&self, picks: &[usize]) -> Decoded {
         debug_assert_eq!(picks.len(), self.effects.len());
         let mut preset = 0usize;
         let mut base_split = 0usize;
-        let mut capacity = self.default_capacity;
-        let mut nodes = 1u64;
-        let mut sliced: Option<RankId> = None;
-        let mut noc_word_hops = 0u64;
-        let mut steered: u32 = 0;
-        let mut cuts: u32 = 0;
-        let mut shifts = [0i8; MAX_PRESSURE];
-        let mut transfer = TransferTuning::off();
-        let mut overbook = ChordOverbook::off();
+        let mut d = Decoded {
+            base_idx: 0,
+            capacity: self.default_capacity,
+            nodes: 1,
+            sliced: None,
+            noc_word_hops: 0,
+            steered: 0,
+            cuts: 0,
+            shifts: [0; MAX_PRESSURE],
+            transfer: TransferTuning::off(),
+            overbook: ChordOverbook::off(),
+        };
         for (effect, &pick) in self.effects.iter().zip(picks) {
             match effect {
                 Effect::Preset => preset = pick,
                 Effect::SramSplit(caps) => {
                     base_split = pick.min(caps.len().saturating_sub(1));
-                    capacity = caps[base_split];
+                    d.capacity = caps[base_split];
                 }
                 Effect::Partition(choices) => {
                     let c = &choices[pick.min(choices.len() - 1)];
-                    nodes = c.nodes;
-                    sliced = c.sliced;
-                    noc_word_hops = c.noc_word_hops;
+                    d.nodes = c.nodes;
+                    d.sliced = c.sliced;
+                    d.noc_word_hops = c.noc_word_hops;
                 }
                 Effect::Repartition(choices) => {
                     if let Some(Some(r)) = choices.get(pick) {
-                        capacity = r.capacity;
+                        d.capacity = r.capacity;
                         if let Some(s) = r.base_split {
                             base_split = s;
                         }
@@ -625,33 +712,37 @@ impl Tier0Model {
                 }
                 Effect::Cut { pressure } => {
                     if pick == 1 {
-                        cuts |= 1 << pressure;
+                        d.cuts |= 1 << pressure;
                     }
                 }
                 Effect::Steer { pressure } => {
                     if pick == 1 {
                         if let Some(p) = pressure {
-                            steered |= 1 << p;
+                            d.steered |= 1 << p;
                         }
                     }
                 }
                 Effect::Bias { pressure, shift } => {
                     if let Some(p) = pressure {
-                        shifts[*p] = shift[pick.min(shift.len() - 1)];
+                        d.shifts[*p] = shift[pick.min(shift.len() - 1)];
                     }
                 }
                 Effect::Transfer(menu) => {
-                    transfer = menu[pick.min(menu.len() - 1)];
+                    d.transfer = menu[pick.min(menu.len() - 1)];
                 }
                 Effect::Overbook(menu) => {
-                    overbook = menu[pick.min(menu.len() - 1)];
+                    d.overbook = menu[pick.min(menu.len() - 1)];
                 }
                 Effect::Inert => {}
             }
         }
+        d.base_idx = (preset * self.n_splits + base_split).min(self.bases.len() - 1);
+        d
+    }
 
-        let base_idx = (preset * self.n_splits + base_split).min(self.bases.len() - 1);
-        let base = &self.bases[base_idx];
+    /// The sketch terms of a decoded assignment.
+    fn finish(&self, d: &Decoded) -> Sketch {
+        let base = &self.bases[d.base_idx];
         let mut dram_words = base.dram_words;
         let mut spill_words = 0u64;
         if base.chord_on {
@@ -661,8 +752,8 @@ impl Tier0Model {
             let mut scores = [0u64; MAX_PRESSURE];
             let mut len = 0usize;
             for (i, t) in self.pressure.iter().enumerate() {
-                let resident = (t.member >> base_idx) & 1 == 1;
-                if (steered >> i) & 1 == 1 {
+                let resident = (t.member >> d.base_idx) & 1 == 1;
+                if (d.steered >> i) & 1 == 1 {
                     if resident {
                         // Steered to DRAM: streams per use instead of
                         // competing for CHORD.
@@ -670,10 +761,10 @@ impl Tier0Model {
                     }
                     continue;
                 }
-                if !resident && (cuts >> i) & 1 != 1 {
+                if !resident && (d.cuts >> i) & 1 != 1 {
                     continue;
                 }
-                let shift = shifts[i];
+                let shift = d.shifts[i];
                 let score = if shift >= 0 {
                     t.score << shift as u32
                 } else {
@@ -693,23 +784,21 @@ impl Tier0Model {
             // The prefetch staging region comes out of whatever CHORD
             // capacity the split (or repartition override) left — the same
             // carve the sim applies in `phase_chord_capacity_words`.
-            let mut remaining =
-                capacity.saturating_sub(transfer.staging_words(self.staging_quantum_words));
+            let mut remaining = d
+                .capacity
+                .saturating_sub(d.transfer.staging_words(self.staging_quantum_words));
             for &i in &order[..len] {
                 let t = &self.pressure[i];
-                let eff_words = match sliced {
-                    Some(r) if t.ranks.contains(&r) => (t.words / nodes).max(1),
-                    _ => t.words,
-                };
+                let eff_words = t.footprint(d);
                 // Overbooked grant: occupancy-carrying tensors reserve
                 // capacity at expected occupancy and pay the variance tail
                 // on the spill axis — the same `granted/spill` split
                 // `plan_phases` applies. Off (or absent occupancy) is the
                 // identity, so overbook-free sketches are unchanged.
                 let (need, ob_spill) = match t.occupancy {
-                    Some(occ) if !overbook.is_off() => (
-                        overbook.granted_words(eff_words, &occ),
-                        overbook.spill_words(eff_words, &occ),
+                    Some(occ) if !d.overbook.is_off() => (
+                        d.overbook.granted_words(eff_words, &occ),
+                        d.overbook.spill_words(eff_words, &occ),
                     ),
                     _ => (eff_words, 0),
                 };
@@ -726,19 +815,15 @@ impl Tier0Model {
         } else {
             // CHORD off: every enabled cut's intermediate round-trips DRAM.
             for (i, t) in self.pressure.iter().enumerate() {
-                if (cuts >> i) & 1 == 1 {
+                if (d.cuts >> i) & 1 == 1 {
                     dram_words = dram_words.saturating_add(t.words * (1 + t.uses));
                 }
             }
         }
 
-        let compute_cycles = self.compute_macs.div_ceil(self.pe_count).div_ceil(nodes);
-        let dram_cycles = (dram_words.saturating_add(spill_words))
-            .saturating_mul(self.word_bytes)
-            .div_ceil(self.dram_bytes_per_cycle.saturating_mul(nodes));
-        let noc_cycles = noc_word_hops
-            .saturating_mul(self.word_bytes)
-            .div_ceil(self.noc_bytes_per_cycle);
+        let compute_cycles = self.compute_cycles(d.nodes);
+        let dram_cycles = self.dram_cycles(dram_words.saturating_add(spill_words), d.nodes);
+        let noc_cycles = self.noc_cycles(d.noc_word_hops);
         // Overlap-aware cycle proxy. Depth 0 is the serialized roofline,
         // bit-identical to the pre-overlap sketch. With a prefetch window
         // of depth `d`, double-buffered transfers expose only ~1/(d+1) of
@@ -748,6 +833,7 @@ impl Tier0Model {
         // excess. The asymmetry keeps off/sb/db sketches mutually
         // non-dominated (the carve above already charges the spill axis),
         // so the soundness proptest's covering property survives.
+        let transfer = d.transfer;
         let cycles = if transfer.is_off() {
             compute_cycles.max(dram_cycles) + noc_cycles
         } else {
@@ -760,7 +846,102 @@ impl Tier0Model {
             };
             compute_cycles.max(exposed) + noc_cycles
         };
-        Sketch([dram_words, noc_word_hops, spill_words, cycles])
+        Sketch([dram_words, d.noc_word_hops, spill_words, cycles])
+    }
+
+    /// A lower bound on `finish(d).scalar()` over every assignment that
+    /// shares `d`'s preset, SRAM split, partition and repartition picks
+    /// (the module docs argue each term).
+    fn floor(&self, d: &Decoded) -> u64 {
+        let base = &self.bases[d.base_idx];
+        let mut dram_words = base.dram_words;
+        let mut spill_words = 0u64;
+        if base.chord_on {
+            let mut members = [(0u64, 0u64); MAX_PRESSURE];
+            let mut len = 0usize;
+            for (i, t) in self.pressure.iter().enumerate() {
+                let resident = (t.member >> d.base_idx) & 1 == 1;
+                if !resident && (self.cuttable >> i) & 1 != 1 {
+                    continue;
+                }
+                let eff_words = t.footprint(d);
+                let need = match t.occupancy {
+                    Some(occ) => self.deepest_overbook.granted_words(eff_words, &occ),
+                    None => eff_words,
+                };
+                if t.external {
+                    dram_words = dram_words.saturating_sub(eff_words - need);
+                }
+                if resident {
+                    members[len] = (t.uses, need);
+                    len += 1;
+                }
+            }
+            members[..len].sort_unstable_by_key(|&(uses, _)| std::cmp::Reverse(uses));
+            let mut remaining = d.capacity;
+            for &(uses, need) in &members[..len] {
+                let granted = need.min(remaining);
+                remaining -= granted;
+                spill_words = spill_words.saturating_add((need - granted).saturating_mul(uses));
+            }
+        }
+        let dram_cycles = self.dram_cycles(dram_words.saturating_add(spill_words), d.nodes);
+        let cycles = self
+            .compute_cycles(d.nodes)
+            .max(dram_cycles.div_ceil(self.widest_window))
+            + self.noc_cycles(d.noc_word_hops);
+        Sketch([dram_words, d.noc_word_hops, spill_words, cycles]).scalar()
+    }
+
+    /// Compute cycles of the whole DAG spread over `nodes`.
+    fn compute_cycles(&self, nodes: u64) -> u64 {
+        self.compute_macs.div_ceil(self.pe_count).div_ceil(nodes)
+    }
+
+    /// Cycles to move `words` between DRAM and `nodes` nodes.
+    fn dram_cycles(&self, words: u64, nodes: u64) -> u64 {
+        words
+            .saturating_mul(self.word_bytes)
+            .div_ceil(self.dram_bytes_per_cycle.saturating_mul(nodes))
+    }
+
+    /// Cycles to move `word_hops` over one NoC link.
+    fn noc_cycles(&self, word_hops: u64) -> u64 {
+        word_hops
+            .saturating_mul(self.word_bytes)
+            .div_ceil(self.noc_bytes_per_cycle)
+    }
+
+    /// [`Self::floor`] of every (preset, split, partition, repartition)
+    /// cell of `space`, decoded with every other decision at its default.
+    fn floor_table(&self, space: &SearchSpace) -> FloorTable {
+        let mut decisions = Vec::new();
+        let mut cells = 1usize;
+        for (di, effect) in self.effects.iter().enumerate() {
+            if matches!(
+                effect,
+                Effect::Preset
+                    | Effect::SramSplit(_)
+                    | Effect::Partition(_)
+                    | Effect::Repartition(_)
+            ) {
+                decisions.push((di, cells));
+                cells *= space.decisions[di].choices.len();
+            }
+        }
+        let mut picks = vec![0usize; self.effects.len()];
+        let floors = (0..cells)
+            .map(|cell| {
+                let mut rem = cell;
+                for &(di, _) in &decisions {
+                    let radix = space.decisions[di].choices.len();
+                    picks[di] = rem % radix;
+                    rem /= radix;
+                }
+                self.floor(&self.decode(&picks))
+            })
+            .collect();
+        FloorTable { decisions, floors }
     }
 
     /// Sweeps up to `budget` assignments of `space` (`SearchSpace::sweep`:
@@ -771,17 +952,93 @@ impl Tier0Model {
     ///
     /// Once the front is full, a candidate whose scalar exceeds the front's
     /// largest (or ties it, below saturation) is skipped without a
-    /// dominance scan (`Front::offer` argues why that is exact). On the
-    /// capped sweeps the tuner runs, this skips most of the budget.
+    /// dominance scan (`Front::rejects` argues why that is exact). The
+    /// `floor` of an assignment's four floor decisions, read from a
+    /// per-sweep table, goes through that test first: the floor is at most
+    /// the sketch's scalar, so a rejected floor means a rejected sketch,
+    /// and the assignment is counted in `floored` without being sketched
+    /// — on the sampled branch without even drawing its other picks. On
+    /// the capped sweeps the tuner runs, this skips most of the budget.
+    /// Debug builds sketch every floored assignment anyway and assert the
+    /// bound.
     pub fn prune(&self, space: &SearchSpace, budget: u64, keep: usize, seed: u64) -> Tier0Prune {
+        let floors = self.floor_table(space);
         let mut front = Front::new(keep);
-        let swept = space.sweep(budget.max(1), seed, |order, picks| {
-            front.offer(self.sketch(picks), order, picks)
-        });
+        let mut floored = 0u64;
+        let mut sweep = space.sweep_cursor(budget.max(1), seed);
+        let mut swept = 0u64;
+        while let Some(order) = sweep.step() {
+            swept += 1;
+            let floor = floors.at(|di| sweep.pick(di));
+            if front.rejects(floor) {
+                floored += 1;
+                #[cfg(debug_assertions)]
+                {
+                    let picks = sweep.picks();
+                    let scalar = self.sketch(picks).scalar();
+                    assert!(
+                        floor <= scalar,
+                        "floor {floor} > scalar {scalar} at {picks:?}"
+                    );
+                }
+                continue;
+            }
+            let picks = sweep.picks();
+            front.offer(self.sketch(picks), order, picks);
+        }
         Tier0Prune {
             kept: front.into_kept(),
             swept,
+            floored,
         }
+    }
+}
+
+/// One assignment's decisions, as the sketch terms read them.
+struct Decoded {
+    /// Index into `Tier0Model::bases`.
+    base_idx: usize,
+    /// CHORD capacity words before the staging carve.
+    capacity: u64,
+    nodes: u64,
+    sliced: Option<RankId>,
+    noc_word_hops: u64,
+    /// Pressure-list bitmasks.
+    steered: u32,
+    cuts: u32,
+    shifts: [i8; MAX_PRESSURE],
+    transfer: TransferTuning,
+    overbook: ChordOverbook,
+}
+
+impl PressureTensor {
+    /// Words this tensor occupies per node: rank slicing shrinks a sliced
+    /// footprint `1/nodes`.
+    fn footprint(&self, d: &Decoded) -> u64 {
+        match d.sliced {
+            Some(r) if self.ranks.contains(&r) => (self.words / d.nodes).max(1),
+            _ => self.words,
+        }
+    }
+}
+
+/// A sweep's [`Tier0Model::floor`] per cell of its floor decisions.
+struct FloorTable {
+    /// (decision index, stride) of each floor decision.
+    decisions: Vec<(usize, usize)>,
+    floors: Vec<u64>,
+}
+
+impl FloorTable {
+    /// The floor of the cell `pick` selects (`pick(di)` is decision
+    /// `di`'s pick).
+    fn at(&self, pick: impl Fn(usize) -> usize) -> u64 {
+        let cell = self
+            .decisions
+            .iter()
+            .map(|&(di, stride)| pick(di) * stride)
+            .sum::<usize>();
+        self.floors[cell]
     }
 }
 
@@ -817,24 +1074,11 @@ impl Front {
     }
 
     /// Offers the sweep's `order`-th assignment; orders must increase
-    /// across calls.
-    ///
-    /// Early exit: on a full front, a candidate with `scalar > max_scalar`,
-    /// or `scalar == max_scalar` below `u64::MAX`, leaves the front as it
-    /// was, so it is skipped unscanned. Dominating a member needs a scalar
-    /// no larger than the member's, and strictly smaller unless the sum
-    /// saturates, so such a candidate removes nobody. Admitted, it would
-    /// then be the unique `(scalar, order)` maximum of an overfull front
-    /// and be evicted at once. The `>` half holds for any cap key that
-    /// dominance cannot raise; the tie half also needs dominance to lower
-    /// the key strictly, which is why saturated scalars fall through. A
-    /// lexicographic key over all four terms, such as a (cycles, DRAM, NoC,
-    /// spill) cap order, keeps both.
+    /// across calls. A [`Self::rejects`]ed scalar leaves the front as it
+    /// was and is skipped unscanned.
     fn offer(&mut self, sketch: Sketch, order: u64, picks: &[usize]) {
         let scalar = sketch.scalar();
-        if self.entries.len() >= self.keep
-            && (scalar > self.max_scalar || (scalar == self.max_scalar && scalar != u64::MAX))
-        {
+        if self.rejects(scalar) {
             return;
         }
         if self.entries.iter().any(|k| k.sketch.dominates(&sketch)) {
@@ -858,6 +1102,25 @@ impl Front {
             self.entries.remove(worst);
         }
         self.max_scalar = self.entries.iter().map(|k| k.scalar).max().unwrap_or(0);
+    }
+
+    /// The early exit: on a full front, a candidate with
+    /// `scalar > max_scalar`, or `scalar == max_scalar` below `u64::MAX`,
+    /// would leave the front as it was. Dominating a member needs a scalar
+    /// no larger than the member's, and strictly smaller unless the sum
+    /// saturates, so such a candidate removes nobody. Admitted, it would
+    /// then be the unique `(scalar, order)` maximum of an overfull front
+    /// and be evicted at once. The `>` half holds for any cap key that
+    /// dominance cannot raise; the tie half also needs dominance to lower
+    /// the key strictly, which is why saturated scalars fall through. A
+    /// lexicographic key over all four terms, such as a (cycles, DRAM, NoC,
+    /// spill) cap order, keeps both.
+    ///
+    /// Rejection is monotone: if `scalar` is rejected, so is every larger
+    /// one, which is what lets a lower bound on a scalar stand in for it.
+    fn rejects(&self, scalar: u64) -> bool {
+        self.entries.len() >= self.keep
+            && (scalar > self.max_scalar || (scalar == self.max_scalar && scalar != u64::MAX))
     }
 
     /// The surviving assignments, in admission order.
@@ -1303,6 +1566,57 @@ mod tests {
         })
     }
 
+    /// Sparse CG over a seeded SPD pattern: the DAG carries occupancy, so
+    /// widened spaces hold an overbook dimension.
+    fn sparse_cg(m: usize, seed: u64) -> TensorDag {
+        let a = cello_tensor::gen::random_spd(m, 7 * m, seed);
+        build_cg_dag(&CgParams::from_csr(&a, 16, 2))
+    }
+
+    /// One of cg, hpcg, gcn and sparse CG, at one of two sizes.
+    fn workload(rng: &mut SplitMix64) -> TensorDag {
+        let size = rng.below(2) as u32;
+        match rng.below(4) {
+            0 => cg(2 + size),
+            1 => hpcg(16 + 16 * u64::from(size)),
+            2 => gcn(1 + size),
+            _ => sparse_cg(512 + 256 * size as usize, rng.next_u64()),
+        }
+    }
+
+    /// The floor `prune` rejects by never exceeds the sketch it stands in
+    /// for: on sampled assignments of 1–64-node spaces, with and without
+    /// repartition, floor ≤ `sketch(picks).scalar()`. The floor table's
+    /// cell also equals the floor of the whole decoded assignment, so the
+    /// floor reads nothing but its four decisions.
+    #[test]
+    fn floor_never_exceeds_the_sketch() {
+        let mut overbooked = 0;
+        for_cases("floor_never_exceeds_the_sketch", 16, |rng| {
+            let dag = workload(rng);
+            let accel = CelloConfig::paper();
+            let nodes: &[u64] = [&[1u64][..], &[1, 4], &[1, 4, 16, 64]][rng.below(3) as usize];
+            let mut cfg = SpaceConfig::widened_with_nodes(nodes);
+            if rng.next_u64() & 1 == 1 {
+                cfg = cfg.with_repartition(accel.sram_words());
+            }
+            let space = SearchSpace::from_dag(&dag, &cfg);
+            let model = Tier0Model::new(&dag, &accel, &space);
+            overbooked += usize::from(!model.deepest_overbook.is_off());
+            let floors = model.floor_table(&space);
+            for picks in space.sample_assignments(1_024, rng.next_u64()) {
+                let floor = floors.at(|di| picks[di]);
+                let scalar = model.sketch(&picks).scalar();
+                assert!(
+                    floor <= scalar,
+                    "floor {floor} > scalar {scalar} at {picks:?}"
+                );
+                assert_eq!(floor, model.floor(&model.decode(&picks)), "{picks:?}");
+            }
+        });
+        assert!(overbooked > 0, "no case drew an overbook dimension");
+    }
+
     /// `SearchSpace::sweep` yields exactly the reference stream, and
     /// `prune` returns exactly the reference's survivors, on both
     /// branches: the exhaustive odometer (cut, steer, loop-order, bias
@@ -1311,17 +1625,11 @@ mod tests {
     #[test]
     fn prune_matches_the_reference() {
         for_cases("prune_matches_the_reference", 12, |rng| {
-            let workload = rng.below(3);
-            let size = rng.below(2) as u32;
+            let dag = workload(rng);
             let mesh = rng.below(3) as usize;
             let per_phase = rng.next_u64() & 1 == 1;
             let keep = 1 + rng.below(39) as usize;
             let seed = rng.below(1_000);
-            let dag = match workload {
-                0 => cg(2 + size),
-                1 => hpcg(16 + 16 * u64::from(size)),
-                _ => gcn(1 + size),
-            };
             let accel = CelloConfig::paper();
             let nodes: &[u64] = [&[1u64][..], &[1, 4], &[1, 4, 16, 64]][mesh];
             let mut wide = SpaceConfig::widened_with_nodes(nodes);

@@ -12,6 +12,11 @@
 //! survivors, keep the top slice — which is the piece that makes
 //! exhaustive-scale spaces ([`SpaceConfig::widened`]) affordable.
 //!
+//! Schedules are built from one `classify` of the DAG, run when the tuner
+//! is made: every concrete-tier build (`build_schedule_from`, which is
+//! `Candidate::build` without its own `classify`) and the tier-0 model
+//! start from it, so a tune classifies once instead of once per build.
+//!
 //! Every strategy runs through one private funnel path, `Tuner::funnel`.
 //! [`Tuner::tune`] keeps its outcome; [`Tuner::tune_audited`]
 //! ([`crate::audit`]) also keeps the per-stage counts and the tier-0 stage
@@ -25,6 +30,8 @@ use crate::space::{SearchSpace, SpaceConfig};
 use crate::strategy::Strategy;
 use crate::tier0::{Tier0Model, Tier0Prune};
 use cello_core::accel::CelloConfig;
+use cello_core::score::binding::{build_schedule_from, Schedule};
+use cello_core::score::classify::{classify, Classification};
 use cello_graph::dag::TensorDag;
 use cello_sim::evaluate::{evaluate_schedule, CostEstimate};
 use std::cell::RefCell;
@@ -92,16 +99,20 @@ pub struct Tuner<'a> {
     pub(crate) dag: &'a TensorDag,
     pub(crate) accel: &'a CelloConfig,
     pub(crate) space: SearchSpace,
+    /// `classify(dag)`, which every schedule build and the tier-0 model
+    /// start from.
+    cls: Classification,
     pub(crate) cache: RefCell<EvalCache>,
 }
 
 impl<'a> Tuner<'a> {
-    /// Derives the space from the DAG under `cfg`.
+    /// Derives the space from the DAG under `cfg` and classifies the DAG.
     pub fn new(dag: &'a TensorDag, accel: &'a CelloConfig, cfg: SpaceConfig) -> Self {
         Self {
             dag,
             accel,
             space: SearchSpace::from_dag(dag, &cfg),
+            cls: classify(dag),
             cache: RefCell::default(),
         }
     }
@@ -114,16 +125,17 @@ impl<'a> Tuner<'a> {
     /// Scores a batch of candidates in parallel through `tier`, memoized in
     /// that tier's table. Results align with the input order.
     pub(crate) fn batch_with(&self, candidates: Vec<Candidate>, tier: Tier) -> Vec<Evaluated> {
-        // Build every schedule (cheap, parallel) and intern its canonical
-        // key — a 128-bit FNV streamed straight off the canonical text, so
-        // no per-candidate `String` is ever allocated on this path.
-        let (dag, accel) = (self.dag, self.accel);
-        let built: Vec<(cello_core::score::binding::Schedule, ScheduleKey)> =
-            par_map(&candidates, |c| {
-                let schedule = c.build(dag);
-                let key = Candidate::interned_key(&schedule);
-                (schedule, key)
-            });
+        // Build every schedule (cheap, parallel) from the tuner's one
+        // classification — `Candidate::build` minus its `classify` — and
+        // intern its canonical key, a 128-bit FNV streamed straight off the
+        // canonical text, so no per-candidate `String` is ever allocated on
+        // this path.
+        let (dag, accel, cls) = (self.dag, self.accel, &self.cls);
+        let built: Vec<(Schedule, ScheduleKey)> = par_map(&candidates, |c| {
+            let schedule = build_schedule_from(dag, cls.clone(), c.options, &c.constraints);
+            let key = Candidate::interned_key(&schedule);
+            (schedule, key)
+        });
         // One cache lookup per distinct key in the batch (so the hit counter
         // reflects genuine reuse, not bookkeeping); unique misses get one
         // evaluation each. The cache is only read and written here, on the
@@ -131,7 +143,7 @@ impl<'a> Tuner<'a> {
         let mut cache = self.cache.borrow_mut();
         let mut resolved: HashMap<ScheduleKey, CostEstimate> = HashMap::new();
         let mut pending: HashSet<ScheduleKey> = HashSet::new();
-        let mut fresh: Vec<(ScheduleKey, &cello_core::score::binding::Schedule)> = Vec::new();
+        let mut fresh: Vec<(ScheduleKey, &Schedule)> = Vec::new();
         for (schedule, key) in &built {
             if resolved.contains_key(key) || pending.contains(key) {
                 continue;
@@ -292,10 +304,11 @@ impl<'a> Tuner<'a> {
             Strategy::Tier0 { budget, keep } => {
                 // Tier 0: sketch up to `budget` assignments symbolically (no
                 // schedule build — see `crate::tier0`), promote only the
-                // sketch-Pareto survivors to `tier`. Every sketched
-                // assignment counts as seen: the sweep *is* the search
-                // considering it and ruling it out.
-                let model = Tier0Model::new(self.dag, self.accel, &self.space);
+                // sketch-Pareto survivors to `tier`. Every swept
+                // assignment counts as seen, whether its floor or its sketch
+                // ruled it out: the sweep *is* the search considering it.
+                let model =
+                    Tier0Model::from_classification(self.dag, &self.cls, self.accel, &self.space);
                 let pruned = model.prune(&self.space, budget, keep, TIER0_SWEEP_SEED);
                 *seen += pruned.swept;
                 let registry = cello_obs::metrics::global();
@@ -305,6 +318,7 @@ impl<'a> Tuner<'a> {
                 registry
                     .counter("search_tier0_pruned")
                     .add(pruned.swept - pruned.kept.len() as u64);
+                registry.counter("search_tier0_floored").add(pruned.floored);
                 let batch: Vec<Candidate> =
                     pruned.kept.iter().map(|p| self.space.assemble(p)).collect();
                 record(self.batch_with(batch, tier));

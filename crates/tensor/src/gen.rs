@@ -14,6 +14,9 @@
 
 use crate::sparse::{CooMatrix, CsrMatrix};
 
+/// The Weyl increment every draw adds to the state.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Deterministic SplitMix64 generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -24,7 +27,7 @@ impl SplitMix64 {
     /// The search's seeding: the state is `seed ^ 0x9E37_79B9_7F4A_7C15`.
     pub fn new(seed: u64) -> Self {
         Self {
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            state: seed ^ GAMMA,
         }
     }
 
@@ -43,11 +46,18 @@ impl SplitMix64 {
 
     /// Next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skips `n` draws in O(1): the state is a Weyl sequence, so `n` calls
+    /// of [`Self::next_u64`] add `n` increments to it. This is what lets a
+    /// stream be read at any position without drawing its prefix.
+    pub fn advance(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform in `[0, bound)` (Lemire's multiply-shift, no rejection).
@@ -191,6 +201,27 @@ mod tests {
             let (x, y) = (a.below(bound), b.below(bound));
             assert_eq!(x, y);
             assert!(x < bound);
+        }
+    }
+
+    #[test]
+    fn advance_skips_draws() {
+        for n in 0..64u64 {
+            let mut drawn = SplitMix64::new(n ^ 0x5eed);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            skipped.advance(n);
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "n = {n}");
+        }
+        for (a, b) in [(3, 5), (0, 9), (0xdead_beef, u64::MAX - 7)] {
+            let mut split = SplitMix64::new(3);
+            split.advance(a);
+            split.advance(b);
+            let mut whole = SplitMix64::new(3);
+            whole.advance(a.wrapping_add(b));
+            assert_eq!(split.next_u64(), whole.next_u64(), "{a} + {b}");
         }
     }
 
