@@ -15,7 +15,8 @@
 //!    silently eating (or double-counting) candidates.
 //! 2. **Is tier 0 ranking sanely?** The sketch scalar is cross-checked
 //!    against exact sim cycles on a sampled survivor subset via Spearman
-//!    rank correlation ([`spearman`]).
+//!    rank correlation ([`spearman`]), which is undefined (`None`) when
+//!    either side is constant: a blind tier 0 reads as blind.
 //! 3. **Did the prune cost us the winner?** A deterministic sample of the
 //!    *pruned* assignments is re-scored through the exact simulator; any
 //!    sampled candidate whose cost strictly beats the reported winner
@@ -99,7 +100,8 @@ pub struct FunnelAudit {
     pub promoted: u64,
     /// Spearman rank correlation between the tier-0 sketch scalar and
     /// exact sim cycles over the sampled survivors (`None` without a
-    /// tier-0 stage or with fewer than two samples).
+    /// tier-0 stage, with fewer than two samples, or when either side is
+    /// constant — a blind tier 0 reads `None`, not a score).
     pub sketch_sim_spearman: Option<f64>,
     /// Survivors in the rank cross-check sample.
     pub rank_checked: u64,
@@ -156,8 +158,7 @@ impl<'a> Tuner<'a> {
                 let sketch: Vec<u64> = sample.iter().map(|p| model.sketch(p).scalar()).collect();
                 let sims = self.eval_batch(sample.iter().map(|p| self.space.assemble(p)).collect());
                 let cycles: Vec<u64> = sims.iter().map(|e| e.cost.cycles).collect();
-                let rho = (sketch.len() >= 2).then(|| spearman(&sketch, &cycles));
-                (rho, sample.len() as u64)
+                (spearman(&sketch, &cycles), sample.len() as u64)
             }
             _ => (None, 0),
         };
@@ -239,14 +240,12 @@ impl<'a> Tuner<'a> {
 }
 
 /// Spearman rank correlation between two paired samples (average ranks for
-/// ties). Returns 0.0 for degenerate inputs (fewer than two points, or a
-/// side with zero rank variance while the other varies). When **both**
-/// sides are constant the rankings trivially agree and the result is 1.0 —
-/// a workload whose every candidate costs the same is a perfectly
-/// predicted one, not a model failure.
-pub fn spearman(xs: &[u64], ys: &[u64]) -> f64 {
+/// ties). `None` when it is undefined: fewer than two points, or a side
+/// with zero rank variance. A constant sketch says nothing about the
+/// ranking, so it must not read as a perfect (1.0) or a neutral (0.0) one.
+pub fn spearman(xs: &[u64], ys: &[u64]) -> Option<f64> {
     if xs.len() != ys.len() || xs.len() < 2 {
-        return 0.0;
+        return None;
     }
     let rx = average_ranks(xs);
     let ry = average_ranks(ys);
@@ -259,11 +258,7 @@ pub fn spearman(xs: &[u64], ys: &[u64]) -> f64 {
         vx += da * da;
         vy += db * db;
     }
-    match (vx == 0.0, vy == 0.0) {
-        (true, true) => 1.0,
-        (true, false) | (false, true) => 0.0,
-        _ => cov / (vx * vy).sqrt(),
-    }
+    (vx != 0.0 && vy != 0.0).then(|| cov / (vx * vy).sqrt())
 }
 
 /// 1-based ranks with ties sharing their average rank.
@@ -544,14 +539,14 @@ mod tests {
 
     #[test]
     fn spearman_basics() {
-        assert!((spearman(&[1, 2, 3, 4], &[10, 20, 30, 40]) - 1.0).abs() < 1e-12);
-        assert!((spearman(&[1, 2, 3, 4], &[40, 30, 20, 10]) + 1.0).abs() < 1e-12);
+        let rho = |xs: &[u64], ys: &[u64]| spearman(xs, ys).expect("defined");
+        assert!((rho(&[1, 2, 3, 4], &[10, 20, 30, 40]) - 1.0).abs() < 1e-12);
+        assert!((rho(&[1, 2, 3, 4], &[40, 30, 20, 10]) + 1.0).abs() < 1e-12);
         // Ties share average ranks and still correlate.
-        assert!(spearman(&[1, 1, 2, 3], &[5, 5, 9, 12]) > 0.99);
-        // Degenerate inputs.
-        assert_eq!(spearman(&[1], &[2]), 0.0);
-        assert_eq!(spearman(&[3, 3, 3], &[1, 2, 3]), 0.0);
-        // Both constant: trivial agreement, not a failure.
-        assert_eq!(spearman(&[3, 3, 3], &[7, 7, 7]), 1.0);
+        assert!(rho(&[1, 1, 2, 3], &[5, 5, 9, 12]) > 0.99);
+        // Undefined: too few points, or a constant side (either or both).
+        assert_eq!(spearman(&[1], &[2]), None);
+        assert_eq!(spearman(&[3, 3, 3], &[1, 2, 3]), None);
+        assert_eq!(spearman(&[3, 3, 3], &[7, 7, 7]), None);
     }
 }

@@ -17,9 +17,8 @@
 //! later exact-tier run over the same space then starts from whatever the
 //! prefilter already paid for.
 //!
-//! The tables take no locks: every lookup and insert runs on the thread
-//! that called `tune`. The tuner's parallel maps build schedules and
-//! evaluate them; keys are resolved against the cache between those maps.
+//! The tables take no locks: a tune builds, looks up, evaluates and inserts
+//! on the thread that called it.
 
 use crate::fingerprint::ScheduleKey;
 use cello_sim::evaluate::CostEstimate;

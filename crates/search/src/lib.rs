@@ -1,4 +1,4 @@
-//! # cello-search — parallel schedule auto-tuner over the SCORE × CHORD space
+//! # cello-search — schedule auto-tuner over the SCORE × CHORD space
 //!
 //! The paper's central claim is that CHORD collapses the *buffer allocation*
 //! search space (from ~10⁸⁰ explicit-scratchpad choices to `O(nodes+edges)`
@@ -39,10 +39,10 @@
 //!   precomputed per-decision effects, no schedule built and no phase walk,
 //!   pruned by symbolic Pareto dominance so only non-dominated sketches
 //!   reach the concrete tiers;
-//! - [`tuner`]: drives everything — candidates are scored in parallel
-//!   (std threads) through `cello_sim::evaluate`'s cheap traffic+roofline path,
-//!   the one cost model every concrete tier uses. Under
-//!   `Strategy::Prefiltered` the traversal is scored into a tier-1 memo
+//! - [`tuner`]: drives everything — candidates are scored one by one on
+//!   the calling thread through `cello_sim::evaluate`'s cheap
+//!   traffic+roofline path, the one cost model every concrete tier uses.
+//!   Under `Strategy::Prefiltered` the traversal is scored into a tier-1 memo
 //!   table and only its top-ranked fraction is promoted to the exact table
 //!   (both tables live in one cache keyed by interned 128-bit schedule
 //!   keys, read and written only on the calling thread);
@@ -52,7 +52,7 @@
 //!   counts that path returns, then cross-checks tier-0 sketch rank against
 //!   exact sim rank and samples the pruned set for survivor loss.
 //!
-//! Every strategy is deterministic: parallel evaluation preserves order,
+//! Every strategy is deterministic: scoring keeps input order,
 //! ranking ties break on the canonical schedule key, and the random strategy
 //! derives from an explicit seed.
 //!

@@ -2,7 +2,7 @@
 //! symbolic tier-0 sweep, and the tiered prefilter.
 //!
 //! Strategies only decide **which assignments to score**; scoring itself
-//! (parallel evaluation, memoization, Pareto bookkeeping) lives in
+//! (evaluation, memoization, Pareto bookkeeping) lives in
 //! [`crate::Tuner`]. All of them are deterministic — beam ties break on the
 //! canonical schedule key, and `Random` draws from an explicit seed through
 //! the workspace's one generator, `cello_tensor::gen::SplitMix64`.

@@ -1,4 +1,5 @@
-//! The tuner: parallel scoring, strategy execution, outcome assembly.
+//! The tuner: batch scoring on the calling thread, strategy execution,
+//! outcome assembly.
 //!
 //! Three evaluation tiers form a funnel. Tier 0 ([`crate::tier0`]) is
 //! symbolic: closed-form cost sketches over raw pick vectors, no schedule
@@ -30,14 +31,13 @@ use crate::space::{SearchSpace, SpaceConfig};
 use crate::strategy::Strategy;
 use crate::tier0::{Tier0Model, Tier0Prune};
 use cello_core::accel::CelloConfig;
-use cello_core::score::binding::{build_schedule_from, Schedule};
+use cello_core::score::binding::build_schedule_from;
 use cello_core::score::classify::{classify, Classification};
 use cello_graph::dag::TensorDag;
 use cello_sim::evaluate::{evaluate_schedule, CostEstimate};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::num::NonZeroUsize;
 
 /// Seed for tier-0's sampled sweep when the space exceeds the budget.
 /// Fixed (not configurable) for the same reason `Strategy::Exhaustive` has
@@ -122,63 +122,49 @@ impl<'a> Tuner<'a> {
         &self.space
     }
 
-    /// Scores a batch of candidates in parallel through `tier`, memoized in
-    /// that tier's table. Results align with the input order.
+    /// Scores a batch of candidates through `tier`, memoized in that
+    /// tier's table, on the calling thread. Results align with the input
+    /// order.
+    ///
+    /// Each candidate's schedule is built from the tuner's one
+    /// classification (`Candidate::build` minus its `classify`), interned
+    /// to its canonical key (a 128-bit FNV streamed straight off the
+    /// canonical text, so no per-candidate `String` is allocated) and
+    /// dropped once scored. A key is looked up in the tier's table once
+    /// per batch, so the hit counter reflects genuine reuse, and a key that
+    /// misses there is evaluated once.
     pub(crate) fn batch_with(&self, candidates: Vec<Candidate>, tier: Tier) -> Vec<Evaluated> {
-        // Build every schedule (cheap, parallel) from the tuner's one
-        // classification — `Candidate::build` minus its `classify` — and
-        // intern its canonical key, a 128-bit FNV streamed straight off the
-        // canonical text, so no per-candidate `String` is ever allocated on
-        // this path.
-        let (dag, accel, cls) = (self.dag, self.accel, &self.cls);
-        let built: Vec<(Schedule, ScheduleKey)> = par_map(&candidates, |c| {
-            let schedule = build_schedule_from(dag, cls.clone(), c.options, &c.constraints);
-            let key = Candidate::interned_key(&schedule);
-            (schedule, key)
-        });
-        // One cache lookup per distinct key in the batch (so the hit counter
-        // reflects genuine reuse, not bookkeeping); unique misses get one
-        // evaluation each. The cache is only read and written here, on the
-        // calling thread, between the two parallel maps.
         let mut cache = self.cache.borrow_mut();
         let mut resolved: HashMap<ScheduleKey, CostEstimate> = HashMap::new();
-        let mut pending: HashSet<ScheduleKey> = HashSet::new();
-        let mut fresh: Vec<(ScheduleKey, &Schedule)> = Vec::new();
-        for (schedule, key) in &built {
-            if resolved.contains_key(key) || pending.contains(key) {
-                continue;
-            }
-            let cached = match tier {
-                Tier::Exact => cache.lookup(*key),
-                Tier::Surrogate => cache.lookup_surrogate(*key),
-            };
-            match cached {
-                Some(cost) => {
-                    resolved.insert(*key, cost);
-                }
-                None => {
-                    pending.insert(*key);
-                    fresh.push((*key, schedule));
-                }
-            }
-        }
-        let costs = par_map(&fresh, |(_, schedule)| {
-            evaluate_schedule(dag, schedule, accel)
-        });
-        for ((key, _), cost) in fresh.into_iter().zip(costs) {
-            match tier {
-                Tier::Exact => cache.insert(key, cost),
-                Tier::Surrogate => cache.insert_surrogate(key, cost),
-            }
-            resolved.insert(key, cost);
-        }
         candidates
             .into_iter()
-            .zip(&built)
-            .map(|(candidate, (_, key))| Evaluated {
-                candidate,
-                key: *key,
-                cost: resolved[key],
+            .map(|candidate| {
+                let schedule = build_schedule_from(
+                    self.dag,
+                    self.cls.clone(),
+                    candidate.options,
+                    &candidate.constraints,
+                );
+                let key = Candidate::interned_key(&schedule);
+                let cost = *resolved.entry(key).or_insert_with(|| {
+                    let cached = match tier {
+                        Tier::Exact => cache.lookup(key),
+                        Tier::Surrogate => cache.lookup_surrogate(key),
+                    };
+                    cached.unwrap_or_else(|| {
+                        let cost = evaluate_schedule(self.dag, &schedule, self.accel);
+                        match tier {
+                            Tier::Exact => cache.insert(key, cost),
+                            Tier::Surrogate => cache.insert_surrogate(key, cost),
+                        }
+                        cost
+                    })
+                });
+                Evaluated {
+                    candidate,
+                    key,
+                    cost,
+                }
             })
             .collect()
     }
@@ -544,40 +530,6 @@ pub(crate) enum Tier {
     Surrogate,
 }
 
-/// Ordered parallel map: one contiguous chunk of `items` per available
-/// core. The calling thread maps the first chunk itself while
-/// `threads - 1` spawned workers map the rest, each returning its own
-/// chunk's results; a batch of at most one item runs inline. Not
-/// `run_grid`'s job-taking loop: batch items cost about the same, and the
-/// fixed split keeps peak memory lowest. A panic in any chunk propagates
-/// with its own payload.
-fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let f = &f;
-    let mut chunks = items.chunks(items.len().div_ceil(threads));
-    let first = chunks.next().expect("at least two items");
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        out.extend(first.iter().map(f));
-        for worker in workers {
-            out.extend(
-                worker
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,42 +565,42 @@ mod tests {
         }
     }
 
+    /// A batch looks each distinct key up once and evaluates each distinct
+    /// miss once; a duplicate inside the batch takes the first's cost.
     #[test]
-    fn par_map_preserves_order() {
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let odd_above_cores = (cores + 1) | 1;
-        let v: Vec<u64> = (0..10_000).collect();
-        for len in [0, 1, 2, 3, odd_above_cores, 10_000] {
-            let doubled = par_map(&v[..len], |&x| x * 2);
-            assert_eq!(
-                doubled,
-                (0..len as u64).map(|x| x * 2).collect::<Vec<u64>>(),
-                "{len}"
-            );
+    fn batch_counts_each_distinct_key_once() {
+        let dag = cg(1);
+        let accel = CelloConfig::paper();
+        let tuner = Tuner::new(&dag, &accel, small_cfg());
+        let space = tuner.space();
+        let key = |c: &Candidate| Candidate::interned_key(&c.build(&dag));
+        let a = Candidate::paper_heuristic();
+        let b = (0..space.exhaustive_size())
+            .map(|i| space.assemble(&space.index_to_picks(i)))
+            .find(|c| key(c) != key(&a))
+            .expect("the space builds a second schedule");
+        let batch = vec![a.clone(), a.clone(), b.clone()];
+        let counters = || {
+            let cache = tuner.cache.borrow();
+            (cache.evaluations(), cache.hits())
+        };
+        let first = tuner.eval_batch(batch.clone());
+        assert_eq!(counters(), (2, 0), "two misses, two evaluations");
+        let again = tuner.eval_batch(batch.clone());
+        assert_eq!(counters(), (2, 2), "one hit per distinct key");
+        for scored in [&first, &again] {
+            let keys: Vec<ScheduleKey> = scored.iter().map(|e| e.key).collect();
+            assert_eq!(keys, [key(&a), key(&a), key(&b)]);
+            let candidates: Vec<&Candidate> = scored.iter().map(|e| &e.candidate).collect();
+            assert_eq!(candidates, batch.iter().collect::<Vec<_>>());
+            assert_eq!(scored[0].cost, scored[1].cost);
         }
-    }
-
-    /// The calling thread maps the first chunk and spawned workers the
-    /// rest; a panic in either kind of chunk reaches the caller with its
-    /// own payload.
-    #[test]
-    fn par_map_propagates_each_chunks_panic() {
-        let v: Vec<u64> = (0..64).collect();
-        for bad in [0, 63] {
-            let caught = std::panic::catch_unwind(|| {
-                par_map(&v, |&x| {
-                    if x == bad {
-                        panic!("item {x} failed");
-                    }
-                    x
-                })
-            })
-            .expect_err("the panic propagates");
-            let payload = caught
-                .downcast_ref::<String>()
-                .expect("a formatted payload");
-            assert_eq!(payload, &format!("item {bad} failed"));
-        }
+        let costs = |s: &[Evaluated]| s.iter().map(|e| e.cost).collect::<Vec<_>>();
+        assert_eq!(costs(&first), costs(&again));
+        // Tier 1 counts the same way in its own table.
+        let tier1 = tuner.batch_with(batch, Tier::Surrogate);
+        assert_eq!(tuner.cache.borrow().surrogate_evaluations(), 2);
+        assert_eq!(costs(&tier1), costs(&first));
     }
 
     #[test]
