@@ -6,6 +6,8 @@
 //! common legwork: running a grid of (workload × configuration) simulations
 //! in parallel, number formatting, and emission.
 
+#![forbid(unsafe_code)]
+
 use cello_core::accel::CelloConfig;
 use cello_core::score::multinode::Partition;
 use cello_graph::dag::TensorDag;

@@ -23,6 +23,8 @@
 //!   `O(nodes + edges)` (~10²).
 //! - [`accel`]: the Table V accelerator configuration (`CelloConfig`).
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 pub mod chord;
 pub mod score;

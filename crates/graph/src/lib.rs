@@ -18,6 +18,8 @@
 //! `Dist` columns) is derived per access by `cello_sim::phases`, where the
 //! schedule's realized edges are known.
 
+#![forbid(unsafe_code)]
+
 pub mod dag;
 pub mod dot;
 pub mod edge;

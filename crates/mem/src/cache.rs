@@ -55,12 +55,41 @@
 //! line hits, since `m ≥ 0`. Conversely, when every resident head line has
 //! `r + k ≥ W`, each misses, by induction in stream order: an earlier line
 //! ranked below `L` that misses was evicted before it was reached, and `L`,
-//! less recent, was evicted before it; with no such line, `m = 0`. One pass
-//! over the slots decides this, and a stream whose head has no hit is
-//! charged as above. A stream of `n ≥ 2·C` lines whose head hits walks its
+//! less recent, was evicted before it; with no such line, `m = 0`. The test
+//! is per set (the implicit tail below decides most sets without reading
+//! their slots), and a stream whose head has no hit is charged as above. A stream of `n ≥ 2·C` lines whose head hits walks its
 //! head line by line. The head leaves only its own lines behind, so none of
 //! the rest's head is resident, and the rest is charged. Shorter streams
 //! whose head hits walk.
+//!
+//! # LRU: the implicit tail
+//!
+//! A charged stream leaves every set in a state fixed by two numbers: the
+//! first of the stream's last `C` lines, its *tail*, and whether the stream
+//! wrote. Set `s` holds the tail lines `≡ s (mod S)` in stream order, way
+//! `w` holding `b_s + w·S` at rank `W − 1 − w`, where `b_s` is the first of
+//! them. So the cache keeps that state implicit: a charged stream *closes*
+//! every set, and a set *opens*, its slots and ranks written from the tail,
+//! only when an access or a walked line first touches it. The open sets are
+//! listed, and everything else reads a closed set through the tail:
+//!
+//! - *Head test.* A closed set's tail line `b_s + w·S` is at position
+//!   `k = d + w` of the set's head lines, where `d·S = b_s − f_s` and `f_s`
+//!   is the set's first head line, so `r + k = W − 1 + d`. That is below `W`
+//!   iff `d ≤ 0`, that is iff `f_s` itself is a tail line (then it is the
+//!   line at `k = 0`). The first head lines, `first..first + S`, lie one per
+//!   set, so some closed set passes iff a line shared by that range and the
+//!   tail lies in a closed set; at most one more than the open sets of
+//!   those lines are looked at. The open sets are scanned slot by slot.
+//! - *Eviction.* A stream charged in closed form writes back `W` lines per
+//!   closed set when the tail is dirty, plus the open sets' dirty lines;
+//!   then its own tail replaces the old one and every set closes.
+//! - *Flush.* `flush_dirty` counts the same lines and leaves the tail clean.
+//!
+//! Before any stream is charged, the tail is the empty cache: a set opens
+//! with every way empty and ranked by way, so its ways fill in index order.
+//! A charged stream, the per-line model's costliest case, thus takes time in
+//! the open sets only.
 //!
 //! # BRRIP: the event rule
 //!
@@ -103,9 +132,15 @@
 //!
 //! The xorshift is linear over GF(2), so the draws are taken 32 at a time:
 //! per byte of the state, a table gives the low bits of the next 32 draws
-//! and the state after them. The generator ends where the per-line walk
-//! leaves it. A stream of fewer lines than sets walks, and so does a cache
-//! with an empty way, a round at a time until it is full.
+//! and the state after them, and a block's long insertions are queued a few
+//! at a time. The generator ends where the per-line walk leaves it. A
+//! stream of fewer lines than sets walks, and so does a cache with an empty
+//! way, a round at a time until it is full.
+//!
+//! Each set keeps its RRPV planes, its next stream line and its fill count
+//! in one record. The event loop works on plain slices of the slots and
+//! records; deciding a possible hit and ending a pending run take no
+//! branch, since whether a line still hits follows no pattern.
 //!
 //! # Exact division
 //!
@@ -116,6 +151,7 @@
 //! of the 64-bit line numbers.
 
 use crate::stats::AccessStats;
+use std::hint::select_unpredictable;
 
 /// Geometry of a set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,6 +232,23 @@ pub trait ReplacementPolicy {
     fn fill(&mut self, set: usize, base: usize, ways: usize) -> usize;
     /// Human-readable policy name (Table IV rows).
     fn name(&self) -> &'static str;
+    /// Makes `set`'s slots and policy state hold its lines before the
+    /// cache reads or writes them. The default keeps every set there.
+    fn open(_cache: &mut SetAssocCache<Self>, _set: usize)
+    where
+        Self: Sized,
+    {
+    }
+    /// Clears every dirty bit and returns how many were set. The default
+    /// scans every slot.
+    fn flush(cache: &mut SetAssocCache<Self>) -> u64
+    where
+        Self: Sized,
+    {
+        let dirty = cache.dirty.iter().filter(|&&d| d).count() as u64;
+        cache.dirty.fill(false);
+        dirty
+    }
     /// Accesses the `lines` consecutive lines from line number `first` in
     /// `cache`, leaving its `stats` alone, and returns the misses and
     /// writebacks. Every later result must be that of one access per line.
@@ -215,87 +268,94 @@ pub trait ReplacementPolicy {
 }
 
 /// Least-recently-used replacement.
+///
+/// A set is *open* when its slots hold its lines and its recency ranks. A
+/// charged stream closes every set: each then holds its share of the
+/// stream's tail (module docs) implicitly, and opens, from the tail, when
+/// the cache next touches it.
 #[derive(Clone, Debug)]
 pub struct LruPolicy {
-    /// Recency rank of each slot within its set: 0 is the most recent,
+    /// Recency rank of each slot of an open set: 0 is the most recent,
     /// `ways − 1` the next victim.
     rank: Vec<u8>,
+    /// What every closed set holds.
+    tail: Tail,
+    /// Whether each set is open.
+    open: Vec<bool>,
+    /// The open sets, in the order they opened.
+    opened: Vec<usize>,
+}
+
+/// The lines a charged stream leaves behind (module docs): set `s` holds
+/// those of `from..from + C` that are `≡ s (mod sets)`, oldest in way 0,
+/// ranked by way, all dirty or all clean.
+#[derive(Clone, Copy, Debug)]
+struct Tail {
+    /// `from` and its set; `None` until a stream is charged, while every
+    /// closed set is empty.
+    from: Option<(u64, usize)>,
+    dirty: bool,
 }
 
 impl LruPolicy {
-    /// Ranks way 0 of every set least recent and way `ways − 1` most
-    /// recent, so empty ways fill in index order before any line is
-    /// evicted: first-empty-then-LRU with no empty check. The first set is
-    /// ranked and then copied, doubling.
-    fn rank_by_way(&mut self, ways: usize) {
-        let rank = &mut self.rank;
-        for (x, r) in rank[..ways].iter_mut().zip((0..ways).rev()) {
-            *x = r as u8;
-        }
-        let mut ranked = ways;
-        while ranked < rank.len() {
-            let n = ranked.min(rank.len() - ranked);
-            rank.copy_within(..n, ranked);
-            ranked += n;
-        }
-    }
-
     /// Whether some line among the first `C` of a stream from `first` hits:
     /// whether a line resident before it, of rank `r`, lies at a position
     /// `k < W − r` of its set in the head (the stack-distance test in the
-    /// module docs). A head with no resident line takes one scan; otherwise
-    /// the sets are taken in stream order, so `k` is an exact quotient.
+    /// module docs). A closed set passes exactly when its first head line
+    /// is a tail line; the open sets are scanned slot by slot.
     fn head_hits(cache: &SetAssocCache<Self>, first: u64) -> bool {
         let (sets, ways) = (cache.sets, cache.ways);
         let capacity = cache.tags.len() as u64;
-        let in_head = |tag: u64| tag.wrapping_sub(first) < capacity;
-        if !cache.tags.iter().any(|&tag| in_head(tag)) {
-            return false;
+        let p = &cache.policy;
+        if let Some((from, _)) = p.tail.from {
+            // The first head lines, `first..first + sets`, lie in distinct
+            // sets, so at most `opened.len()` of those that are tail lines
+            // are in open sets.
+            let shared = first.max(from)..(first + sets as u64).min(from + capacity);
+            let set = (shared.start % sets as u64) as usize;
+            let count = shared.end.saturating_sub(shared.start) as usize;
+            if (set..sets).chain(0..set).take(count).any(|s| !p.open[s]) {
+                return true;
+            }
         }
         let first_set = (first % sets as u64) as usize;
-        (first_set..sets)
-            .chain(0..first_set)
-            .zip(0u64..)
-            .any(|(set, position)| {
-                let slots = set * ways..(set + 1) * ways;
-                let ranks = &cache.policy.rank[slots.clone()];
-                cache.tags[slots].iter().zip(ranks).any(|(&tag, &rank)| {
-                    in_head(tag)
-                        && u64::from(rank) + cache.by_sets.quotient(tag - first - position)
-                            < ways as u64
-                })
+        let in_head = |tag: u64| tag.wrapping_sub(first) < capacity;
+        p.opened.iter().any(|&set| {
+            let position = if set >= first_set {
+                set - first_set
+            } else {
+                set + sets - first_set
+            };
+            let slots = set * ways..(set + 1) * ways;
+            let ranks = &p.rank[slots.clone()];
+            cache.tags[slots].iter().zip(ranks).any(|(&tag, &rank)| {
+                in_head(tag)
+                    && u64::from(rank) + cache.by_sets.quotient(tag - first - position as u64)
+                        < ways as u64
             })
+        })
     }
 
     /// Charges a stream of at least capacity lines none of whose first
-    /// capacity lines hits, and leaves its last capacity lines in way order
-    /// under fresh ranks.
+    /// capacity lines hits: it evicts every line resident before it and
+    /// leaves its last capacity lines as the tail, every set closed.
     fn evict_all(
         cache: &mut SetAssocCache<Self>,
         first: u64,
         lines: u64,
         is_write: bool,
     ) -> (u64, u64) {
-        let (sets, ways) = (cache.sets, cache.ways);
+        let dirty = Self::flush(cache);
         let capacity = cache.tags.len() as u64;
-        let dirty = cache.dirty.iter().filter(|&&d| d).count() as u64;
-        cache.dirty.fill(is_write);
-        cache.policy.rank_by_way(ways);
-        // The lines left are `from..from + C`, set `s` holding those of
-        // them `≡ s (mod sets)`, oldest in way 0. The sets from `from`'s
-        // set on start at `from`, the sets before it a round later.
         let from = first + lines - capacity;
-        let from_set = (from % sets as u64) as usize;
-        let (before, after) = cache.tags.split_at_mut(from_set * ways);
-        let fill = |oldest: u64, slots: &mut [u64]| {
-            for (oldest, set) in (oldest..).zip(slots.chunks_exact_mut(ways)) {
-                for (way, tag) in set.iter_mut().enumerate() {
-                    *tag = oldest + (way * sets) as u64;
-                }
-            }
+        let p = &mut cache.policy;
+        for set in p.opened.drain(..) {
+            p.open[set] = false;
+        }
+        p.tail = Tail {
+            from: Some((from, (from % cache.sets as u64) as usize)),
+            dirty: is_write,
         };
-        fill(from, after);
-        fill(from + (sets - from_set) as u64, before);
         (lines, dirty + if is_write { lines - capacity } else { 0 })
     }
 }
@@ -306,11 +366,15 @@ impl ReplacementPolicy for LruPolicy {
             (1..=256).contains(&ways),
             "LRU ranks 1 to 256 ways, got {ways}"
         );
-        let mut policy = Self {
+        Self {
             rank: vec![0; sets * ways],
-        };
-        policy.rank_by_way(ways);
-        policy
+            tail: Tail {
+                from: None,
+                dirty: false,
+            },
+            open: vec![false; sets],
+            opened: Vec::new(),
+        }
     }
 
     fn on_hit(&mut self, _set: usize, base: usize, ways: usize, slot: usize) {
@@ -335,6 +399,58 @@ impl ReplacementPolicy for LruPolicy {
 
     fn name(&self) -> &'static str {
         "LRU"
+    }
+
+    /// Opens a closed set from the tail. Ranking way 0 least recent fills
+    /// an empty set's ways in index order before any line is evicted:
+    /// first-empty-then-LRU with no empty check.
+    fn open(cache: &mut SetAssocCache<Self>, set: usize) {
+        let p = &mut cache.policy;
+        if p.open[set] {
+            return;
+        }
+        p.open[set] = true;
+        p.opened.push(set);
+        let (sets, ways) = (cache.sets, cache.ways);
+        let slots = set * ways..(set + 1) * ways;
+        for (x, r) in p.rank[slots.clone()].iter_mut().zip((0..ways).rev()) {
+            *x = r as u8;
+        }
+        cache.dirty[slots.clone()].fill(p.tail.dirty);
+        let tags = &mut cache.tags[slots];
+        let Some((from, from_set)) = p.tail.from else {
+            tags.fill(EMPTY);
+            return;
+        };
+        // The sets from `from`'s set on start at `from`, those before it a
+        // round later.
+        let oldest = from
+            + if set >= from_set {
+                set - from_set
+            } else {
+                set + sets - from_set
+            } as u64;
+        for (way, tag) in tags.iter_mut().enumerate() {
+            *tag = oldest + (way * sets) as u64;
+        }
+    }
+
+    /// Counts the closed sets' dirty lines from the tail and scans only
+    /// the open sets.
+    fn flush(cache: &mut SetAssocCache<Self>) -> u64 {
+        let p = &mut cache.policy;
+        let closed = ((cache.sets - p.opened.len()) * cache.ways) as u64;
+        let mut dirty = if std::mem::take(&mut p.tail.dirty) {
+            closed
+        } else {
+            0
+        };
+        for &set in &p.opened {
+            let bits = &mut cache.dirty[set * cache.ways..][..cache.ways];
+            dirty += bits.iter().filter(|&&d| d).count() as u64;
+            bits.fill(false);
+        }
+        dirty
     }
 
     fn run_stream(
@@ -371,33 +487,176 @@ const fn xorshift(mut x: u32) -> u32 {
 /// simulations are reproducible).
 #[derive(Clone, Debug)]
 pub struct BrripPolicy {
-    /// Per set, the high and low bits of each way's RRPV (bit `w` is way `w`).
-    planes: Vec<(u64, u64)>,
-    /// Ways filled so far in each set. Lines are never invalidated, so a
-    /// set's empty ways are always the ones from here on.
-    filled: Vec<u32>,
+    /// One record per set.
+    sets: Vec<SetState>,
     /// Bit mask of a set's ways.
     way_mask: u64,
     /// Empty slots left in the whole cache.
     empty: usize,
     lfsr: u32,
     /// Event-rule scratch, sized once and reused by every stream.
-    scratch: Events,
+    scratch: Scratch,
+}
+
+/// What a BRRIP set keeps beside its slots, in one record.
+#[derive(Clone, Copy, Debug, Default)]
+struct SetState {
+    /// High and low bits of each way's RRPV (bit `w` is way `w`).
+    hi: u64,
+    lo: u64,
+    /// The event rule's first stream line of the set not yet charged.
+    next: u64,
+    /// Ways filled so far. Lines are never invalidated, so the set's empty
+    /// ways are always the ones from here on.
+    filled: u32,
+}
+
+impl SetState {
+    /// The ways at RRPV 3: the set is in a run when there is one, and the
+    /// lowest is its run way.
+    fn run(self) -> u64 {
+        self.hi & self.lo
+    }
+
+    /// The set aged until some way reaches RRPV 3 (`all` masks its ways).
+    /// Ageing by ones until then is one step of `3 − max`, added to every
+    /// way bit-sliced; a set in a run steps by 0.
+    fn aged(self, all: u64) -> Self {
+        let (hi, lo) = (self.hi, self.lo);
+        let max = u64::from(hi | lo != 0) + u64::from(hi != 0) + u64::from(hi & lo != 0);
+        let step = 3 - max;
+        let (high, low) = (
+            (step >> 1).wrapping_neg() & all,
+            (step & 1).wrapping_neg() & all,
+        );
+        Self {
+            hi: hi ^ high ^ (lo & low),
+            lo: lo ^ low,
+            ..self
+        }
+    }
 }
 
 /// Working memory of the event rule: `O(sets · ways)`.
 #[derive(Clone, Debug)]
-struct Events {
-    /// Every slot with its set, those holding the stream's lines first (one
-    /// spare entry past the slots).
-    found: Vec<(u32, u32)>,
+struct Scratch {
+    /// Every slot, those holding the stream's lines first (one spare entry
+    /// past the slots).
+    found: Vec<u32>,
     /// The lines resident before the stream that it reaches, with their
     /// slots and sets, in line order.
     resident: Vec<(u64, u32, u32)>,
     /// Start of each round's bucket in `resident`.
     starts: Vec<usize>,
-    /// Each set's first stream line not yet charged.
-    next: Vec<u64>,
+}
+
+/// The event rule's view of a full cache: its slots and set records as
+/// plain slices, beside the stream's fixed quantities.
+struct Events<'a> {
+    tags: &'a mut [u64],
+    dirty: &'a mut [bool],
+    sets: &'a mut [SetState],
+    ways: usize,
+    /// The number of sets, as a line count.
+    set_count: u64,
+    /// Bit mask of a set's ways.
+    all: u64,
+    /// The line past the stream.
+    end: u64,
+    is_write: bool,
+}
+
+impl Events<'_> {
+    /// `s`, the record of `set`, with `line` as the set's next stream line.
+    /// When no way of the set is at RRPV 3 and the line is not resident,
+    /// the line will fill, so the set ages now as that fill would (nothing
+    /// touches the set before it) and is in a run. A resident line is an
+    /// event.
+    fn readied(&self, s: SetState, set: usize, line: u64) -> SetState {
+        let s = SetState { next: line, ..s };
+        if line < self.end
+            && s.run() == 0
+            && !self.tags[set * self.ways..][..self.ways].contains(&line)
+        {
+            s.aged(self.all)
+        } else {
+            s
+        }
+    }
+
+    /// Readies `set` for `line` ([`Self::readied`]).
+    fn ready(&mut self, set: usize, line: u64) {
+        self.sets[set] = self.readied(self.sets[set], set, line);
+    }
+
+    /// Ends `set`'s pending run: its short fills from its next stream line
+    /// up to, not including, line `to`, all into its run way. Whether the
+    /// run was not empty, and whether it wrote back the way's first
+    /// occupant; the run's last line takes the way. An empty run changes
+    /// only the set's next line, and the test takes no branch.
+    #[inline(always)]
+    fn end_run(&mut self, set: usize, to: u64) -> (bool, bool) {
+        let s = &mut self.sets[set];
+        let ends = s.next < to;
+        s.next = to;
+        let run = s.run();
+        debug_assert!(!ends || run != 0, "set {set} has no run way");
+        let slot = set * self.ways + (run.trailing_zeros() as usize).min(self.ways - 1);
+        let dirty = self.dirty[slot];
+        let last = to.wrapping_sub(self.set_count);
+        self.tags[slot] = select_unpredictable(ends, last, self.tags[slot]);
+        self.dirty[slot] = select_unpredictable(ends, self.is_write, dirty);
+        (ends, ends & dirty)
+    }
+
+    /// A possible hit: `line`, resident in `slot` of `set` before the
+    /// stream. It hits when the slot still holds it (no earlier event of the
+    /// set has evicted it) and the set's pending run, if any, fills another
+    /// way. A hit ends the pending run at it, drops the slot to RRPV 0,
+    /// takes the write and readies the set for its next line; a miss
+    /// changes nothing. Returns whether it hit and [`Self::end_run`]'s
+    /// result. Deciding the hit and ending the run take no branch.
+    #[inline(always)]
+    fn possible_hit(&mut self, line: u64, slot: usize, set: usize) -> (bool, (bool, bool)) {
+        let s = self.sets[set];
+        let bit = 1u64 << (slot - set * self.ways);
+        let run = s.run();
+        let hit =
+            (self.tags[slot] == line) & ((s.next == line) | (run & run.wrapping_neg() != bit));
+        // A miss ends an empty run at the set's next line.
+        let ended = self.end_run(set, select_unpredictable(hit, line, s.next));
+        self.dirty[slot] |= hit & self.is_write;
+        if hit {
+            let promoted = SetState {
+                hi: s.hi & !bit,
+                lo: s.lo & !bit,
+                ..self.sets[set]
+            };
+            self.sets[set] = self.readied(promoted, set, line + self.set_count);
+        }
+        (hit, ended)
+    }
+
+    /// A long insertion of `line`, which misses, into `set`: the pending
+    /// run ends at it and the line takes the run way at RRPV 2. Returns
+    /// [`Self::end_run`]'s result and whether the way's occupant was dirty.
+    fn long_insertion(&mut self, line: u64, set: usize) -> ((bool, bool), bool) {
+        let ended = self.end_run(set, line);
+        let s = &mut self.sets[set];
+        *s = s.aged(self.all);
+        let way = s.run().trailing_zeros() as usize;
+        s.hi |= 1 << way;
+        s.lo &= !(1 << way);
+        let slot = set * self.ways + way;
+        debug_assert!(
+            !self.tags[set * self.ways..][..self.ways].contains(&line),
+            "line {line} of a long insertion hit"
+        );
+        let evicted = std::mem::replace(&mut self.dirty[slot], self.is_write);
+        self.tags[slot] = line;
+        self.ready(set, line + self.set_count);
+        (ended, evicted)
+    }
 }
 
 impl BrripPolicy {
@@ -405,23 +664,11 @@ impl BrripPolicy {
     const BIMODAL_PERIOD: u32 = 32;
 
     /// Ages `set` until a way reaches RRPV 3 and returns the mask of the
-    /// ways at 3. Ageing by ones until then is one step of `3 − max`, after
-    /// which the ways at 3 are those that were at `max`.
+    /// ways at 3.
     fn age(&mut self, set: usize) -> u64 {
-        let (hi, lo) = self.planes[set];
-        let all = self.way_mask;
-        // (ways at `max`, planes once every way has aged by `3 − max`)
-        let (at_max, aged) = if hi & lo != 0 {
-            (hi & lo, (hi, lo)) // max 3: no ageing
-        } else if hi != 0 {
-            (hi, (hi | lo, !lo & all)) // max 2: +1
-        } else if lo != 0 {
-            (lo, (all, lo)) // max 1: +2
-        } else {
-            (all, (all, all)) // max 0: +3
-        };
-        self.planes[set] = aged;
-        at_max
+        let s = &mut self.sets[set];
+        *s = s.aged(self.way_mask);
+        s.run()
     }
 
     /// The first way at RRPV 3 once the set has aged until one reaches it.
@@ -432,75 +679,26 @@ impl BrripPolicy {
     /// Fills `set`'s first empty way, else its victim, inserting at RRPV 3,
     /// or 2 when `long`.
     fn insert(&mut self, set: usize, base: usize, ways: usize, long: bool) -> usize {
-        let filled = self.filled[set] as usize;
+        let filled = self.sets[set].filled as usize;
         let way = if filled < ways {
-            self.filled[set] += 1;
+            self.sets[set].filled += 1;
             self.empty -= 1;
             filled
         } else {
             self.victim(set)
         };
         let bit = 1u64 << way;
-        let (hi, lo) = &mut self.planes[set];
-        *hi |= bit;
-        *lo = if long { *lo & !bit } else { *lo | bit };
+        let s = &mut self.sets[set];
+        s.hi |= bit;
+        s.lo = if long { s.lo & !bit } else { s.lo | bit };
         base + way
     }
 
-    /// Makes `line` the next stream line of `set`, in a full cache. When
-    /// no way of the set is at RRPV 3 and the line is not resident, the line
-    /// will fill, so the set ages now as that fill would (nothing touches
-    /// the set before it) and is in a run. A resident line is an event.
-    fn ready(cache: &mut SetAssocCache<Self>, set: usize, line: u64, end: u64) {
-        let p = &mut cache.policy;
-        p.scratch.next[set] = line;
-        let (hi, lo) = p.planes[set];
-        if line < end
-            && hi & lo == 0
-            && !cache.tags[set * cache.ways..][..cache.ways].contains(&line)
-        {
-            p.age(set);
-        }
-    }
-
-    /// Ends `set`'s pending run: its short fills from its next stream line
-    /// up to, not including, line `to`, all into its run way. Whether the
-    /// run was not empty, and if so whether the way's first occupant was
-    /// dirty; the run's last line takes the way.
-    fn end_run(
-        cache: &mut SetAssocCache<Self>,
-        set: usize,
-        to: u64,
-        is_write: bool,
-    ) -> Option<bool> {
-        let from = std::mem::replace(&mut cache.policy.scratch.next[set], to);
-        if from >= to {
-            return None;
-        }
-        let (hi, lo) = cache.policy.planes[set];
-        debug_assert!(hi & lo != 0, "set {set} has no run way");
-        let slot = set * cache.ways + (hi & lo).trailing_zeros() as usize;
-        let dirty = cache.dirty[slot];
-        cache.tags[slot] = to - cache.sets as u64;
-        cache.dirty[slot] = is_write;
-        Some(dirty)
-    }
-
-    /// Whether `line`, resident in `slot` of `set` before the stream, is
-    /// still there when the stream reaches it: no earlier event of the set
-    /// has evicted it, and the set's pending run, if any, fills another way.
-    fn still_hits(cache: &SetAssocCache<Self>, line: u64, slot: usize, set: usize) -> bool {
-        let p = &cache.policy;
-        let (hi, lo) = p.planes[set];
-        let run_way = set * cache.ways + (hi & lo).trailing_zeros() as usize;
-        cache.tags[slot] == line && (p.scratch.next[set] == line || slot != run_way)
-    }
-
     /// Lists the lines resident before a stream of `rounds` rounds from
-    /// `first` that it reaches, in line order. The sets are scanned in
-    /// stream order, so the lines come out in order within each round, and
-    /// a counting sort by round orders them all. A line's round is an exact
-    /// quotient, so no step divides.
+    /// `first` that it reaches, in line order. The slots are scanned in
+    /// stream order of their sets, so the lines come out in order within
+    /// each round, and a counting sort by round orders them all. A line's
+    /// round is an exact quotient, so no step divides.
     fn find_resident(cache: &mut SetAssocCache<Self>, first: u64, rounds: usize, end: u64) {
         let (sets, ways) = (cache.sets, cache.ways);
         let first_set = (first % sets as u64) as usize;
@@ -521,23 +719,30 @@ impl BrripPolicy {
         let mut found = 0;
         let lines = end - first;
         let tags = &cache.tags;
-        for set in (first_set..sets).chain(0..first_set) {
-            let base = set * ways;
-            for (slot, &tag) in (base..).zip(&tags[base..base + ways]) {
-                ev.found[found] = (slot as u32, set as u32);
+        let split = first_set * ways;
+        for slots in [split..tags.len(), 0..split] {
+            for (slot, &tag) in slots.clone().zip(&tags[slots]) {
+                ev.found[found] = slot as u32;
                 found += usize::from(tag.wrapping_sub(first) < lines);
             }
         }
-        for &(slot, set) in &ev.found[..found] {
-            ev.starts[round(tags[slot as usize], set) + 1] += 1;
+        let set_of = |slot: u32| {
+            if ways.is_power_of_two() {
+                slot >> ways.trailing_zeros()
+            } else {
+                slot / ways as u32
+            }
+        };
+        for &slot in &ev.found[..found] {
+            ev.starts[round(tags[slot as usize], set_of(slot)) + 1] += 1;
         }
         for r in 1..=rounds {
             ev.starts[r] += ev.starts[r - 1];
         }
         ev.resident.clear();
         ev.resident.resize(found, (0, 0, 0));
-        for &(slot, set) in &ev.found[..found] {
-            let line = tags[slot as usize];
+        for &slot in &ev.found[..found] {
+            let (line, set) = (tags[slot as usize], set_of(slot));
             let at = &mut ev.starts[round(line, set)];
             ev.resident[*at] = (line, slot, set);
             *at += 1;
@@ -555,74 +760,61 @@ impl BrripPolicy {
         let sets = cache.sets as u64;
         let end = first + lines;
         Self::find_resident(cache, first, lines.div_ceil(sets) as usize, end);
-        let mut set = (first % sets) as usize;
-        for line in first..first + sets {
-            Self::ready(cache, set, line, end);
-            set += 1;
-            if set == cache.sets {
-                set = 0;
-            }
+        let p = &mut cache.policy;
+        let mut ev = Events {
+            tags: &mut cache.tags,
+            dirty: &mut cache.dirty,
+            sets: &mut p.sets,
+            ways: cache.ways,
+            set_count: sets,
+            all: p.way_mask,
+            end,
+            is_write,
+        };
+        let first_set = (first % sets) as usize;
+        for (set, line) in (first_set..cache.sets).chain(0..first_set).zip(first..) {
+            ev.ready(set, line);
         }
-        let mut draws = Draws::new(cache.policy.lfsr);
+        let mut draws = Draws::new(p.lfsr);
         let mut long = draws.next_long();
-        let (mut longs, mut hits, mut runs, mut writebacks, mut resident) = (0, 0, 0, 0, 0);
+        let (mut longs, mut hits, mut runs, mut writebacks) = (0, 0, 0, 0);
+        let mut resident = p.scratch.resident.iter().peekable();
         loop {
             // The possible hits up to the next long insertion. One that
             // misses is a fill: a short fill of its set's pending run, or
             // that long insertion.
-            while let Some(&(line, slot, set)) = cache.policy.scratch.resident.get(resident) {
+            while let Some(&&(line, slot, set)) = resident.peek() {
                 if line > first + hits + long {
                     break;
                 }
-                resident += 1;
-                let (slot, set) = (slot as usize, set as usize);
-                if Self::still_hits(cache, line, slot, set) {
-                    if let Some(dirty) = Self::end_run(cache, set, line, is_write) {
-                        runs += 1;
-                        writebacks += u64::from(dirty);
-                    }
-                    cache.dirty[slot] |= is_write;
-                    cache.policy.on_hit(set, set * cache.ways, cache.ways, slot);
-                    hits += 1;
-                    Self::ready(cache, set, line + sets, end);
-                }
+                resident.next();
+                let (hit, (ended, dirty)) = ev.possible_hit(line, slot as usize, set as usize);
+                hits += u64::from(hit);
+                runs += u64::from(ended);
+                writebacks += u64::from(dirty);
             }
             let line = first + hits + long;
             if line >= end {
                 break;
             }
-            let set = (line % sets) as usize;
-            if let Some(dirty) = Self::end_run(cache, set, line, is_write) {
-                runs += 1;
-                writebacks += u64::from(dirty);
-            }
-            let (hit, dirty_eviction) =
-                cache.touch_by(set, line, is_write, |p, set, base, ways| {
-                    p.insert(set, base, ways, true)
-                });
-            debug_assert!(!hit, "line {line} of a long insertion hit");
+            let ((ended, dirty), evicted) = ev.long_insertion(line, (line % sets) as usize);
+            runs += u64::from(ended);
+            writebacks += u64::from(dirty) + u64::from(evicted);
             longs += 1;
-            writebacks += u64::from(dirty_eviction);
             long = draws.next_long();
-            Self::ready(cache, set, line + sets, end);
         }
         // The last stream line of each set ends its last run.
-        let mut set = ((end - sets) % sets) as usize;
-        for line in end - sets..end {
-            if let Some(dirty) = Self::end_run(cache, set, line + sets, is_write) {
-                runs += 1;
-                writebacks += u64::from(dirty);
-            }
-            set += 1;
-            if set == cache.sets {
-                set = 0;
-            }
+        let end_set = (end % sets) as usize;
+        for (set, line) in (end_set..cache.sets).chain(0..end_set).zip(end..) {
+            let (ended, dirty) = ev.end_run(set, line);
+            runs += u64::from(ended);
+            writebacks += u64::from(dirty);
         }
         // Every other line of a run evicts the run's previous line.
         if is_write {
             writebacks += lines - hits - longs - runs;
         }
-        cache.policy.lfsr = draws.after(lines - hits);
+        p.lfsr = draws.after(lines - hits);
         (lines - hits, writebacks)
     }
 }
@@ -638,25 +830,23 @@ impl ReplacementPolicy for BrripPolicy {
             "BRRIP keeps fewer than 2^32 lines, got {sets} sets of {ways}"
         );
         Self {
-            planes: vec![(0, 0); sets],
-            filled: vec![0; sets],
+            sets: vec![SetState::default(); sets],
             way_mask: u64::MAX >> (64 - ways),
             empty: sets * ways,
             lfsr: 0x2A2A_2A2A,
-            scratch: Events {
-                found: vec![(0, 0); sets * ways + 1],
+            scratch: Scratch {
+                found: vec![0; sets * ways + 1],
                 resident: Vec::with_capacity(sets * ways),
                 starts: Vec::with_capacity(sets + 1),
-                next: vec![0; sets],
             },
         }
     }
 
     fn on_hit(&mut self, set: usize, base: usize, _ways: usize, slot: usize) {
         let bit = 1u64 << (slot - base);
-        let (hi, lo) = &mut self.planes[set];
-        *hi &= !bit;
-        *lo &= !bit;
+        let s = &mut self.sets[set];
+        s.hi &= !bit;
+        s.lo &= !bit;
     }
 
     fn fill(&mut self, set: usize, base: usize, ways: usize) -> usize {
@@ -699,44 +889,86 @@ impl ReplacementPolicy for BrripPolicy {
     }
 }
 
-/// The xorshift draws of one stream's fills, 32 at a time.
+/// The xorshift draws of one stream's fills, 32 at a time. A block's long
+/// insertions are queued four at a time with no branch per insertion; a
+/// block with more, rare, queues the rest one by one.
 struct Draws {
-    /// Generator state after `base` draws, and its block.
+    /// Generator state after `base` draws: the next block to queue.
     x: u32,
-    block: Block,
     base: u64,
-    /// Bit `j` set when draw `base + j` is a long insertion not yet handed
-    /// out.
-    longs: u32,
-    /// `(x, base)` when the pending long insertion was looked for: the
-    /// block of the last one handed out, or the first block.
+    /// Queued long insertions from `head` to `len`, each with the generator
+    /// state at the start of its block and the block's first fill number.
+    queue: [(u64, u32, u64); Draws::QUEUE],
+    head: usize,
+    len: usize,
+    /// `(x, base)` of the block of the last long insertion handed out.
+    last: (u32, u64),
+    /// `last` when the pending long insertion was handed out: the block of
+    /// the one before it, or the first block.
     mark: (u32, u64),
 }
 
 impl Draws {
+    /// Room for a refill: it stops once it holds `QUEUE_FILL`, and its
+    /// last block adds at most 32 long insertions, after writing four slots
+    /// regardless.
+    const QUEUE: usize = Self::QUEUE_FILL + 32 + 4;
+    const QUEUE_FILL: usize = 32;
+
     fn new(x: u32) -> Self {
-        let block = Block::of(x);
         Self {
             x,
-            block,
             base: 0,
-            longs: block.longs(),
+            queue: [(0, 0, 0); Self::QUEUE],
+            head: 0,
+            len: 0,
+            last: (x, 0),
             mark: (x, 0),
         }
     }
 
-    /// Fill number of the next long insertion.
-    fn next_long(&mut self) -> u64 {
-        self.mark = (self.x, self.base);
-        while self.longs == 0 {
-            self.x = self.block.jump;
-            self.block = Block::of(self.x);
+    /// Queues the long insertions of the next blocks, at least
+    /// `QUEUE_FILL` of them.
+    fn refill(&mut self) {
+        self.head = 0;
+        self.len = 0;
+        while self.len < Self::QUEUE_FILL {
+            let block = Block::of(self.x);
+            let mut longs = block.longs();
+            let count = longs.count_ones() as usize;
+            for slot in &mut self.queue[self.len..self.len + 4] {
+                *slot = (
+                    self.base + u64::from(longs.trailing_zeros()),
+                    self.x,
+                    self.base,
+                );
+                longs &= longs.wrapping_sub(1);
+            }
+            self.len += count.min(4);
+            while longs != 0 {
+                self.queue[self.len] = (
+                    self.base + u64::from(longs.trailing_zeros()),
+                    self.x,
+                    self.base,
+                );
+                self.len += 1;
+                longs &= longs - 1;
+            }
+            self.x = block.jump;
             self.base += 32;
-            self.longs = self.block.longs();
         }
-        let j = self.longs.trailing_zeros();
-        self.longs &= self.longs - 1;
-        self.base + u64::from(j)
+    }
+
+    /// Fill number of the next long insertion.
+    #[inline(always)]
+    fn next_long(&mut self) -> u64 {
+        if self.head == self.len {
+            self.refill();
+        }
+        let (fill, x, base) = self.queue[self.head];
+        self.head += 1;
+        self.mark = std::mem::replace(&mut self.last, (x, base));
+        fill
     }
 
     /// Generator state after `fills` draws: at least the draws up to the
@@ -945,6 +1177,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
         is_write: bool,
         fill: impl FnOnce(&mut P, usize, usize, usize) -> usize,
     ) -> (bool, bool) {
+        P::open(self, set);
         let (base, ways) = (set * self.ways, self.ways);
         // One pass with no early exit: a line is in at most one way.
         let mut hit = ways;
@@ -1030,8 +1263,7 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
 
     /// Flushes all dirty lines to DRAM (end-of-program accounting).
     pub fn flush_dirty(&mut self) {
-        let dirty = self.dirty.iter().filter(|&&d| d).count() as u64;
-        self.dirty.fill(false);
+        let dirty = P::flush(self);
         self.stats.writebacks += dirty;
         self.stats.dram_write_bytes += dirty * self.config.line_bytes;
     }

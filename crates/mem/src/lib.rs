@@ -15,12 +15,15 @@
 //!   policy charges long streams by an exact rule argued in the module
 //!   docs: LRU's stack-distance test finds from recency ranks whether any
 //!   line of a stream's head hits, and a stream none of whose head lines
-//!   hits is charged in closed form; BRRIP's event rule steps only long
-//!   insertions and charges possible hits from their slots. Any set count
-//!   works: lines map to sets by `line % sets`;
+//!   hits is charged in closed form and left behind as an implicit tail,
+//!   opened one set at a time only where later accesses touch it; BRRIP's
+//!   event rule steps only long insertions and charges possible hits from
+//!   their slots. Any set count works: lines map to sets by `line % sets`;
 //! - [`model`]: CACTI-lite area & per-access energy of every buffer kind
 //!   (scratchpad, cache, buffet, CHORD), calibrated to the paper's published
 //!   4 MB figures (Table III, Fig 15).
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod dram;

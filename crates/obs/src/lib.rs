@@ -32,6 +32,8 @@
 //! panicking thread must never take the daemon's metrics or flight recorder
 //! down with it.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod json;
 pub mod log;

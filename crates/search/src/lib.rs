@@ -87,6 +87,8 @@
 //! assert!(funnel.best_cycles.cost.cycles <= funnel.baseline.cost.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod cache;
 pub mod candidate;

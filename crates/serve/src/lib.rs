@@ -25,6 +25,8 @@
 //! client). The `loadgen` load driver lives in `cello-bench`, which
 //! depends on this crate rather than the reverse.
 
+#![forbid(unsafe_code)]
+
 pub mod coalesce;
 pub mod error;
 pub mod protocol;

@@ -36,6 +36,8 @@
 //!   `cello_obs` span forest (model time, not wall clock) for the
 //!   `cello_run --trace-out` Chrome-trace flame view.
 
+#![forbid(unsafe_code)]
+
 pub mod backends;
 pub mod baselines;
 pub mod energy;

@@ -17,6 +17,8 @@
 //! - [`gen`]: synthetic dataset generators standing in for SuiteSparse matrices
 //!   and OMEGA graphs (see DESIGN.md §2 for the substitution argument).
 
+#![forbid(unsafe_code)]
+
 pub mod einsum;
 pub mod gen;
 pub mod intensity;

@@ -12,6 +12,8 @@
 //! (He et al. conv3_x residual block, GEMM-lowered), [`hpcg`] (Table I), and
 //! [`power_iter`] (an extension workload).
 
+#![forbid(unsafe_code)]
+
 pub mod bicgstab;
 pub mod cg;
 pub mod datasets;

@@ -14,6 +14,8 @@
 //! assert!((ai.ops_per_byte() - 2.0).abs() < 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cello_core as core;
 pub use cello_graph as graph;
 pub use cello_mem as mem;

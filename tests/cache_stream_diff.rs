@@ -12,8 +12,12 @@
 //! with one head line touched first, hitting and walking; and BRRIP
 //! re-reads of a written region, whose possible hits fall in ways other
 //! than a set's run way, in the run way behind a pending fill, and at the
-//! start of a run. Every call's result and the running `AccessStats` must
-//! match, and so must the stats after `flush_dirty`. The engine-level
+//! start of a run. LRU's implicit tail is driven through single accesses,
+//! short streams that open a few sets, long streams that read open and
+//! closed sets, re-streams that overlap it, and flushes of a clean and a
+//! dirty tail; BRRIP also runs random traces at 256 to 4096 sets. Every
+//! call's result and the running `AccessStats` must match, and so must the
+//! stats after `flush_dirty`. The engine-level
 //! tests pin the Flex+LRU and Flex+BRRIP statistics of the benchmark's
 //! figure runs, and run both cache configurations at a 3 MB SRAM, whose
 //! 24 576 sets are not a power of two.
@@ -538,6 +542,74 @@ fn brrip_rereads_match_per_line_model() {
             }
             pair.flush();
         }
+    }
+}
+
+/// LRU's implicit tail, call by call, at 16 and 24 sets. A written region
+/// of `C..2C` lines leaves a dirty tail. Single accesses then open a few
+/// sets: hits on tail lines, misses beside them. Short streams open a few
+/// more, and a long stream's head test and eviction read the open sets
+/// beside the closed ones. Re-streams of the region overlap the tail, as
+/// bicgstab/NASA4704's vectors do. Last, fresh regions leave a clean and
+/// then a dirty tail, each flushed.
+#[test]
+fn lru_tail_transitions_match_per_line_model() {
+    let mut rng = SplitMix64::new(0x5EED_0008);
+    for sets in [16u64, 24] {
+        for _ in 0..8 {
+            let ways = pick(&mut rng, &[1, 2, 3, 4, 8]);
+            let cfg = geometry(sets, ways, 16);
+            let capacity = sets * ways as u64;
+            let lines = capacity + rng.below(capacity);
+            let region = (0, lines * 16);
+            let mut pair = Pair::<LruPolicy, reference::LruPolicy>::new(cfg);
+            pair.stream(region, true, 0);
+            let mut call = 1;
+            for _ in 0..4 {
+                let line = rng.below(2 * lines);
+                pair.access(line * 16, rng.below(2) == 0, call);
+                call += 1;
+            }
+            for _ in 0..2 {
+                let start = rng.below(3 * lines);
+                let short = (start * 16, (1 + rng.below(sets / 2)) * 16);
+                pair.stream(short, rng.below(2) == 0, call);
+                call += 1;
+            }
+            let long = (lines + rng.below(capacity)) * 16;
+            pair.stream((long, (capacity + rng.below(capacity)) * 16), false, call);
+            call += 1;
+            for _ in 0..3 {
+                pair.stream(region, rng.below(2) == 0, call);
+                call += 1;
+            }
+            // Regions no call has touched: no head line is resident, so
+            // each is charged in closed form and leaves its tail.
+            let fresh = 8 * lines * 16;
+            for (k, write) in [false, true].into_iter().enumerate() {
+                let start = fresh + k as u64 * 4 * lines * 16;
+                pair.stream((start, (capacity + rng.below(capacity)) * 16), write, call);
+                call += 1;
+                let before = pair.cache.stats().writebacks;
+                pair.flush();
+                let flushed = pair.cache.stats().writebacks - before;
+                assert_eq!(flushed, if write { capacity } else { 0 }, "{cfg:?}");
+            }
+        }
+    }
+}
+
+/// BRRIP random traces at 256 to 4096 sets, set counts that are and are
+/// not powers of two, a few calls each: the event rule's passes over every
+/// set, and the line order of the possible hits, at the scale of the
+/// figure runs' caches.
+#[test]
+fn brrip_streams_at_scale_match_per_line_model() {
+    let mut rng = SplitMix64::new(0x5EED_0009);
+    let drawn = [256 + rng.below(3841), 256 + rng.below(3841)];
+    for sets in [256, 384, 1000, 2048, 4096].into_iter().chain(drawn) {
+        let ways = pick(&mut rng, &[2, 4, 8]);
+        replay::<BrripPolicy, reference::BrripPolicy>(geometry(sets, ways, 16), &mut rng, 5);
     }
 }
 
