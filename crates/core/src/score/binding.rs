@@ -496,16 +496,105 @@ pub fn build_schedule_from(
     opts: ScheduleOptions,
     constraints: &ScheduleConstraints,
 ) -> Schedule {
-    let partition = normalize_partition(dag, constraints.partition);
-    let orders: Vec<LoopOrder> = dag
-        .topo_order()
+    let orders = loop_orders(dag, constraints);
+    let Bound {
+        partition,
+        phases,
+        realized,
+        phase_splits,
+        nodes,
+        externals,
+    } = bind(dag, &cls, &orders, opts, constraints);
+    let mut binding = BTreeMap::new();
+    for ((_, node), b) in dag.nodes().zip(nodes) {
+        binding.insert(node.output.name.clone(), b);
+    }
+    for (ext, b) in dag.externals().iter().zip(externals) {
+        binding.insert(ext.meta.name.clone(), b);
+    }
+
+    // CHORD priority biases: honored only for tensors the schedule actually
+    // steers to CHORD — everywhere else the RIFF metadata is never read.
+    let chord_bias: BTreeMap<String, PriorityBias> = constraints
+        .chord_priority_bias
+        .iter()
+        .filter(|(name, _)| {
+            opts.enable_chord && binding.get(name.as_str()) == Some(&Binding::Chord)
+        })
+        .map(|(name, &bias)| (name.clone(), bias))
+        .collect();
+
+    Schedule {
+        phases,
+        realized,
+        binding,
+        classification: cls,
+        loop_orders: orders,
+        swizzle: minimize_swizzles(dag),
+        options: opts,
+        partition,
+        chord_bias,
+        phase_splits,
+        transfer: constraints
+            .transfer
+            .map(TransferTuning::normalized)
+            .unwrap_or_default(),
+        chord_overbook: constraints
+            .chord_overbook
+            .map(ChordOverbook::normalized)
+            .unwrap_or_default(),
+    }
+}
+
+/// The loop order of every node, indexed by node: the order `constraints`
+/// requests when it is a permutation of the node's ranks, the default
+/// [`choose_loop_order`] otherwise. What [`build_schedule_from`] schedules
+/// with, and what [`bind`] takes.
+pub fn loop_orders(dag: &TensorDag, constraints: &ScheduleConstraints) -> Vec<LoopOrder> {
+    dag.topo_order()
         .into_iter()
         .map(|n| match constraints.loop_orders.get(&n.0) {
             Some(req) if is_rank_permutation(dag, n, req) => req.clone(),
             _ => choose_loop_order(dag, n),
         })
-        .collect();
+        .collect()
+}
 
+/// What [`bind`] decides: the clusters, which edges they realize, the
+/// per-phase SRAM splits, and where every tensor lives.
+pub struct Bound {
+    /// The normalized multi-node partition.
+    pub partition: Partition,
+    /// Pipeline clusters in execution order.
+    pub phases: Vec<Phase>,
+    /// Per-edge realization flag.
+    pub realized: Vec<bool>,
+    /// Resolved SRAM split, one per phase.
+    pub phase_splits: Vec<PhaseSplit>,
+    /// Binding of each node's output, indexed by node.
+    pub nodes: Vec<Binding>,
+    /// Binding of each external input, in [`TensorDag::externals`] order.
+    pub externals: Vec<Binding>,
+}
+
+/// The cluster-formation and binding half of [`build_schedule_from`]: grows
+/// the pipeline clusters under `opts` and `constraints` over `cls` (which
+/// must be `classify(dag)`) and the per-node `orders` (which must be
+/// [`loop_orders`]`(dag, constraints)`), resolves the per-phase SRAM splits,
+/// and binds every node output and external. It builds no swizzle report and
+/// no name-keyed map, so a caller that needs only bindings for many option
+/// sets of one DAG (tier 0 binds one schedule per scheduler preset and SRAM
+/// split) computes the orders once and runs this per option set. In the
+/// schedule's `binding` map an external shadows a node output of the same
+/// name.
+pub fn bind(
+    dag: &TensorDag,
+    cls: &Classification,
+    orders: &[LoopOrder],
+    opts: ScheduleOptions,
+    constraints: &ScheduleConstraints,
+) -> Bound {
+    let partition = normalize_partition(dag, constraints.partition);
     let global_split = PhaseSplit::of_options(&opts);
     let mut phases: Vec<Phase> = Vec::new();
     let mut realized = vec![false; dag.edge_count()];
@@ -544,7 +633,7 @@ pub fn build_schedule_from(
             if !in_phase.is_empty() {
                 if in_phase
                     .iter()
-                    .all(|&e| realizable(dag, &cls, &orders, &opts, &partition, budget, e))
+                    .all(|&e| realizable(dag, cls, orders, &opts, &partition, budget, e))
                 {
                     join_demand = in_phase
                         .iter()
@@ -558,7 +647,7 @@ pub fn build_schedule_from(
                         join_edges = in_phase;
                     }
                 }
-            } else if opts.enable_multicast && shares_multicast_input(dag, &cls, v, &current.ops) {
+            } else if opts.enable_multicast && shares_multicast_input(dag, cls, v, &current.ops) {
                 join = true;
             }
         }
@@ -628,7 +717,7 @@ pub fn build_schedule_from(
     };
 
     // Tensor bindings (§V-C "SCORE-CHORD Interface").
-    let mut binding = BTreeMap::new();
+    let mut nodes = Vec::with_capacity(dag.node_count());
     for (nid, node) in dag.nodes() {
         let outs = dag.out_edges(nid);
         let terminal = outs.is_empty();
@@ -661,8 +750,9 @@ pub fn build_schedule_from(
             }
             _ => default,
         };
-        binding.insert(node.output.name.clone(), b);
+        nodes.push(b);
     }
+    let mut externals = Vec::with_capacity(dag.externals().len());
     for ext in dag.externals() {
         // Externals live in the RF from their first to their last consumer.
         let rf_words = match (
@@ -687,39 +777,16 @@ pub fn build_schedule_from(
             Some(&req) if override_valid(req, ext.meta.words, false, false, rf_words, &opts) => req,
             _ => default,
         };
-        binding.insert(ext.meta.name.clone(), b);
+        externals.push(b);
     }
 
-    // CHORD priority biases: honored only for tensors the schedule actually
-    // steers to CHORD — everywhere else the RIFF metadata is never read.
-    let chord_bias: BTreeMap<String, PriorityBias> = constraints
-        .chord_priority_bias
-        .iter()
-        .filter(|(name, _)| {
-            opts.enable_chord && binding.get(name.as_str()) == Some(&Binding::Chord)
-        })
-        .map(|(name, &bias)| (name.clone(), bias))
-        .collect();
-
-    Schedule {
+    Bound {
+        partition,
         phases,
         realized,
-        binding,
-        classification: cls,
-        loop_orders: orders,
-        swizzle: minimize_swizzles(dag),
-        options: opts,
-        partition,
-        chord_bias,
         phase_splits,
-        transfer: constraints
-            .transfer
-            .map(TransferTuning::normalized)
-            .unwrap_or_default(),
-        chord_overbook: constraints
-            .chord_overbook
-            .map(ChordOverbook::normalized)
-            .unwrap_or_default(),
+        nodes,
+        externals,
     }
 }
 

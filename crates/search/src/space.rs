@@ -791,8 +791,8 @@ impl SearchSpace {
 /// The odometer branch keeps its picks incrementally. The sampled branch
 /// draws one [`SplitMix64::below`] per decision, and each takes exactly one
 /// draw, so pick `d` of position `k` is draw `k·D + d` of the seeded
-/// stream (`D` decisions). [`Sweep::pick`] reads it by random access
-/// ([`SplitMix64::advance`]); only [`Sweep::picks`] draws the whole
+/// stream (`D` decisions). [`Picks::fold`] reads a few picks by random
+/// access ([`SplitMix64::advance`]); only [`Sweep::picks`] draws the whole
 /// assignment.
 pub(crate) struct Sweep {
     radices: Vec<usize>,
@@ -835,16 +835,12 @@ impl Sweep {
         Some(self.next - 1)
     }
 
-    /// Decision `d`'s pick at the current position.
-    pub(crate) fn pick(&self, d: usize) -> usize {
-        match &self.rng {
-            Some(rng) if !self.drawn => {
-                let mut rng = rng.clone();
-                rng.advance(d as u64);
-                rng.below(self.radices[d] as u64) as usize
-            }
-            _ => self.picks[d],
-        }
+    /// Moves past the last position and returns how many positions that
+    /// skipped.
+    pub(crate) fn skip_rest(&mut self) -> u64 {
+        let rest = self.len - self.next;
+        self.next = self.len;
+        rest
     }
 
     /// The whole assignment at the current position.
@@ -859,6 +855,55 @@ impl Sweep {
             }
         }
         &self.picks
+    }
+}
+
+/// An assignment's picks, read a few decisions at a time.
+pub(crate) trait Picks {
+    /// Folds `f` over `(pick, arg)` for the `(decision, arg)` pairs of
+    /// `dims`, whose decisions must ascend.
+    fn fold<A: Copy, T>(&self, dims: &[(usize, A)], init: T, f: impl FnMut(T, usize, A) -> T) -> T;
+}
+
+impl Picks for [usize] {
+    fn fold<A: Copy, T>(
+        &self,
+        dims: &[(usize, A)],
+        init: T,
+        mut f: impl FnMut(T, usize, A) -> T,
+    ) -> T {
+        dims.iter()
+            .fold(init, |acc, &(d, arg)| f(acc, self[d], arg))
+    }
+}
+
+/// The sweep's current position; the sampled branch draws only the picks
+/// it is asked for (draw `d` of the position is the stream's next draw
+/// after `d` skipped ones, and ascending decisions skip forward).
+impl Picks for Sweep {
+    fn fold<A: Copy, T>(
+        &self,
+        dims: &[(usize, A)],
+        init: T,
+        mut f: impl FnMut(T, usize, A) -> T,
+    ) -> T {
+        match &self.rng {
+            Some(rng) if !self.drawn => {
+                let mut rng = rng.clone();
+                let mut at = 0;
+                let mut acc = init;
+                for &(d, arg) in dims {
+                    debug_assert!(d >= at, "decisions must ascend");
+                    if d > at {
+                        rng.advance((d - at) as u64);
+                    }
+                    acc = f(acc, rng.below(self.radices[d] as u64) as usize, arg);
+                    at = d + 1;
+                }
+                acc
+            }
+            _ => self.picks.fold(dims, init, f),
+        }
     }
 }
 
@@ -1402,9 +1447,9 @@ mod tests {
     }
 
     /// Random access into a sampled sweep reads the stream's own picks:
-    /// at every position, each decision's [`Sweep::pick`] equals the
-    /// pick `sweep` visits, before and after [`Sweep::picks`] draws the
-    /// whole assignment.
+    /// at every position, each decision's pick read by [`Picks::fold`]
+    /// equals the pick `sweep` visits, before and after [`Sweep::picks`]
+    /// draws the whole assignment.
     #[test]
     fn random_access_picks_match_the_sampled_sweep() {
         let dag = cg(2);
@@ -1417,14 +1462,28 @@ mod tests {
         let mut sweep = space.sweep_cursor(budget, 11);
         for expected in &streamed {
             sweep.step().expect("one position per streamed assignment");
-            // Random access first, in reverse decision order, then the
-            // full draw, then random access again.
+            // Random access first: every other decision in one fold, then
+            // each decision alone in reverse order; then the full draw,
+            // then random access again.
+            let evens: Vec<(usize, ())> = (0..expected.len()).step_by(2).map(|d| (d, ())).collect();
+            let mut read = Vec::new();
+            sweep.fold(&evens, (), |(), p, ()| read.push(p));
+            let want: Vec<usize> = expected.iter().copied().step_by(2).collect();
+            assert_eq!(read, want);
             for (d, &pick) in expected.iter().enumerate().rev() {
-                assert_eq!(sweep.pick(d), pick, "decision {d}");
+                assert_eq!(
+                    sweep.fold(&[(d, ())], 0, |_, p, ()| p),
+                    pick,
+                    "decision {d}"
+                );
             }
             assert_eq!(sweep.picks(), &expected[..]);
             for (d, &pick) in expected.iter().enumerate() {
-                assert_eq!(sweep.pick(d), pick, "decision {d}");
+                assert_eq!(
+                    sweep.fold(&[(d, ())], 0, |_, p, ()| p),
+                    pick,
+                    "decision {d}"
+                );
             }
         }
         assert_eq!(sweep.step(), None);

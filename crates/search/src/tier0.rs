@@ -9,10 +9,20 @@
 //! reach. Tier 0 scores an assignment **without building its schedule**:
 //! a [`Sketch`] of four monotone resource terms is computed directly from
 //! the [`SearchSpace`] decision vector and DAG-level quantities
-//! precomputed once per space. [`Tier0Model::new`] classifies the DAG once
-//! and runs one binding pass per (scheduler preset × SRAM split) pair over
-//! that classification, paid once per space; the per-assignment sketch
-//! afterwards is O(decisions) with no allocation.
+//! precomputed once per space. [`Tier0Model::new`] classifies the DAG,
+//! computes its default loop orders once, and runs the cluster-and-binding
+//! pass [`cello_core::score::binding::bind`] — the half of a schedule
+//! build that binds tensors, without its swizzle report and name-keyed
+//! maps — once per (scheduler preset × SRAM split) pair. It then
+//! tabulates what a sketch reads: per cell of the four floor decisions
+//! (below) the base, capacity, node count and NoC and compute cycles; per
+//! partition and overbook choice each pressure tensor's CHORD need, tail
+//! and cold-fill shrink; per transfer choice the window and staging carve;
+//! per cut, steer and bias decision the tensor it moves. A sketch then
+//! folds the picks into bitmasks and shifts (a cut or steer pick shifts
+//! into its tensor's bit, a bias pick looks up its shift, no branch on a
+//! pick) and fills CHORD from those rows: O(decisions + pressure), no
+//! allocation.
 //!
 //! The split axis matters to the *DRAM* term, not just capacity: the
 //! pipeline buffer gates which edges can realize at all
@@ -84,26 +94,37 @@
 //!   spread over the menu's widest prefetch window. Every transfer
 //!   setting exposes at least that share of its DRAM cycles.
 //!
-//! [`Tier0Model::prune`] tabulates the floor once per sweep over those four
-//! decisions' picks and rejects an assignment by its floor before it is
-//! sketched, or on the sampled branch even fully drawn. Rejection is
-//! monotone in the scalar, so a rejected floor means a rejected sketch,
-//! and the survivors are exactly the sketch-first sweep's. The sketch
-//! itself is `finish(decode(picks))`, and the floor reads the same
-//! `decode`.
+//! The floor of every cell is tabulated once per sweep. [`Tier0Model::prune`]
+//! reads an assignment's four floor picks, and on the sampled branch draws
+//! no other: pick `d` of position `k` is draw `k·D + d` of the seeded
+//! stream, which `SplitMix64::advance` reaches in O(1). A rejected floor
+//! means a rejected sketch (rejection is monotone in the scalar), so the
+//! assignment is counted in `floored` and dropped unsketched. Past the
+//! floor, the transfer and overbook picks select a **refined floor**, filled
+//! in lazily per (cell, transfer, overbook): the same terms at the
+//! transfer setting's own window and staging carve and at the overbook
+//! choice's own grants, plus the members' variance tails. A steerable
+//! member's tail is capped at `(words − need) × uses`: steered, it pays
+//! `words × uses` on DRAM, at least that cap plus the `need × uses` it can
+//! add to the knapsack. Only an assignment both floors admit draws its other
+//! picks and is sketched, and only one the front admits draws the rest.
+//! Once the front rejects the lowest cell floor, no later assignment can
+//! change it, and release builds count the rest of the sweep as floored
+//! without visiting it. The survivors and counts are exactly the
+//! sketch-first sweep's; debug builds sketch every rejected assignment and
+//! assert the floor that rejected it.
 
 use crate::candidate::Candidate;
-use crate::space::{Choice, SearchSpace};
+use crate::space::{Choice, Picks, SearchSpace};
 use cello_core::accel::CelloConfig;
-use cello_core::chord::PriorityBias;
-use cello_core::score::binding::{build_schedule_from, Binding};
+use cello_core::chord::{PriorityBias, MAX_BIAS_LEVEL};
+use cello_core::score::binding::{bind, loop_orders, Binding, ScheduleConstraints};
 use cello_core::score::classify::{classify, Classification};
 use cello_core::score::multinode::{NocModel, Partition, PartitionAxis};
 use cello_core::{ChordOverbook, TransferTuning};
 use cello_graph::dag::{NodeId, TensorDag};
 use cello_tensor::shape::RankId;
 use cello_tensor::sparse::OccupancyStats;
-use std::collections::HashMap;
 
 /// Cap on the pressure list (hot CHORD tensors + cuttable intermediates)
 /// the greedy fill scans per sketch — keeps the per-candidate cost O(1).
@@ -159,6 +180,16 @@ struct TensorInfo<'a> {
     external: bool,
 }
 
+/// One entry of a base schedule's `binding` map, with where [`bind`]
+/// reports its binding.
+#[derive(Clone, Copy)]
+struct Named<'a> {
+    name: &'a str,
+    info: TensorInfo<'a>,
+    /// `Ok(node)` for a node output, `Err(external)` for an external.
+    source: Result<usize, usize>,
+}
+
 /// One potential occupant of CHORD capacity: a hot CHORD-bound tensor from
 /// a base schedule, or an intermediate a cut decision can push out of the
 /// pipeline into CHORD.
@@ -192,6 +223,7 @@ struct Base {
 }
 
 /// Closed-form consequences of one partition choice.
+#[derive(Clone, Copy)]
 struct PartitionChoice {
     nodes: u64,
     sliced: Option<RankId>,
@@ -240,14 +272,52 @@ enum Effect {
     Inert,
 }
 
+/// What the four floor decisions (preset, SRAM split, partition,
+/// repartition) fix of an assignment: one cell of the cell table.
+struct Cell {
+    /// Index into `bases`.
+    base: usize,
+    /// The partition choice, which selects rows of the grant tables.
+    part: usize,
+    /// CHORD capacity words before the staging carve.
+    capacity: u64,
+    nodes: u64,
+    noc_word_hops: u64,
+    compute_cycles: u64,
+    noc_cycles: u64,
+}
+
+/// The DRAM a pressure tensor costs outside the fill.
+struct Ranked {
+    /// Words it streams when steered to DRAM (`words × uses`).
+    steered_words: u64,
+    /// Words it round-trips when cut with CHORD off (`words × (1 + uses)`).
+    cut_words: u64,
+}
+
+/// One pressure tensor's fill terms under one partition and overbook
+/// choice.
+#[derive(Clone, Copy)]
+struct Grant {
+    /// CHORD words it asks for: its per-node footprint, at the overbooked
+    /// grant when it carries occupancy.
+    need: u64,
+    /// The overbook variance tail, times uses: spill words.
+    tail: u64,
+    /// How far the grant shrinks an external's cold DRAM fill.
+    shrink: u64,
+    /// Reads after production, the spill's per-use multiplier.
+    uses: u64,
+}
+
 /// Result of a tier-0 sweep.
 pub struct Tier0Prune {
     /// Surviving assignments (sketch-Pareto, capped), in admission order.
     pub kept: Vec<Vec<usize>>,
     /// Assignments swept.
     pub swept: u64,
-    /// Swept assignments whose floor the front rejected, so they were
-    /// never sketched (see [`Tier0Model::prune`]).
+    /// Swept assignments whose four-decision floor the front rejected, so
+    /// they were never sketched (see [`Tier0Model::prune`]).
     pub floored: u64,
 }
 
@@ -259,9 +329,6 @@ pub struct Tier0Model {
     n_splits: usize,
     pressure: Vec<PressureTensor>,
     effects: Vec<Effect>,
-    /// Pressure-list bitmask of the intermediates a cut decision can push
-    /// into the CHORD fill.
-    cuttable: u32,
     /// The overbook menu's deepest level (off without a menu): the
     /// smallest grant any assignment gives an occupancy-carrying tensor.
     deepest_overbook: ChordOverbook,
@@ -282,13 +349,72 @@ pub struct Tier0Model {
     dram_bytes_per_cycle: u64,
     /// NoC bytes per core cycle per link.
     noc_bytes_per_cycle: u64,
+    /// What a sketch reads, tabulated from the fields above.
+    tables: Tables,
+}
+
+/// The per-space tables a sketch reads ([`Tier0Model::tabulate`]).
+#[derive(Default)]
+struct Tables {
+    /// (decision, stride) of each floor decision: an assignment's cell is
+    /// `Σ pick · stride`.
+    cell_dims: Vec<(usize, usize)>,
+    cells: Vec<Cell>,
+    /// (decision, stride) of the transfer and overbook decisions: their
+    /// choice is `Σ pick · stride`, and `cell + n_cells · choice` indexes a
+    /// refined cell.
+    refine_dims: Vec<(usize, usize)>,
+    /// Per choice: (transfer choice, overbook choice).
+    choices: Vec<(usize, usize)>,
+    /// The pressure list in static fill order (descending score, earlier
+    /// index on ties): its fill ranks, which every bitmask below indexes.
+    ranked: Vec<Ranked>,
+    /// (decision, fill rank) of each cut and each steer decision.
+    cuts: Vec<(usize, u32)>,
+    steers: Vec<(usize, u32)>,
+    /// (decision, index) of each bias decision, and per index the biased
+    /// slot and per-choice shift.
+    biases: Vec<(usize, usize)>,
+    bias_shifts: Vec<(usize, Vec<i8>)>,
+    /// Fill rank of each biased tensor, by slot.
+    biased: Vec<usize>,
+    biased_mask: u32,
+    /// Per base: the fill-rank bitmask of the tensors it binds to CHORD.
+    members: Vec<u32>,
+    /// Fill-rank bitmasks of the cuttable intermediates and of the
+    /// steerable tensors.
+    cuttable: u32,
+    steerable: u32,
+    /// Per biased slot and shift `s`, at `s + MAX_BIAS_LEVEL`: the
+    /// tensor's shifted fill key and the first unbiased fill rank whose
+    /// key is below it.
+    bias_order: Vec<Vec<(u128, usize)>>,
+    /// Per choice of the last transfer decision (one off entry without
+    /// one): its prefetch window (`depth + 1`; off is a window of 1),
+    /// whether it double buffers (off does), and its staging carve.
+    transfers: Vec<(u64, bool, u64)>,
+    /// Choices of the last overbook decision (1 without one).
+    n_overbook: usize,
+    /// Per (partition choice of the last partition decision, overbook
+    /// choice, fill rank), at `(part * n_overbook + overbook) *
+    /// ranked.len() + rank`.
+    grants: Vec<Grant>,
+    /// Per (partition, overbook choice): whether any grant of the row has a
+    /// tail or a shrink.
+    overbooked: Vec<bool>,
+    /// Per (partition, fill rank), at the deepest overbook level: the
+    /// floor's needs and shrinks.
+    floor_grants: Vec<Grant>,
+    /// Fill ranks by descending uses: the floor's knapsack order.
+    by_uses: Vec<usize>,
 }
 
 impl Tier0Model {
     /// Precomputes sketch ingredients for `space` over `dag`/`accel`: one
     /// classification of `dag`, one binding pass per (preset, SRAM split)
     /// pair over it (the only schedules tier 0 ever binds), the unified
-    /// CHORD pressure list, and per-decision effects.
+    /// CHORD pressure list, per-decision effects, and the tables the sketch
+    /// reads.
     pub fn new(dag: &TensorDag, accel: &CelloConfig, space: &SearchSpace) -> Self {
         Self::from_classification(dag, &classify(dag), accel, space)
     }
@@ -301,37 +427,47 @@ impl Tier0Model {
         accel: &CelloConfig,
         space: &SearchSpace,
     ) -> Self {
-        // Tensor name -> what the sketch needs of it, over node outputs and
-        // externals (an external shadows a node output of the same name).
+        // Every entry of a schedule's `binding` map in its (name) order:
+        // node outputs and externals, an external shadowing a node output of
+        // the same name (as it does in the map).
         let mut out_edges = vec![0u64; dag.node_count()];
         for (_, e) in dag.edges() {
             out_edges[e.src] += 1;
         }
-        let mut meta: HashMap<&str, TensorInfo> = HashMap::new();
-        for (id, node) in dag.nodes() {
-            meta.insert(
-                &node.output.name,
-                TensorInfo {
+        let mut tensors: Vec<Named> = dag
+            .nodes()
+            .map(|(id, node)| Named {
+                name: &node.output.name,
+                info: TensorInfo {
                     words: node.output.words,
                     uses: out_edges[id.0],
                     ranks: &node.output.ranks,
                     occupancy: node.output.occupancy,
                     external: false,
                 },
-            );
-        }
-        for ext in dag.externals() {
-            meta.insert(
-                &ext.meta.name,
-                TensorInfo {
+                source: Ok(id.0),
+            })
+            .chain(dag.externals().iter().enumerate().map(|(i, ext)| Named {
+                name: &ext.meta.name,
+                info: TensorInfo {
                     words: ext.meta.words,
                     uses: ext.consumers.len() as u64,
                     ranks: &ext.meta.ranks,
                     occupancy: ext.meta.occupancy,
                     external: true,
                 },
-            );
-        }
+                source: Err(i),
+            }))
+            .collect();
+        // Stable: of equal names, the last inserted is the one the map holds.
+        tensors.sort_by(|a, b| a.name.cmp(b.name));
+        let tensors: Vec<Named> = tensors
+            .iter()
+            .enumerate()
+            .filter(|&(i, t)| tensors.get(i + 1).is_none_or(|next| next.name != t.name))
+            .map(|(_, &t)| t)
+            .collect();
+        let lookup = |name: &str| tensors.binary_search_by(|t| t.name.cmp(name)).ok();
 
         let preset_di = space
             .decisions
@@ -344,12 +480,14 @@ impl Tier0Model {
         let preset_count = preset_di.map_or(1, |di| space.decisions[di].choices.len());
         let n_splits = split_di.map_or(1, |di| space.decisions[di].choices.len());
 
-        // Bind each (preset, split) default schedule once over a single
-        // classification; derive its DRAM floor and which tensors it binds
-        // to CHORD.
+        // Bind each (preset, split) default schedule once, over a single
+        // classification and one set of loop orders; derive its DRAM floor
+        // and which tensors it binds to CHORD.
+        let orders = loop_orders(dag, &ScheduleConstraints::none());
         let mut bases = Vec::with_capacity((preset_count * n_splits).min(MAX_BASES));
         let mut pressure: Vec<PressureTensor> = Vec::new();
-        let mut pressure_idx: HashMap<String, usize> = HashMap::new();
+        // Pressure-list index of each entry of `tensors`.
+        let mut pressure_idx: Vec<Option<usize>> = vec![None; tensors.len()];
         'bases: for pi in 0..preset_count {
             for si in 0..n_splits {
                 if bases.len() >= MAX_BASES {
@@ -363,19 +501,19 @@ impl Tier0Model {
                 if let Some(di) = split_di {
                     space.apply_pick(&mut c, di, si);
                 }
-                let schedule = build_schedule_from(dag, cls.clone(), c.options, &c.constraints);
-                let chord_on = schedule.options.enable_chord;
+                let bound = bind(dag, cls, &orders, c.options, &c.constraints);
                 let mut dram_words = 0u64;
-                for (name, binding) in &schedule.binding {
-                    let Some(&TensorInfo {
+                for (ti, t) in tensors.iter().enumerate() {
+                    let TensorInfo {
                         words,
                         uses,
                         ranks,
                         occupancy,
                         external,
-                    }) = meta.get(name.as_str())
-                    else {
-                        continue;
+                    } = t.info;
+                    let binding = match t.source {
+                        Ok(node) => bound.nodes[node],
+                        Err(ext) => bound.externals[ext],
                     };
                     let terminal = !external && uses == 0;
                     match binding {
@@ -393,7 +531,7 @@ impl Tier0Model {
                             if external || terminal {
                                 dram_words += words;
                             }
-                            let idx = *pressure_idx.entry(name.clone()).or_insert_with(|| {
+                            let idx = *pressure_idx[ti].get_or_insert_with(|| {
                                 pressure.push(PressureTensor {
                                     words,
                                     uses: uses.max(1),
@@ -416,12 +554,11 @@ impl Tier0Model {
                     }
                 }
                 bases.push(Base {
-                    chord_on,
+                    chord_on: c.options.enable_chord,
                     dram_words,
                 });
             }
         }
-
         // Per-decision effects. Cut decisions add their intermediate to the
         // pressure list: under build-free sketching a cut's effect is "this
         // tensor now competes for CHORD" (or round-trips DRAM with CHORD
@@ -503,20 +640,14 @@ impl Tier0Model {
                 Some(Choice::Cut { node, .. }) => {
                     // The intermediate a cut before `node` stops streaming:
                     // its first incoming edge's producer output.
-                    let name = dag
+                    let entry = dag
                         .edges()
                         .find(|(_, e)| e.dst == *node)
-                        .map(|(_, e)| dag.node(NodeId(e.src)).output.name.clone());
-                    match name {
-                        Some(name) => {
-                            let idx = *pressure_idx.entry(name.clone()).or_insert_with(|| {
-                                let t = meta.get(name.as_str()).copied().unwrap_or(TensorInfo {
-                                    words: 0,
-                                    uses: 1,
-                                    ranks: &[],
-                                    occupancy: None,
-                                    external: false,
-                                });
+                        .and_then(|(_, e)| lookup(&dag.node(NodeId(e.src)).output.name));
+                    match entry {
+                        Some(ti) => {
+                            let idx = *pressure_idx[ti].get_or_insert_with(|| {
+                                let t = tensors[ti].info;
                                 pressure.push(PressureTensor {
                                     words: t.words,
                                     uses: t.uses.max(1),
@@ -535,7 +666,7 @@ impl Tier0Model {
                     }
                 }
                 Some(Choice::Steer { tensor, .. }) => Effect::Steer {
-                    pressure: pressure_idx.get(tensor.as_str()).copied(),
+                    pressure: lookup(tensor).and_then(|ti| pressure_idx[ti]),
                 },
                 Some(Choice::Transfer { .. }) => {
                     let menu = d
@@ -576,7 +707,7 @@ impl Tier0Model {
                         })
                         .collect();
                     Effect::Bias {
-                        pressure: pressure_idx.get(tensor.as_str()).copied(),
+                        pressure: lookup(tensor).and_then(|ti| pressure_idx[ti]),
                         shift,
                     }
                 }
@@ -592,10 +723,10 @@ impl Tier0Model {
             let mut order: Vec<usize> = (0..pressure.len()).collect();
             order.sort_by_key(|&i| std::cmp::Reverse(pressure[i].words));
             order.truncate(MAX_PRESSURE);
-            let mut remap: HashMap<usize, usize> = HashMap::new();
+            let mut remap: Vec<Option<usize>> = vec![None; pressure.len()];
             let mut trimmed: Vec<PressureTensor> = Vec::with_capacity(MAX_PRESSURE);
             for &old_i in &order {
-                remap.insert(old_i, trimmed.len());
+                remap[old_i] = Some(trimmed.len());
                 trimmed.push(std::mem::replace(
                     &mut pressure[old_i],
                     PressureTensor {
@@ -612,24 +743,22 @@ impl Tier0Model {
             pressure = trimmed;
             for effect in &mut effects {
                 match effect {
-                    Effect::Cut { pressure: p } => match remap.get(p) {
-                        Some(&n) => *p = n,
+                    Effect::Cut { pressure: p } => match remap[*p] {
+                        Some(n) => *p = n,
                         None => *effect = Effect::Inert,
                     },
                     Effect::Steer { pressure: p } | Effect::Bias { pressure: p, .. } => {
-                        *p = p.and_then(|old| remap.get(&old).copied());
+                        *p = p.and_then(|old| remap[old]);
                     }
                     _ => {}
                 }
             }
         }
 
-        let mut cuttable = 0u32;
         let mut deepest_overbook = ChordOverbook::off();
         let mut widest_window = 1u64;
         for effect in &effects {
             match effect {
-                Effect::Cut { pressure } => cuttable |= 1 << pressure,
                 Effect::Transfer(menu) => {
                     for t in menu {
                         widest_window = widest_window.max(t.prefetch_depth as u64 + 1);
@@ -644,12 +773,11 @@ impl Tier0Model {
             }
         }
         let compute_macs: u64 = dag.nodes().map(|(_, n)| n.spec.macs()).sum();
-        Self {
+        let mut model = Self {
             bases,
             n_splits,
             pressure,
             effects,
-            cuttable,
             deepest_overbook,
             widest_window,
             default_capacity: accel
@@ -663,234 +791,489 @@ impl Tier0Model {
                 .max(1),
             noc_bytes_per_cycle: ((accel.noc_bandwidth_bytes_per_sec / accel.freq_hz) as u64)
                 .max(1),
+            tables: Tables::default(),
+        };
+        model.tables = model.tabulate(space);
+        model
+    }
+
+    /// Tabulates what a sketch reads from the fields above: the cells of
+    /// the floor decisions, the pressure list in fill order, a bitmask bit
+    /// or shift per cut, steer and bias pick, and the grants per partition
+    /// and overbook choice. O(cells + decisions + partitions × overbook
+    /// choices × pressure).
+    fn tabulate(&self, space: &SearchSpace) -> Tables {
+        let n = self.pressure.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(self.pressure[i].score));
+        let mut rank_of = vec![0usize; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank_of[i] = r;
         }
-    }
+        let ranked: Vec<Ranked> = order
+            .iter()
+            .map(|&i| {
+                let t = &self.pressure[i];
+                Ranked {
+                    steered_words: t.words.wrapping_mul(t.uses),
+                    cut_words: t.words.wrapping_mul(1 + t.uses),
+                }
+            })
+            .collect();
+        let mut by_uses: Vec<usize> = (0..n).collect();
+        by_uses.sort_by_key(|&r| std::cmp::Reverse(self.pressure[order[r]].uses));
+        let members = (0..self.bases.len())
+            .map(|b| {
+                (0..n)
+                    .filter(|&i| (self.pressure[i].member >> b) & 1 == 1)
+                    .fold(0u32, |m, i| m | 1 << rank_of[i])
+            })
+            .collect();
 
-    /// Sketches one assignment — O(decisions + pressure), no allocation,
-    /// no schedule build.
-    pub fn sketch(&self, picks: &[usize]) -> Sketch {
-        self.finish(&self.decode(picks))
-    }
-
-    /// Folds each decision's pick into what the sketch terms read.
-    fn decode(&self, picks: &[usize]) -> Decoded {
-        debug_assert_eq!(picks.len(), self.effects.len());
-        let mut preset = 0usize;
-        let mut base_split = 0usize;
-        let mut d = Decoded {
-            base_idx: 0,
-            capacity: self.default_capacity,
+        let mut t = Tables {
+            ranked,
+            by_uses,
+            members,
+            ..Tables::default()
+        };
+        let mut parts = vec![PartitionChoice {
             nodes: 1,
             sliced: None,
             noc_word_hops: 0,
-            steered: 0,
-            cuts: 0,
-            shifts: [0; MAX_PRESSURE],
-            transfer: TransferTuning::off(),
-            overbook: ChordOverbook::off(),
-        };
-        for (effect, &pick) in self.effects.iter().zip(picks) {
+        }];
+        let (mut transfer, mut transfers) = (None, vec![TransferTuning::off()]);
+        let (mut overbook, mut overbooks) = (None, vec![ChordOverbook::off()]);
+        let mut n_cells = 1usize;
+        for (di, effect) in self.effects.iter().enumerate() {
             match effect {
-                Effect::Preset => preset = pick,
-                Effect::SramSplit(caps) => {
-                    base_split = pick.min(caps.len().saturating_sub(1));
-                    d.capacity = caps[base_split];
-                }
-                Effect::Partition(choices) => {
-                    let c = &choices[pick.min(choices.len() - 1)];
-                    d.nodes = c.nodes;
-                    d.sliced = c.sliced;
-                    d.noc_word_hops = c.noc_word_hops;
-                }
-                Effect::Repartition(choices) => {
-                    if let Some(Some(r)) = choices.get(pick) {
-                        d.capacity = r.capacity;
-                        if let Some(s) = r.base_split {
-                            base_split = s;
-                        }
+                Effect::Preset
+                | Effect::SramSplit(_)
+                | Effect::Partition(_)
+                | Effect::Repartition(_) => {
+                    if let Effect::Partition(choices) = effect {
+                        parts = choices.clone();
                     }
+                    t.cell_dims.push((di, n_cells));
+                    n_cells *= space.decisions[di].choices.len();
                 }
-                Effect::Cut { pressure } => {
-                    if pick == 1 {
-                        d.cuts |= 1 << pressure;
-                    }
+                Effect::Cut { pressure } => t.cuts.push((di, rank_of[*pressure] as u32)),
+                Effect::Steer { pressure: Some(p) } => t.steers.push((di, rank_of[*p] as u32)),
+                Effect::Bias {
+                    pressure: Some(p),
+                    shift,
+                } => {
+                    let rank = rank_of[*p];
+                    let slot = t.biased.iter().position(|&r| r == rank).unwrap_or_else(|| {
+                        t.biased.push(rank);
+                        t.biased.len() - 1
+                    });
+                    t.biases.push((di, t.bias_shifts.len()));
+                    t.bias_shifts.push((slot, shift.clone()));
                 }
-                Effect::Steer { pressure } => {
-                    if pick == 1 {
-                        if let Some(p) = pressure {
-                            d.steered |= 1 << p;
-                        }
-                    }
-                }
-                Effect::Bias { pressure, shift } => {
-                    if let Some(p) = pressure {
-                        d.shifts[*p] = shift[pick.min(shift.len() - 1)];
-                    }
-                }
-                Effect::Transfer(menu) => {
-                    d.transfer = menu[pick.min(menu.len() - 1)];
-                }
-                Effect::Overbook(menu) => {
-                    d.overbook = menu[pick.min(menu.len() - 1)];
-                }
-                Effect::Inert => {}
+                Effect::Transfer(menu) => (transfer, transfers) = (Some(di), menu.clone()),
+                Effect::Overbook(menu) => (overbook, overbooks) = (Some(di), menu.clone()),
+                Effect::Steer { pressure: None }
+                | Effect::Bias { pressure: None, .. }
+                | Effect::Inert => {}
             }
         }
-        d.base_idx = (preset * self.n_splits + base_split).min(self.bases.len() - 1);
-        d
-    }
+        t.cuttable = t.cuts.iter().fold(0, |m, &(_, rank)| m | 1 << rank);
+        t.steerable = t.steers.iter().fold(0, |m, &(_, rank)| m | 1 << rank);
+        t.biased_mask = t.biased.iter().fold(0, |m, &r| m | 1 << r);
+        t.transfers = transfers
+            .iter()
+            .map(|&tr| {
+                (
+                    tr.prefetch_depth as u64 + 1,
+                    tr.is_off() || tr.double_buffer,
+                    tr.staging_words(self.staging_quantum_words),
+                )
+            })
+            .collect();
+        let keys: Vec<u128> = order
+            .iter()
+            .map(|&i| fill_key(self.pressure[i].score, i))
+            .collect();
+        let levels = MAX_BIAS_LEVEL as i8;
+        t.bias_order = t
+            .biased
+            .iter()
+            .map(|&rank| {
+                let index = order[rank];
+                (-levels..=levels)
+                    .map(|shift| {
+                        let score = self.pressure[index].score;
+                        let score = if shift >= 0 {
+                            score << shift as u32
+                        } else {
+                            score >> (-shift) as u32
+                        };
+                        let key = fill_key(score, index);
+                        let cut = (0..n)
+                            .find(|&u| (t.biased_mask >> u) & 1 == 0 && keys[u] < key)
+                            .unwrap_or(n);
+                        (key, cut)
+                    })
+                    .collect()
+            })
+            .collect();
+        t.n_overbook = overbooks.len();
+        let n_transfers = t.transfers.len();
+        t.refine_dims = transfer
+            .map(|di| (di, 1))
+            .into_iter()
+            .chain(overbook.map(|di| (di, n_transfers)))
+            .collect();
+        t.refine_dims.sort_unstable();
+        t.choices = (0..t.n_overbook)
+            .flat_map(|ob| (0..n_transfers).map(move |tr| (tr, ob)))
+            .collect();
 
-    /// The sketch terms of a decoded assignment.
-    fn finish(&self, d: &Decoded) -> Sketch {
-        let base = &self.bases[d.base_idx];
-        let mut dram_words = base.dram_words;
-        let mut spill_words = 0u64;
-        if base.chord_on {
-            // Gather the live pressure set (base members + enabled cuts,
-            // minus DRAM-steered) into a fixed-size descending-score fill.
-            let mut order = [0usize; MAX_PRESSURE];
-            let mut scores = [0u64; MAX_PRESSURE];
-            let mut len = 0usize;
-            for (i, t) in self.pressure.iter().enumerate() {
-                let resident = (t.member >> d.base_idx) & 1 == 1;
-                if (d.steered >> i) & 1 == 1 {
-                    if resident {
-                        // Steered to DRAM: streams per use instead of
-                        // competing for CHORD.
-                        dram_words += t.words * t.uses;
+        // Each cell decodes its four decisions as the full decode would:
+        // the last decision of a kind wins, a repartition profile overrides
+        // the split's capacity and (when the menu has it) its base.
+        let mut picks = vec![0usize; self.effects.len()];
+        t.cells = (0..n_cells)
+            .map(|cell| {
+                let mut rem = cell;
+                for &(di, _) in &t.cell_dims {
+                    let radix = space.decisions[di].choices.len();
+                    picks[di] = rem % radix;
+                    rem /= radix;
+                }
+                let (mut preset, mut split, mut part) = (0, 0, 0);
+                let mut capacity = self.default_capacity;
+                for &(di, _) in &t.cell_dims {
+                    let pick = picks[di];
+                    match &self.effects[di] {
+                        Effect::Preset => preset = pick,
+                        Effect::SramSplit(caps) => {
+                            split = pick.min(caps.len().saturating_sub(1));
+                            capacity = caps[split];
+                        }
+                        Effect::Partition(choices) => part = pick.min(choices.len() - 1),
+                        Effect::Repartition(choices) => {
+                            if let Some(Some(r)) = choices.get(pick) {
+                                capacity = r.capacity;
+                                if let Some(s) = r.base_split {
+                                    split = s;
+                                }
+                            }
+                        }
+                        _ => {}
                     }
-                    continue;
                 }
-                if !resident && (d.cuts >> i) & 1 != 1 {
-                    continue;
+                let p = parts[part];
+                Cell {
+                    base: (preset * self.n_splits + split).min(self.bases.len() - 1),
+                    part,
+                    capacity,
+                    nodes: p.nodes,
+                    noc_word_hops: p.noc_word_hops,
+                    compute_cycles: self.compute_cycles(p.nodes),
+                    noc_cycles: self.noc_cycles(p.noc_word_hops),
                 }
-                let shift = d.shifts[i];
-                let score = if shift >= 0 {
-                    t.score << shift as u32
-                } else {
-                    t.score >> (-shift) as u32
-                };
-                // Insertion sort: descending score, earlier index on ties.
-                let mut j = len;
-                while j > 0 && scores[j - 1] < score {
-                    scores[j] = scores[j - 1];
-                    order[j] = order[j - 1];
-                    j -= 1;
-                }
-                scores[j] = score;
-                order[j] = i;
-                len += 1;
-            }
-            // The prefetch staging region comes out of whatever CHORD
-            // capacity the split (or repartition override) left — the same
-            // carve the sim applies in `phase_chord_capacity_words`.
-            let mut remaining = d
-                .capacity
-                .saturating_sub(d.transfer.staging_words(self.staging_quantum_words));
-            for &i in &order[..len] {
-                let t = &self.pressure[i];
-                let eff_words = t.footprint(d);
-                // Overbooked grant: occupancy-carrying tensors reserve
-                // capacity at expected occupancy and pay the variance tail
-                // on the spill axis — the same `granted/spill` split
-                // `plan_phases` applies. Off (or absent occupancy) is the
-                // identity, so overbook-free sketches are unchanged.
-                let (need, ob_spill) = match t.occupancy {
-                    Some(occ) if !d.overbook.is_off() => (
-                        d.overbook.granted_words(eff_words, &occ),
-                        d.overbook.spill_words(eff_words, &occ),
-                    ),
-                    _ => (eff_words, 0),
-                };
-                if t.external {
-                    // The cold DRAM fill shrinks with the grant, exactly
-                    // as the engine's occupancy-scaled access words do.
-                    dram_words = dram_words.saturating_sub(eff_words - need);
-                }
-                spill_words = spill_words.saturating_add(ob_spill.saturating_mul(t.uses));
-                let granted = need.min(remaining);
-                remaining -= granted;
-                spill_words = spill_words.saturating_add((need - granted) * t.uses);
-            }
-        } else {
-            // CHORD off: every enabled cut's intermediate round-trips DRAM.
-            for (i, t) in self.pressure.iter().enumerate() {
-                if (d.cuts >> i) & 1 == 1 {
-                    dram_words = dram_words.saturating_add(t.words * (1 + t.uses));
-                }
-            }
-        }
+            })
+            .collect();
 
-        let compute_cycles = self.compute_cycles(d.nodes);
-        let dram_cycles = self.dram_cycles(dram_words.saturating_add(spill_words), d.nodes);
-        let noc_cycles = self.noc_cycles(d.noc_word_hops);
-        // Overlap-aware cycle proxy. Depth 0 is the serialized roofline,
-        // bit-identical to the pre-overlap sketch. With a prefetch window
-        // of depth `d`, double-buffered transfers expose only ~1/(d+1) of
-        // the DRAM cycles (each phase's inbound hides behind up to `d`
-        // predecessors); single-buffered prefetch can only use idle
-        // bandwidth, so it never exposes less than the memory-over-compute
-        // excess. The asymmetry keeps off/sb/db sketches mutually
-        // non-dominated (the carve above already charges the spill axis),
-        // so the soundness proptest's covering property survives.
-        let transfer = d.transfer;
-        let cycles = if transfer.is_off() {
-            compute_cycles.max(dram_cycles) + noc_cycles
-        } else {
-            let window = transfer.prefetch_depth as u64 + 1;
-            let pipelined = dram_cycles.div_ceil(window);
-            let exposed = if transfer.double_buffer {
-                pipelined
-            } else {
-                dram_cycles.saturating_sub(compute_cycles).max(pipelined)
+        // Grants: overbooked footprints shrink occupancy-carrying tensors'
+        // CHORD need and external cold fill and charge the variance tail —
+        // the same `granted/spill` split `plan_phases` applies. Off (or
+        // absent occupancy) is the identity.
+        let grant = |p: &PartitionChoice, r: usize, ob: ChordOverbook| {
+            let tensor = &self.pressure[order[r]];
+            let eff_words = tensor.footprint(p);
+            let (need, tail) = match tensor.occupancy {
+                Some(occ) if !ob.is_off() => (
+                    ob.granted_words(eff_words, &occ),
+                    ob.spill_words(eff_words, &occ),
+                ),
+                _ => (eff_words, 0),
             };
-            compute_cycles.max(exposed) + noc_cycles
+            Grant {
+                need,
+                tail: tail.saturating_mul(tensor.uses),
+                shrink: if tensor.external { eff_words - need } else { 0 },
+                uses: tensor.uses,
+            }
         };
-        Sketch([dram_words, d.noc_word_hops, spill_words, cycles])
+        for p in &parts {
+            for &ob in &overbooks {
+                let row: Vec<Grant> = (0..n).map(|r| grant(p, r, ob)).collect();
+                t.overbooked
+                    .push(row.iter().any(|g| g.tail > 0 || g.shrink > 0));
+                t.grants.extend(row);
+            }
+            t.floor_grants
+                .extend((0..n).map(|r| grant(p, r, self.deepest_overbook)));
+        }
+        t
     }
 
-    /// A lower bound on `finish(d).scalar()` over every assignment that
-    /// shares `d`'s preset, SRAM split, partition and repartition picks
-    /// (the module docs argue each term).
-    fn floor(&self, d: &Decoded) -> u64 {
-        let base = &self.bases[d.base_idx];
+    /// Sketches one assignment of the model's space (every pick must index
+    /// its decision's choices) — O(decisions + pressure), no allocation,
+    /// no schedule build.
+    pub fn sketch(&self, picks: &[usize]) -> Sketch {
+        debug_assert_eq!(picks.len(), self.effects.len());
+        let t = &self.tables;
+        let cell = picks.fold(&t.cell_dims, 0, |c, pick, stride| c + pick * stride);
+        let choice = picks.fold(&t.refine_dims, 0, |c, pick, stride| c + pick * stride);
+        self.finish(&self.decode(cell, choice, picks))
+    }
+
+    /// Folds the picks of an assignment in `cell` and transfer/overbook
+    /// `choice` into what the sketch terms read, without a branch on any
+    /// pick: a cut or steer pick (0 or 1) shifts into its tensor's bit, a
+    /// bias pick looks up its shift.
+    fn decode<P: Picks + ?Sized>(&self, cell: usize, choice: usize, picks: &P) -> Decoded {
+        let t = &self.tables;
+        let set = |m: u32, pick: usize, rank: u32| m | (pick as u32) << rank;
+        let mut shifts = [0i8; MAX_PRESSURE];
+        picks.fold(&t.biases, (), |(), pick, k| {
+            let (slot, shift) = &t.bias_shifts[k];
+            shifts[*slot] = shift[pick];
+        });
+        Decoded {
+            cell,
+            choice,
+            cuts: picks.fold(&t.cuts, 0, set),
+            steered: picks.fold(&t.steers, 0, set),
+            shifts,
+        }
+    }
+
+    /// The sketch terms of a decoded assignment, read from the tables:
+    /// bitmasks of the picks select the live tensors, and the fill walks
+    /// them in fill-rank order.
+    fn finish(&self, d: &Decoded) -> Sketch {
+        let t = &self.tables;
+        let cell = &t.cells[d.cell];
+        let base = &self.bases[cell.base];
+        let (transfer, overbook) = t.choices[d.choice];
+        let (window, double_buffer, staging_words) = t.transfers[transfer];
+        let n = t.ranked.len();
+        let row = cell.part * t.n_overbook + overbook;
+        let grants = &t.grants[row * n..][..n];
+        // A CHORD-off base binds no tensor to CHORD, and its enabled cuts
+        // round-trip DRAM instead of joining the fill.
+        let chord = u32::from(base.chord_on).wrapping_neg();
+        let members = t.members[cell.base];
+        // The live set: base members and enabled cuts, minus DRAM-steered
+        // tensors, which stream per use instead of competing for CHORD.
+        let live = (members | d.cuts) & !d.steered & chord;
+        // The prefetch staging region comes out of whatever CHORD capacity
+        // the split (or repartition override) left — the same carve the sim
+        // applies in `phase_chord_capacity_words`.
+        let capacity = cell.capacity.saturating_sub(staging_words);
+
+        // The live set fills CHORD greedily in descending (shifted) score
+        // order, earlier pressure index on ties: each tensor is granted what
+        // its need leaves of the capacity the tensors before it left, and
+        // spills the rest per use. Unbiased tensors keep the static order
+        // of their fill ranks; a biased tensor's shifted score places it
+        // before fill rank `cut` (`bias_order`). So the fill walks the
+        // biased slots in fill order (by cut, then by descending key), each
+        // after the unbiased ranks below its cut.
+        let nb = t.biased.len();
+        let at = |slot: usize| t.bias_order[slot][(d.shifts[slot] + MAX_BIAS_LEVEL as i8) as usize];
+        let mut order = [0u8; MAX_PRESSURE];
+        for slot in 0..nb {
+            let (key, cut) = at(slot);
+            let mut j = slot;
+            while j > 0 {
+                let (other_key, other_cut) = at(order[j - 1] as usize);
+                if (other_cut, std::cmp::Reverse(other_key)) <= (cut, std::cmp::Reverse(key)) {
+                    break;
+                }
+                order[j] = order[j - 1];
+                j -= 1;
+            }
+            order[j] = slot as u8;
+        }
+        let unbiased = live & !t.biased_mask;
+        let mut left = capacity;
+        let mut spill_words = 0u128;
+        let mut fill = |rank: usize, left: &mut u64| {
+            let g = &grants[rank];
+            spill_words += u128::from(g.need.saturating_sub(*left) * g.uses);
+            *left = left.saturating_sub(g.need);
+        };
+        let mut from = 0usize;
+        // `None` fills the unbiased ranks past every cut.
+        for slot in order[..nb]
+            .iter()
+            .map(|&slot| Some(slot as usize))
+            .chain([None])
+        {
+            let cut = slot.map_or(n, |slot| at(slot).1);
+            let mut rest = unbiased & ((1u32 << cut) - 1) & !((1u32 << from) - 1);
+            while rest != 0 {
+                let rank = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                fill(rank, &mut left);
+            }
+            if let Some(slot) = slot {
+                let rank = t.biased[slot];
+                if (live >> rank) & 1 == 1 {
+                    fill(rank, &mut left);
+                }
+            }
+            from = cut;
+        }
+        // Overbooked grants (rows with `overbooked`) charge the variance
+        // tail on spill and shrink the external cold fills, exactly as the
+        // engine's occupancy-scaled access words do.
+        let mut shrink = 0u128;
+        if t.overbooked[row] {
+            let mut rest = live;
+            while rest != 0 {
+                let g = &grants[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+                spill_words += u128::from(g.tail);
+                shrink += u128::from(g.shrink);
+            }
+        }
+        let mut steered_words = 0u64;
+        let mut steered = members & d.steered;
+        while steered != 0 {
+            steered_words = steered_words
+                .wrapping_add(t.ranked[steered.trailing_zeros() as usize].steered_words);
+            steered &= steered - 1;
+        }
+        // CHORD off: every enabled cut's intermediate round-trips DRAM.
+        let mut cut_words = 0u64;
+        let mut cut_off = d.cuts & !chord;
+        while cut_off != 0 {
+            cut_words =
+                cut_words.saturating_add(t.ranked[cut_off.trailing_zeros() as usize].cut_words);
+            cut_off &= cut_off - 1;
+        }
+        let dram_words = base
+            .dram_words
+            .wrapping_add(steered_words)
+            .saturating_sub(u64::try_from(shrink).unwrap_or(u64::MAX))
+            .saturating_add(cut_words);
+        let spill_words = u64::try_from(spill_words).unwrap_or(u64::MAX);
+
+        let compute_cycles = cell.compute_cycles;
+        let dram_cycles = self.dram_cycles(dram_words.saturating_add(spill_words), cell.nodes);
+        // Overlap-aware cycle proxy. Off is the serialized roofline (a
+        // window of 1). With a prefetch window of depth `d`, double-buffered
+        // transfers expose only ~1/(d+1) of the DRAM cycles (each phase's
+        // inbound hides behind up to `d` predecessors); single-buffered
+        // prefetch can only use idle bandwidth, so it never exposes less
+        // than the memory-over-compute excess. The asymmetry keeps off/sb/db
+        // sketches mutually non-dominated (the carve above already charges
+        // the spill axis), so the soundness proptest's covering property
+        // survives.
+        let pipelined = dram_cycles.div_ceil(window);
+        let exposed = if double_buffer {
+            pipelined
+        } else {
+            dram_cycles.saturating_sub(compute_cycles).max(pipelined)
+        };
+        let cycles = compute_cycles.max(exposed) + cell.noc_cycles;
+        Sketch([dram_words, cell.noc_word_hops, spill_words, cycles])
+    }
+
+    /// A lower bound on the sketch's scalar over every assignment in
+    /// `cell` (the module docs argue each term).
+    fn floor(&self, cell: &Cell) -> u64 {
+        let n = self.tables.ranked.len();
+        let grants = &self.tables.floor_grants[cell.part * n..][..n];
+        self.bound(
+            cell,
+            grants,
+            cell.capacity,
+            (self.widest_window, true),
+            false,
+        )
+    }
+
+    /// A lower bound on the sketch's scalar over every assignment in the
+    /// refined cell `at` (`cell + n_cells · choice`, `choice` indexing the
+    /// (transfer, overbook) choice table): [`Self::floor`] at the transfer setting's own window
+    /// and staging carve and at the overbook choice's own grants, plus the
+    /// members' variance tails.
+    fn refined_floor(&self, at: usize) -> u64 {
+        let t = &self.tables;
+        let n = t.ranked.len();
+        let cell = &t.cells[at % t.cells.len()];
+        let (transfer, overbook) = t.choices[at / t.cells.len()];
+        let (window, double_buffer, staging_words) = t.transfers[transfer];
+        let grants = &t.grants[(cell.part * t.n_overbook + overbook) * n..][..n];
+        let capacity = cell.capacity.saturating_sub(staging_words);
+        self.bound(cell, grants, capacity, (window, double_buffer), true)
+    }
+
+    /// The floor terms of `cell` at `grants` (a partition row), CHORD
+    /// `capacity` and the transfer setting's `(window, double_buffer)`:
+    /// DRAM less every member's and cuttable external's shrink, the
+    /// fractional-knapsack spill of the members, and with `tails` their
+    /// variance tails.
+    fn bound(
+        &self,
+        cell: &Cell,
+        grants: &[Grant],
+        capacity: u64,
+        (window, double_buffer): (u64, bool),
+        tails: bool,
+    ) -> u64 {
+        let t = &self.tables;
+        let base = &self.bases[cell.base];
         let mut dram_words = base.dram_words;
         let mut spill_words = 0u64;
         if base.chord_on {
-            let mut members = [(0u64, 0u64); MAX_PRESSURE];
-            let mut len = 0usize;
-            for (i, t) in self.pressure.iter().enumerate() {
-                let resident = (t.member >> d.base_idx) & 1 == 1;
-                if !resident && (self.cuttable >> i) & 1 != 1 {
-                    continue;
-                }
-                let eff_words = t.footprint(d);
-                let need = match t.occupancy {
-                    Some(occ) => self.deepest_overbook.granted_words(eff_words, &occ),
-                    None => eff_words,
-                };
-                if t.external {
-                    dram_words = dram_words.saturating_sub(eff_words - need);
-                }
-                if resident {
-                    members[len] = (t.uses, need);
-                    len += 1;
+            let members = t.members[cell.base];
+            let mut shrinking = members | t.cuttable;
+            while shrinking != 0 {
+                dram_words =
+                    dram_words.saturating_sub(grants[shrinking.trailing_zeros() as usize].shrink);
+                shrinking &= shrinking - 1;
+            }
+            if tails {
+                // A steered member pays `words × uses` on DRAM instead of
+                // its tail and its spill, which the knapsack charges at
+                // most `need × uses`.
+                let mut tailed = members;
+                while tailed != 0 {
+                    let rank = tailed.trailing_zeros() as usize;
+                    tailed &= tailed - 1;
+                    let g = &grants[rank];
+                    let tail = if (t.steerable >> rank) & 1 == 1 {
+                        g.tail.min(
+                            t.ranked[rank]
+                                .steered_words
+                                .saturating_sub(g.need.saturating_mul(g.uses)),
+                        )
+                    } else {
+                        g.tail
+                    };
+                    spill_words = spill_words.saturating_add(tail);
                 }
             }
-            members[..len].sort_unstable_by_key(|&(uses, _)| std::cmp::Reverse(uses));
-            let mut remaining = d.capacity;
-            for &(uses, need) in &members[..len] {
-                let granted = need.min(remaining);
-                remaining -= granted;
-                spill_words = spill_words.saturating_add((need - granted).saturating_mul(uses));
+            let mut remaining = capacity;
+            for &rank in &t.by_uses {
+                if (members >> rank) & 1 == 1 {
+                    let need = grants[rank].need;
+                    let granted = need.min(remaining);
+                    remaining -= granted;
+                    spill_words = spill_words
+                        .saturating_add((need - granted).saturating_mul(grants[rank].uses));
+                }
             }
         }
-        let dram_cycles = self.dram_cycles(dram_words.saturating_add(spill_words), d.nodes);
-        let cycles = self
-            .compute_cycles(d.nodes)
-            .max(dram_cycles.div_ceil(self.widest_window))
-            + self.noc_cycles(d.noc_word_hops);
-        Sketch([dram_words, d.noc_word_hops, spill_words, cycles]).scalar()
+        let dram_cycles = self.dram_cycles(dram_words.saturating_add(spill_words), cell.nodes);
+        let pipelined = dram_cycles.div_ceil(window);
+        let exposed = if double_buffer {
+            pipelined
+        } else {
+            dram_cycles
+                .saturating_sub(cell.compute_cycles)
+                .max(pipelined)
+        };
+        let cycles = cell.compute_cycles.max(exposed) + cell.noc_cycles;
+        Sketch([dram_words, cell.noc_word_hops, spill_words, cycles]).scalar()
     }
 
     /// Compute cycles of the whole DAG spread over `nodes`.
@@ -912,38 +1295,6 @@ impl Tier0Model {
             .div_ceil(self.noc_bytes_per_cycle)
     }
 
-    /// [`Self::floor`] of every (preset, split, partition, repartition)
-    /// cell of `space`, decoded with every other decision at its default.
-    fn floor_table(&self, space: &SearchSpace) -> FloorTable {
-        let mut decisions = Vec::new();
-        let mut cells = 1usize;
-        for (di, effect) in self.effects.iter().enumerate() {
-            if matches!(
-                effect,
-                Effect::Preset
-                    | Effect::SramSplit(_)
-                    | Effect::Partition(_)
-                    | Effect::Repartition(_)
-            ) {
-                decisions.push((di, cells));
-                cells *= space.decisions[di].choices.len();
-            }
-        }
-        let mut picks = vec![0usize; self.effects.len()];
-        let floors = (0..cells)
-            .map(|cell| {
-                let mut rem = cell;
-                for &(di, _) in &decisions {
-                    let radix = space.decisions[di].choices.len();
-                    picks[di] = rem % radix;
-                    rem /= radix;
-                }
-                self.floor(&self.decode(&picks))
-            })
-            .collect();
-        FloorTable { decisions, floors }
-    }
-
     /// Sweeps up to `budget` assignments of `space` (`SearchSpace::sweep`:
     /// the full odometer when it fits, a seeded uniform sample otherwise)
     /// and returns the
@@ -953,38 +1304,53 @@ impl Tier0Model {
     /// Once the front is full, a candidate whose scalar exceeds the front's
     /// largest (or ties it, below saturation) is skipped without a
     /// dominance scan (`Front::rejects` argues why that is exact). The
-    /// `floor` of an assignment's four floor decisions, read from a
-    /// per-sweep table, goes through that test first: the floor is at most
-    /// the sketch's scalar, so a rejected floor means a rejected sketch,
-    /// and the assignment is counted in `floored` without being sketched
-    /// — on the sampled branch without even drawing its other picks. On
-    /// the capped sweeps the tuner runs, this skips most of the budget.
-    /// Debug builds sketch every floored assignment anyway and assert the
-    /// bound.
+    /// `floor` of an assignment's cell, read from a per-sweep table, goes
+    /// through that test first: the floor is at most the sketch's scalar,
+    /// so a rejected floor means a rejected sketch, and the assignment is
+    /// counted in `floored` without being sketched — on the sampled branch
+    /// without drawing more than its four floor picks. The refined floor
+    /// of its cell, transfer and overbook picks goes through it next (not
+    /// counted in `floored`). On the capped sweeps the tuner runs, the two
+    /// skip most of the budget, and once the front rejects every cell's
+    /// floor release builds stop sweeping. Debug builds sketch every
+    /// rejected assignment anyway and assert the bound.
     pub fn prune(&self, space: &SearchSpace, budget: u64, keep: usize, seed: u64) -> Tier0Prune {
-        let floors = self.floor_table(space);
+        let t = &self.tables;
+        let floors: Vec<u64> = t.cells.iter().map(|c| self.floor(c)).collect();
+        let lowest = floors.iter().copied().min().unwrap_or(0);
+        let mut refined: Vec<Option<u64>> =
+            vec![None; t.cells.len() * t.transfers.len() * t.n_overbook];
         let mut front = Front::new(keep);
         let mut floored = 0u64;
         let mut sweep = space.sweep_cursor(budget.max(1), seed);
         let mut swept = 0u64;
         while let Some(order) = sweep.step() {
             swept += 1;
-            let floor = floors.at(|di| sweep.pick(di));
+            let cell = sweep.fold(&t.cell_dims, 0, |c, pick, stride| c + pick * stride);
+            let floor = floors[cell];
             if front.rejects(floor) {
                 floored += 1;
                 #[cfg(debug_assertions)]
-                {
-                    let picks = sweep.picks();
-                    let scalar = self.sketch(picks).scalar();
-                    assert!(
-                        floor <= scalar,
-                        "floor {floor} > scalar {scalar} at {picks:?}"
-                    );
-                }
+                self.assert_bound(floor, sweep.picks());
                 continue;
             }
-            let picks = sweep.picks();
-            front.offer(self.sketch(picks), order, picks);
+            let choice = sweep.fold(&t.refine_dims, 0, |c, pick, stride| c + pick * stride);
+            let at = cell + t.cells.len() * choice;
+            let bound = *refined[at].get_or_insert_with(|| self.refined_floor(at));
+            if front.rejects(bound) {
+                #[cfg(debug_assertions)]
+                self.assert_bound(bound, sweep.picks());
+                continue;
+            }
+            let sketch = self.finish(&self.decode(cell, choice, &sweep));
+            front.offer(sketch, order, || sweep.picks());
+            if !cfg!(debug_assertions) && front.rejects(lowest) {
+                // Every later floor is rejected as well: the front, and
+                // with it the survivors, can no longer change.
+                let rest = sweep.skip_rest();
+                swept += rest;
+                floored += rest;
+            }
         }
         Tier0Prune {
             kept: front.into_kept(),
@@ -992,116 +1358,129 @@ impl Tier0Model {
             floored,
         }
     }
+
+    /// Debug builds' guard: a `bound` that rejected `picks` is at most its
+    /// sketch's scalar.
+    #[cfg(debug_assertions)]
+    fn assert_bound(&self, bound: u64, picks: &[usize]) {
+        let scalar = self.sketch(picks).scalar();
+        assert!(
+            bound <= scalar,
+            "bound {bound} > scalar {scalar} at {picks:?}"
+        );
+    }
 }
 
-/// One assignment's decisions, as the sketch terms read them.
+/// One assignment's picks, as the sketch terms read them.
 struct Decoded {
-    /// Index into `Tier0Model::bases`.
-    base_idx: usize,
-    /// CHORD capacity words before the staging carve.
-    capacity: u64,
-    nodes: u64,
-    sliced: Option<RankId>,
-    noc_word_hops: u64,
-    /// Pressure-list bitmasks.
-    steered: u32,
+    /// Index into the cell table.
+    cell: usize,
+    /// Fill-rank bitmasks.
     cuts: u32,
+    steered: u32,
+    /// Per biased slot: the shift of its tensor's fill score.
     shifts: [i8; MAX_PRESSURE],
-    transfer: TransferTuning,
-    overbook: ChordOverbook,
+    /// Index into the (transfer, overbook) choice table.
+    choice: usize,
 }
 
 impl PressureTensor {
-    /// Words this tensor occupies per node: rank slicing shrinks a sliced
-    /// footprint `1/nodes`.
-    fn footprint(&self, d: &Decoded) -> u64 {
-        match d.sliced {
-            Some(r) if self.ranks.contains(&r) => (self.words / d.nodes).max(1),
+    /// Words this tensor occupies per node under `p`: rank slicing shrinks
+    /// a sliced footprint `1/nodes`.
+    fn footprint(&self, p: &PartitionChoice) -> u64 {
+        match p.sliced {
+            Some(r) if self.ranks.contains(&r) => (self.words / p.nodes).max(1),
             _ => self.words,
         }
     }
 }
 
-/// A sweep's [`Tier0Model::floor`] per cell of its floor decisions.
-struct FloorTable {
-    /// (decision index, stride) of each floor decision.
-    decisions: Vec<(usize, usize)>,
-    floors: Vec<u64>,
-}
-
-impl FloorTable {
-    /// The floor of the cell `pick` selects (`pick(di)` is decision
-    /// `di`'s pick).
-    fn at(&self, pick: impl Fn(usize) -> usize) -> u64 {
-        let cell = self
-            .decisions
-            .iter()
-            .map(|&(di, stride)| pick(di) * stride)
-            .sum::<usize>();
-        self.floors[cell]
-    }
-}
-
-/// One member of a sweep's front.
-struct Entry {
-    sketch: Sketch,
-    scalar: u64,
-    order: u64,
-    picks: Vec<usize>,
+/// The fill order's key: descending `score`, earlier pressure `index` on
+/// ties.
+fn fill_key(score: u64, index: usize) -> u128 {
+    (u128::from(score) << 8) | (255 - index as u128)
 }
 
 /// The sketch-Pareto front of a sweep, capped at `keep` members by
 /// `(scalar, order)`: admission drops every member the newcomer dominates,
 /// and an overfull front evicts its largest scalar, latest admission on
-/// ties (incumbents win).
+/// ties (incumbents win). Members are kept column-wise, in no particular
+/// order, and the picks buffers of members that leave are reused.
 struct Front {
     keep: usize,
-    entries: Vec<Entry>,
-    /// Largest `scalar` among `entries`; refreshed whenever they change.
+    sketches: Vec<Sketch>,
+    scalars: Vec<u64>,
+    orders: Vec<u64>,
+    picks: Vec<Vec<usize>>,
+    /// Picks buffers of members that left.
+    spare: Vec<Vec<usize>>,
+    /// Largest `scalar` among the members.
     max_scalar: u64,
 }
 
 impl Front {
     fn new(keep: usize) -> Self {
         let keep = keep.max(1);
+        // `keep` may be enormous ("keep everything"); cap the
+        // pre-allocation, not the logic.
+        let cap = keep.saturating_add(1).min(4096);
         Front {
             keep,
-            // `keep` may be enormous ("keep everything"); cap the
-            // pre-allocation, not the logic.
-            entries: Vec::with_capacity(keep.saturating_add(1).min(4096)),
+            sketches: Vec::with_capacity(cap),
+            scalars: Vec::with_capacity(cap),
+            orders: Vec::with_capacity(cap),
+            picks: Vec::with_capacity(cap),
+            spare: Vec::new(),
             max_scalar: 0,
         }
     }
 
-    /// Offers the sweep's `order`-th assignment; orders must increase
-    /// across calls. A [`Self::rejects`]ed scalar leaves the front as it
-    /// was and is skipped unscanned.
-    fn offer(&mut self, sketch: Sketch, order: u64, picks: &[usize]) {
+    /// Offers the sweep's `order`-th assignment, whose picks `picks` reads
+    /// only if it is admitted; orders must increase across calls. A
+    /// [`Self::rejects`]ed scalar leaves the front as it was and is skipped
+    /// unscanned.
+    fn offer<'a>(&mut self, sketch: Sketch, order: u64, picks: impl FnOnce() -> &'a [usize]) {
         let scalar = sketch.scalar();
-        if self.rejects(scalar) {
+        if self.rejects(scalar) || self.sketches.iter().any(|k| k.dominates(&sketch)) {
             return;
         }
-        if self.entries.iter().any(|k| k.sketch.dominates(&sketch)) {
-            return;
+        let mut left = false;
+        let mut i = 0;
+        while i < self.sketches.len() {
+            if sketch.dominates(&self.sketches[i]) {
+                self.remove(i);
+                left = true;
+            } else {
+                i += 1;
+            }
         }
-        self.entries.retain(|k| !sketch.dominates(&k.sketch));
-        self.entries.push(Entry {
-            sketch,
-            scalar,
-            order,
-            picks: picks.to_vec(),
-        });
-        if self.entries.len() > self.keep {
-            let worst = self
-                .entries
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, k)| (k.scalar, k.order))
-                .map(|(i, _)| i)
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(picks());
+        self.sketches.push(sketch);
+        self.scalars.push(scalar);
+        self.orders.push(order);
+        self.picks.push(buf);
+        if self.sketches.len() > self.keep {
+            let worst = (0..self.scalars.len())
+                .max_by_key(|&i| (self.scalars[i], self.orders[i]))
                 .expect("non-empty");
-            self.entries.remove(worst);
+            self.remove(worst);
+            left = true;
         }
-        self.max_scalar = self.entries.iter().map(|k| k.scalar).max().unwrap_or(0);
+        self.max_scalar = if left {
+            self.scalars.iter().copied().max().unwrap_or(0)
+        } else {
+            self.max_scalar.max(scalar)
+        };
+    }
+
+    /// Drops member `i`, keeping its picks buffer.
+    fn remove(&mut self, i: usize) {
+        self.sketches.swap_remove(i);
+        self.scalars.swap_remove(i);
+        self.orders.swap_remove(i);
+        self.spare.push(self.picks.swap_remove(i));
     }
 
     /// The early exit: on a full front, a candidate with
@@ -1119,14 +1498,15 @@ impl Front {
     /// Rejection is monotone: if `scalar` is rejected, so is every larger
     /// one, which is what lets a lower bound on a scalar stand in for it.
     fn rejects(&self, scalar: u64) -> bool {
-        self.entries.len() >= self.keep
+        self.sketches.len() >= self.keep
             && (scalar > self.max_scalar || (scalar == self.max_scalar && scalar != u64::MAX))
     }
 
     /// The surviving assignments, in admission order.
-    fn into_kept(mut self) -> Vec<Vec<usize>> {
-        self.entries.sort_by_key(|k| k.order);
-        self.entries.into_iter().map(|k| k.picks).collect()
+    fn into_kept(self) -> Vec<Vec<usize>> {
+        let mut kept: Vec<(u64, Vec<usize>)> = self.orders.into_iter().zip(self.picks).collect();
+        kept.sort_by_key(|&(order, _)| order);
+        kept.into_iter().map(|(_, picks)| picks).collect()
     }
 }
 
@@ -1189,8 +1569,10 @@ fn partition_choice(dag: &TensorDag, partition: Partition) -> PartitionChoice {
 mod tests {
     use super::*;
     use crate::space::SpaceConfig;
+    use cello_core::score::binding::build_schedule_from;
     use cello_tensor::gen::{for_cases, SplitMix64};
     use cello_workloads::cg::{build_cg_dag, CgParams};
+    use std::collections::HashMap;
 
     fn cg(iters: u32) -> TensorDag {
         build_cg_dag(&CgParams {
@@ -1442,6 +1824,274 @@ mod tests {
         }
     }
 
+    // The sketch, the floor and their decoded form as they were before the
+    // tables, kept verbatim (as free functions over the model) as the
+    // differential reference for `Tier0Model::sketch` and the floors.
+
+    /// One assignment's decisions, as the sketch terms read them.
+    struct RefDecoded {
+        /// Index into `Tier0Model::bases`.
+        base_idx: usize,
+        /// CHORD capacity words before the staging carve.
+        capacity: u64,
+        nodes: u64,
+        sliced: Option<RankId>,
+        noc_word_hops: u64,
+        /// Pressure-list bitmasks.
+        steered: u32,
+        cuts: u32,
+        shifts: [i8; MAX_PRESSURE],
+        transfer: TransferTuning,
+        overbook: ChordOverbook,
+    }
+
+    /// Words `t` occupies per node: rank slicing shrinks a sliced footprint
+    /// `1/nodes`.
+    fn ref_footprint(t: &PressureTensor, d: &RefDecoded) -> u64 {
+        match d.sliced {
+            Some(r) if t.ranks.contains(&r) => (t.words / d.nodes).max(1),
+            _ => t.words,
+        }
+    }
+
+    /// `finish(decode(picks))` of the reference.
+    fn reference_sketch(m: &Tier0Model, picks: &[usize]) -> Sketch {
+        reference_finish(m, &reference_decode(m, picks))
+    }
+
+    /// Folds each decision's pick into what the sketch terms read.
+    fn reference_decode(m: &Tier0Model, picks: &[usize]) -> RefDecoded {
+        debug_assert_eq!(picks.len(), m.effects.len());
+        let mut preset = 0usize;
+        let mut base_split = 0usize;
+        let mut d = RefDecoded {
+            base_idx: 0,
+            capacity: m.default_capacity,
+            nodes: 1,
+            sliced: None,
+            noc_word_hops: 0,
+            steered: 0,
+            cuts: 0,
+            shifts: [0; MAX_PRESSURE],
+            transfer: TransferTuning::off(),
+            overbook: ChordOverbook::off(),
+        };
+        for (effect, &pick) in m.effects.iter().zip(picks) {
+            match effect {
+                Effect::Preset => preset = pick,
+                Effect::SramSplit(caps) => {
+                    base_split = pick.min(caps.len().saturating_sub(1));
+                    d.capacity = caps[base_split];
+                }
+                Effect::Partition(choices) => {
+                    let c = &choices[pick.min(choices.len() - 1)];
+                    d.nodes = c.nodes;
+                    d.sliced = c.sliced;
+                    d.noc_word_hops = c.noc_word_hops;
+                }
+                Effect::Repartition(choices) => {
+                    if let Some(Some(r)) = choices.get(pick) {
+                        d.capacity = r.capacity;
+                        if let Some(s) = r.base_split {
+                            base_split = s;
+                        }
+                    }
+                }
+                Effect::Cut { pressure } => {
+                    if pick == 1 {
+                        d.cuts |= 1 << pressure;
+                    }
+                }
+                Effect::Steer { pressure } => {
+                    if pick == 1 {
+                        if let Some(p) = pressure {
+                            d.steered |= 1 << p;
+                        }
+                    }
+                }
+                Effect::Bias { pressure, shift } => {
+                    if let Some(p) = pressure {
+                        d.shifts[*p] = shift[pick.min(shift.len() - 1)];
+                    }
+                }
+                Effect::Transfer(menu) => {
+                    d.transfer = menu[pick.min(menu.len() - 1)];
+                }
+                Effect::Overbook(menu) => {
+                    d.overbook = menu[pick.min(menu.len() - 1)];
+                }
+                Effect::Inert => {}
+            }
+        }
+        d.base_idx = (preset * m.n_splits + base_split).min(m.bases.len() - 1);
+        d
+    }
+
+    /// The sketch terms of a decoded assignment.
+    fn reference_finish(m: &Tier0Model, d: &RefDecoded) -> Sketch {
+        let base = &m.bases[d.base_idx];
+        let mut dram_words = base.dram_words;
+        let mut spill_words = 0u64;
+        if base.chord_on {
+            // Gather the live pressure set (base members + enabled cuts,
+            // minus DRAM-steered) into a fixed-size descending-score fill.
+            let mut order = [0usize; MAX_PRESSURE];
+            let mut scores = [0u64; MAX_PRESSURE];
+            let mut len = 0usize;
+            for (i, t) in m.pressure.iter().enumerate() {
+                let resident = (t.member >> d.base_idx) & 1 == 1;
+                if (d.steered >> i) & 1 == 1 {
+                    if resident {
+                        // Steered to DRAM: streams per use instead of
+                        // competing for CHORD.
+                        dram_words += t.words * t.uses;
+                    }
+                    continue;
+                }
+                if !resident && (d.cuts >> i) & 1 != 1 {
+                    continue;
+                }
+                let shift = d.shifts[i];
+                let score = if shift >= 0 {
+                    t.score << shift as u32
+                } else {
+                    t.score >> (-shift) as u32
+                };
+                // Insertion sort: descending score, earlier index on ties.
+                let mut j = len;
+                while j > 0 && scores[j - 1] < score {
+                    scores[j] = scores[j - 1];
+                    order[j] = order[j - 1];
+                    j -= 1;
+                }
+                scores[j] = score;
+                order[j] = i;
+                len += 1;
+            }
+            // The prefetch staging region comes out of whatever CHORD
+            // capacity the split (or repartition override) left — the same
+            // carve the sim applies in `phase_chord_capacity_words`.
+            let mut remaining = d
+                .capacity
+                .saturating_sub(d.transfer.staging_words(m.staging_quantum_words));
+            for &i in &order[..len] {
+                let t = &m.pressure[i];
+                let eff_words = ref_footprint(t, d);
+                // Overbooked grant: occupancy-carrying tensors reserve
+                // capacity at expected occupancy and pay the variance tail
+                // on the spill axis — the same `granted/spill` split
+                // `plan_phases` applies. Off (or absent occupancy) is the
+                // identity, so overbook-free sketches are unchanged.
+                let (need, ob_spill) = match t.occupancy {
+                    Some(occ) if !d.overbook.is_off() => (
+                        d.overbook.granted_words(eff_words, &occ),
+                        d.overbook.spill_words(eff_words, &occ),
+                    ),
+                    _ => (eff_words, 0),
+                };
+                if t.external {
+                    // The cold DRAM fill shrinks with the grant, exactly
+                    // as the engine's occupancy-scaled access words do.
+                    dram_words = dram_words.saturating_sub(eff_words - need);
+                }
+                spill_words = spill_words.saturating_add(ob_spill.saturating_mul(t.uses));
+                let granted = need.min(remaining);
+                remaining -= granted;
+                spill_words = spill_words.saturating_add((need - granted) * t.uses);
+            }
+        } else {
+            // CHORD off: every enabled cut's intermediate round-trips DRAM.
+            for (i, t) in m.pressure.iter().enumerate() {
+                if (d.cuts >> i) & 1 == 1 {
+                    dram_words = dram_words.saturating_add(t.words * (1 + t.uses));
+                }
+            }
+        }
+
+        let compute_cycles = m.compute_cycles(d.nodes);
+        let dram_cycles = m.dram_cycles(dram_words.saturating_add(spill_words), d.nodes);
+        let noc_cycles = m.noc_cycles(d.noc_word_hops);
+        // Overlap-aware cycle proxy. Depth 0 is the serialized roofline,
+        // bit-identical to the pre-overlap sketch. With a prefetch window
+        // of depth `d`, double-buffered transfers expose only ~1/(d+1) of
+        // the DRAM cycles (each phase's inbound hides behind up to `d`
+        // predecessors); single-buffered prefetch can only use idle
+        // bandwidth, so it never exposes less than the memory-over-compute
+        // excess. The asymmetry keeps off/sb/db sketches mutually
+        // non-dominated (the carve above already charges the spill axis),
+        // so the soundness proptest's covering property survives.
+        let transfer = d.transfer;
+        let cycles = if transfer.is_off() {
+            compute_cycles.max(dram_cycles) + noc_cycles
+        } else {
+            let window = transfer.prefetch_depth as u64 + 1;
+            let pipelined = dram_cycles.div_ceil(window);
+            let exposed = if transfer.double_buffer {
+                pipelined
+            } else {
+                dram_cycles.saturating_sub(compute_cycles).max(pipelined)
+            };
+            compute_cycles.max(exposed) + noc_cycles
+        };
+        Sketch([dram_words, d.noc_word_hops, spill_words, cycles])
+    }
+
+    /// A lower bound on `finish(d).scalar()` over every assignment that
+    /// shares `d`'s preset, SRAM split, partition and repartition picks
+    /// (the module docs argue each term).
+    fn reference_floor(m: &Tier0Model, d: &RefDecoded) -> u64 {
+        let cuttable = m.effects.iter().fold(0u32, |c, e| match e {
+            Effect::Cut { pressure } => c | 1 << pressure,
+            _ => c,
+        });
+        let base = &m.bases[d.base_idx];
+        let mut dram_words = base.dram_words;
+        let mut spill_words = 0u64;
+        if base.chord_on {
+            let mut members = [(0u64, 0u64); MAX_PRESSURE];
+            let mut len = 0usize;
+            for (i, t) in m.pressure.iter().enumerate() {
+                let resident = (t.member >> d.base_idx) & 1 == 1;
+                if !resident && (cuttable >> i) & 1 != 1 {
+                    continue;
+                }
+                let eff_words = ref_footprint(t, d);
+                let need = match t.occupancy {
+                    Some(occ) => m.deepest_overbook.granted_words(eff_words, &occ),
+                    None => eff_words,
+                };
+                if t.external {
+                    dram_words = dram_words.saturating_sub(eff_words - need);
+                }
+                if resident {
+                    members[len] = (t.uses, need);
+                    len += 1;
+                }
+            }
+            members[..len].sort_unstable_by_key(|&(uses, _)| std::cmp::Reverse(uses));
+            let mut remaining = d.capacity;
+            for &(uses, need) in &members[..len] {
+                let granted = need.min(remaining);
+                remaining -= granted;
+                spill_words = spill_words.saturating_add((need - granted).saturating_mul(uses));
+            }
+        }
+        let dram_cycles = m.dram_cycles(dram_words.saturating_add(spill_words), d.nodes);
+        let cycles = m
+            .compute_cycles(d.nodes)
+            .max(dram_cycles.div_ceil(m.widest_window))
+            + m.noc_cycles(d.noc_word_hops);
+        Sketch([dram_words, d.noc_word_hops, spill_words, cycles]).scalar()
+    }
+
+    /// One member of the reference front.
+    struct Entry {
+        sketch: Sketch,
+        scalar: u64,
+        order: u64,
+        picks: Vec<usize>,
+    }
+
     /// The front upkeep as it was before the early exit, kept verbatim as
     /// the differential reference for [`Front`]: `(sketch, picks)` in sweep
     /// order in, survivors in admission order out.
@@ -1502,7 +2152,10 @@ mod tests {
         seed: u64,
     ) -> Vec<Vec<usize>> {
         let picks = reference_stream(space, budget, seed);
-        reference_front(picks.into_iter().map(|p| (model.sketch(&p), p)), keep)
+        reference_front(
+            picks.into_iter().map(|p| (reference_sketch(model, &p), p)),
+            keep,
+        )
     }
 
     /// A synthetic sketch stream that is dense in the early exit's edge
@@ -1539,7 +2192,7 @@ mod tests {
             for keep in [1, 2, 96, LEN + 1] {
                 let mut front = Front::new(keep);
                 for (order, (sketch, picks)) in stream.iter().enumerate() {
-                    front.offer(*sketch, order as u64, picks);
+                    front.offer(*sketch, order as u64, || picks.as_slice());
                 }
                 assert_eq!(
                     front.into_kept(),
@@ -1584,37 +2237,234 @@ mod tests {
         }
     }
 
-    /// The floor `prune` rejects by never exceeds the sketch it stands in
+    /// A random space of [`workload`]'s DAG: a 1-, 1–4- or 1–64-node
+    /// menu, with per-phase SRAM repartition half the time; widened, so a
+    /// DAG that carries occupancy has an overbook dimension.
+    fn space_of(dag: &TensorDag, accel: &CelloConfig, rng: &mut SplitMix64) -> SearchSpace {
+        let nodes: &[u64] = [&[1u64][..], &[1, 4], &[1, 4, 16, 64]][rng.below(3) as usize];
+        let mut cfg = SpaceConfig::widened_with_nodes(nodes);
+        if rng.next_u64() & 1 == 1 {
+            cfg = cfg.with_repartition(accel.sram_words());
+        }
+        SearchSpace::from_dag(dag, &cfg)
+    }
+
+    /// The table-driven sketch equals the reference's on 10⁴ sampled
+    /// assignments of every case: 1–64-node spaces, with and without
+    /// repartition, some with an overbook dimension.
+    #[test]
+    fn sketch_matches_the_reference() {
+        let mut overbooked = 0;
+        for_cases("sketch_matches_the_reference", 12, |rng| {
+            let dag = workload(rng);
+            let accel = CelloConfig::paper();
+            let space = space_of(&dag, &accel, rng);
+            let model = Tier0Model::new(&dag, &accel, &space);
+            overbooked += usize::from(model.tables.n_overbook > 1);
+            for picks in space.sample_assignments(10_000, rng.next_u64()) {
+                assert_eq!(
+                    model.sketch(&picks),
+                    reference_sketch(&model, &picks),
+                    "{picks:?}"
+                );
+            }
+        });
+        assert!(overbooked > 0, "no case drew an overbook dimension");
+    }
+
+    /// The floors `prune` rejects by never exceed the sketch they stand in
     /// for: on sampled assignments of 1–64-node spaces, with and without
-    /// repartition, floor ≤ `sketch(picks).scalar()`. The floor table's
-    /// cell also equals the floor of the whole decoded assignment, so the
-    /// floor reads nothing but its four decisions.
+    /// repartition, the cell floor is at most the refined floor, which is
+    /// at most the reference's `sketch(picks).scalar()`. The cell floor
+    /// also equals the reference floor of the whole decoded assignment, so
+    /// it reads nothing but its four decisions.
     #[test]
     fn floor_never_exceeds_the_sketch() {
         let mut overbooked = 0;
         for_cases("floor_never_exceeds_the_sketch", 16, |rng| {
             let dag = workload(rng);
             let accel = CelloConfig::paper();
-            let nodes: &[u64] = [&[1u64][..], &[1, 4], &[1, 4, 16, 64]][rng.below(3) as usize];
-            let mut cfg = SpaceConfig::widened_with_nodes(nodes);
-            if rng.next_u64() & 1 == 1 {
-                cfg = cfg.with_repartition(accel.sram_words());
-            }
-            let space = SearchSpace::from_dag(&dag, &cfg);
+            let space = space_of(&dag, &accel, rng);
             let model = Tier0Model::new(&dag, &accel, &space);
             overbooked += usize::from(!model.deepest_overbook.is_off());
-            let floors = model.floor_table(&space);
+            let t = &model.tables;
             for picks in space.sample_assignments(1_024, rng.next_u64()) {
-                let floor = floors.at(|di| picks[di]);
-                let scalar = model.sketch(&picks).scalar();
+                let cell = picks.fold(&t.cell_dims, 0, |c, pick, stride| c + pick * stride);
+                let choice = picks.fold(&t.refine_dims, 0, |c, pick, stride| c + pick * stride);
+                let floor = model.floor(&t.cells[cell]);
+                let refined = model.refined_floor(cell + t.cells.len() * choice);
+                let scalar = reference_sketch(&model, &picks).scalar();
                 assert!(
-                    floor <= scalar,
-                    "floor {floor} > scalar {scalar} at {picks:?}"
+                    floor <= refined && refined <= scalar,
+                    "floor {floor}, refined {refined}, scalar {scalar} at {picks:?}"
                 );
-                assert_eq!(floor, model.floor(&model.decode(&picks)), "{picks:?}");
+                let d = reference_decode(&model, &picks);
+                assert_eq!(floor, reference_floor(&model, &d), "{picks:?}");
             }
         });
         assert!(overbooked > 0, "no case drew an overbook dimension");
+    }
+
+    /// The binding pass binds what a full build binds: for every (preset ×
+    /// split) base, every node output and external has the binding of its
+    /// name in `build_schedule_from(..).binding` (an external shadowing a
+    /// node output of the same name), under the same CHORD flag.
+    #[test]
+    fn binding_pass_matches_full_builds() {
+        for_cases("binding_pass_matches_full_builds", 12, |rng| {
+            let dag = workload(rng);
+            let accel = CelloConfig::paper();
+            let space = space_of(&dag, &accel, rng);
+            let cls = classify(&dag);
+            let none = ScheduleConstraints::none();
+            let orders = loop_orders(&dag, &none);
+            let externals: Vec<&str> = dag
+                .externals()
+                .iter()
+                .map(|x| x.meta.name.as_str())
+                .collect();
+            let model = Tier0Model::from_classification(&dag, &cls, &accel, &space);
+            let (presets, splits) = (space.decisions[0].choices.len(), model.n_splits);
+            let split_di = space
+                .decisions
+                .iter()
+                .position(|d| d.name == "sram-split")
+                .unwrap();
+            for b in 0..presets * splits {
+                let mut c = Candidate::paper_heuristic();
+                space.apply_pick(&mut c, 0, b / splits);
+                space.apply_pick(&mut c, split_di, b % splits);
+                let bound = bind(&dag, &cls, &orders, c.options, &c.constraints);
+                let full = build_schedule_from(&dag, cls.clone(), c.options, &c.constraints);
+                assert_eq!(full.options.enable_chord, model.bases[b].chord_on);
+                assert_eq!(full.phases, bound.phases);
+                assert_eq!(full.realized, bound.realized);
+                for ((_, node), &got) in dag.nodes().zip(&bound.nodes) {
+                    let name = node.output.name.as_str();
+                    if !externals.contains(&name) {
+                        assert_eq!(full.binding[name], got, "base {b}, {name}");
+                    }
+                }
+                for (name, &got) in externals.iter().zip(&bound.externals) {
+                    assert_eq!(full.binding[*name], got, "base {b}, {name}");
+                }
+            }
+        });
+    }
+
+    /// The bases and pressure list as `Tier0Model::new` built them before
+    /// the binding pass: one full `build_schedule_from` per (preset, split)
+    /// base, its `binding` map walked in name order (an external shadowing
+    /// a node output of the same name), the cut intermediates appended, and
+    /// the list trimmed to the `MAX_PRESSURE` heaviest. Per base its CHORD
+    /// flag and DRAM words; per pressure tensor its words, uses, external
+    /// flag and base bits.
+    #[allow(clippy::type_complexity)]
+    fn reference_pressure(
+        dag: &TensorDag,
+        space: &SearchSpace,
+    ) -> (Vec<(bool, u64)>, Vec<(u64, u64, bool, u64)>) {
+        let cls = classify(dag);
+        let mut out_edges = vec![0u64; dag.node_count()];
+        for (_, e) in dag.edges() {
+            out_edges[e.src] += 1;
+        }
+        let mut meta: HashMap<&str, (u64, u64, bool)> = HashMap::new();
+        for (id, node) in dag.nodes() {
+            meta.insert(
+                &node.output.name,
+                (node.output.words, out_edges[id.0], false),
+            );
+        }
+        for ext in dag.externals() {
+            meta.insert(
+                &ext.meta.name,
+                (ext.meta.words, ext.consumers.len() as u64, true),
+            );
+        }
+        let split_di = space
+            .decisions
+            .iter()
+            .position(|d| d.name == "sram-split")
+            .unwrap();
+        let (presets, splits) = (
+            space.decisions[0].choices.len(),
+            space.decisions[split_di].choices.len(),
+        );
+        let mut bases = Vec::new();
+        let mut pressure: Vec<(u64, u64, bool, u64)> = Vec::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
+        for b in 0..(presets * splits).min(MAX_BASES) {
+            let mut c = Candidate::paper_heuristic();
+            space.apply_pick(&mut c, 0, b / splits);
+            space.apply_pick(&mut c, split_di, b % splits);
+            let schedule = build_schedule_from(dag, cls.clone(), c.options, &c.constraints);
+            let mut dram = 0u64;
+            for (name, binding) in &schedule.binding {
+                let (words, uses, external) = meta[name.as_str()];
+                match binding {
+                    Binding::Dram => dram += words * uses.max(1) + if external { 0 } else { words },
+                    Binding::Chord => {
+                        if external || uses == 0 {
+                            dram += words;
+                        }
+                        let i = *index.entry(name.clone()).or_insert_with(|| {
+                            pressure.push((words, uses.max(1), external, 0));
+                            pressure.len() - 1
+                        });
+                        pressure[i].3 |= 1 << b;
+                    }
+                    Binding::RegisterFile => dram += if external { words } else { 0 },
+                    Binding::Pipeline => {}
+                }
+            }
+            bases.push((schedule.options.enable_chord, dram));
+        }
+        for d in &space.decisions {
+            if let Some(Choice::Cut { node, .. }) = d.choices.first() {
+                if let Some((_, e)) = dag.edges().find(|(_, e)| e.dst == *node) {
+                    let name = &dag.node(NodeId(e.src)).output.name;
+                    let (words, uses, _) = meta[name.as_str()];
+                    index.entry(name.clone()).or_insert_with(|| {
+                        pressure.push((words, uses.max(1), false, 0));
+                        pressure.len() - 1
+                    });
+                }
+            }
+        }
+        if pressure.len() > MAX_PRESSURE {
+            let mut order: Vec<usize> = (0..pressure.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(pressure[i].0));
+            pressure = order[..MAX_PRESSURE].iter().map(|&i| pressure[i]).collect();
+        }
+        (bases, pressure)
+    }
+
+    /// The model's bases and pressure list are the reference's, in the
+    /// reference's order — tensor-name order, an external taking precedence
+    /// over a node output of the same name — which the fill's tie-break and
+    /// the `MAX_PRESSURE` trim both read.
+    #[test]
+    fn pressure_list_keeps_the_name_order() {
+        for_cases("pressure_list_keeps_the_name_order", 12, |rng| {
+            let dag = workload(rng);
+            let accel = CelloConfig::paper();
+            let space = space_of(&dag, &accel, rng);
+            let model = Tier0Model::new(&dag, &accel, &space);
+            let (bases, pressure) = reference_pressure(&dag, &space);
+            let got: Vec<(bool, u64)> = model
+                .bases
+                .iter()
+                .map(|b| (b.chord_on, b.dram_words))
+                .collect();
+            assert_eq!(got, bases);
+            let got: Vec<(u64, u64, bool, u64)> = model
+                .pressure
+                .iter()
+                .map(|t| (t.words, t.uses, t.external, t.member))
+                .collect();
+            assert_eq!(got, pressure);
+        });
     }
 
     /// `SearchSpace::sweep` yields exactly the reference stream, and

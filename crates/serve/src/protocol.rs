@@ -53,6 +53,10 @@ pub mod caps {
     pub const MAX_RANDOM_SAMPLES: usize = 4_096;
     /// Max assignments a `tier0` sweep sketches.
     pub const MAX_TIER0_BUDGET: u64 = 1 << 20;
+    /// Max survivors a `tier0` sweep keeps. Each survivor is built and
+    /// scored, and every sketch the sweep admits is checked against all of
+    /// them.
+    pub const MAX_TIER0_KEEP: usize = 1_024;
     /// Max request line length in bytes (a frame beyond this is rejected
     /// before JSON parsing).
     pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -226,9 +230,9 @@ pub(crate) fn field_bool(obj: &Json, key: &str) -> Result<Option<bool>, ServeErr
     }
 }
 
-/// Rejects a `random` draw count or a `tier0` budget above its cap: an
-/// allocation failure aborts the daemon, so the bound must hold before the
-/// tuner runs.
+/// Rejects a `random` draw count, or a `tier0` budget or keep, above its
+/// cap: an allocation failure aborts the daemon and a runaway tune starves
+/// the worker pool, so the bound must hold before the tuner runs.
 fn strategy_within_caps(strategy: &Strategy) -> Result<(), ServeError> {
     match strategy {
         Strategy::Random { samples, .. } if *samples > caps::MAX_RANDOM_SAMPLES => {
@@ -243,6 +247,9 @@ fn strategy_within_caps(strategy: &Strategy) -> Result<(), ServeError> {
                 caps::MAX_TIER0_BUDGET
             )))
         }
+        Strategy::Tier0 { keep, .. } if *keep > caps::MAX_TIER0_KEEP => Err(ServeError::TooLarge(
+            format!("tier0 keep {keep} (cap {})", caps::MAX_TIER0_KEEP),
+        )),
         Strategy::Prefiltered { inner, .. } => strategy_within_caps(inner),
         _ => Ok(()),
     }
@@ -894,6 +901,7 @@ mod tests {
             "prefilter0.1+tier0b49152k96".to_string(),
             format!("random{}@1", caps::MAX_RANDOM_SAMPLES),
             format!("prefilter0.5+tier0b{}k16", caps::MAX_TIER0_BUDGET),
+            format!("tier0b49152k{}", caps::MAX_TIER0_KEEP),
         ] {
             let line = format!(r#"{{"workload": "cg", "strategy": "{strategy}"}}"#);
             match parse_frame(&line) {
@@ -928,6 +936,14 @@ mod tests {
             ),
             (
                 r#"{"workload": "cg", "strategy": "tier0b1048577k96"}"#,
+                "too-large",
+            ),
+            (
+                r#"{"workload": "cg", "strategy": "tier0b49152k1025"}"#,
+                "too-large",
+            ),
+            (
+                r#"{"workload": "cg", "strategy": "prefilter0.1+tier0b1048576k1048576"}"#,
                 "too-large",
             ),
             (
